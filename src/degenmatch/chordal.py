@@ -13,24 +13,33 @@ class EliminationOrder:
     order: tuple
 
 
-def is_perfect_elimination(g, order):
-    """Lex check of the perfect-elimination property (Rose-Tarjan-Lueker).
-
-    For each vertex v, the later neighbors of v minus the earliest of them
-    must all be adjacent to that earliest later neighbor."""
-    order = tuple(order)
+def _elimination_tree(g, order):
+    """Later neighbors and parent (earliest later neighbor, or None) of each
+    vertex under order. Raises ValueError at the first violation of the
+    perfect-elimination property (Rose-Tarjan-Lueker): every other later
+    neighbor of v must be adjacent to the parent of v."""
     if sorted(order) != list(range(g.n)):
-        return False
+        raise ValueError("order is not a permutation of the vertices")
     pos = {v: i for i, v in enumerate(order)}
     adj = [set(g.adj[v]) for v in range(g.n)]
+    later = [[w for w in g.adj[v] if pos[w] > pos[v]] for v in range(g.n)]
+    parent = [None] * g.n
     for v in order:
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
-        if not later:
+        if not later[v]:
             continue
-        u = min(later, key=lambda w: pos[w])
-        for w in later:
+        u = parent[v] = min(later[v], key=lambda w: pos[w])
+        for w in later[v]:
             if w != u and w not in adj[u]:
-                return False
+                raise ValueError("invalid perfect elimination order at vertex %d" % v)
+    return later, parent
+
+
+def is_perfect_elimination(g, order):
+    """Lex check of the perfect-elimination property (Rose-Tarjan-Lueker)."""
+    try:
+        _elimination_tree(g, tuple(order))
+    except ValueError:
+        return False
     return True
 
 
@@ -162,22 +171,13 @@ def build_nice_decomposition(g, peo):
     forget-before-introduce chains, empty root and leaves. Disconnected graphs
     get one subtree per component joined under the empty root."""
     order = tuple(peo.order)
-    if not is_perfect_elimination(g, order):
-        raise ValueError("invalid perfect elimination order")
-    pos = {v: i for i, v in enumerate(order)}
-    bags = {}
-    parent = {}
-    children = {v: [] for v in range(g.n)}
-    roots = []
+    later, parent = _elimination_tree(g, order)
+    bags = [tuple(sorted([v] + later[v])) for v in range(g.n)]
+    children = [[] for _ in range(g.n)]
     for v in range(g.n):
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
-        bags[v] = tuple(sorted([v] + later))
-        if later:
-            u = min(later, key=lambda w: pos[w])
-            parent[v] = u
-            children[u].append(v)
-        else:
-            roots.append(v)
+        if parent[v] is not None:
+            children[parent[v]].append(v)
+    roots = [v for v in range(g.n) if parent[v] is None]
 
     b = _Builder()
     top = {}

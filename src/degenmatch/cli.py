@@ -38,8 +38,7 @@ def _read_input(path):
         return fh.read()
 
 
-def _emit_report(command, input_text, results, started, out=None):
-    out = out if out is not None else sys.stdout
+def _emit_report(command, input_text, results, started):
     digest = (hashlib.sha256(input_text.encode()).hexdigest()
               if input_text is not None else None)
     report = {
@@ -49,8 +48,8 @@ def _emit_report(command, input_text, results, started, out=None):
         "results": results,
         "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
     }
-    json.dump(report, out, indent=2)
-    out.write("\n")
+    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _load_weights(path, g):
@@ -58,18 +57,18 @@ def _load_weights(path, g):
         entries = json.load(fh)
     weights = {}
     for u, v, w in entries:
-        weights[_norm_edge(u, v)] = w
+        e = _norm_edge(u, v)
+        if e in weights:
+            raise ValueError("edge %s listed twice in the weights file" % (e,))
+        weights[e] = w
     return WeightedGraph(g, weights)
 
 
-def cmd_nur(args):
-    started = time.monotonic()
-    text = _read_input(args.input)
-    g = load_graph(text, args.format)
-    if args.weights:
-        res = solve(g, args.r, weights=_load_weights(args.weights, g))
-    else:
-        res = solve(g, args.r)
+# Each handler gets the parsed arguments and the input graph (None for the
+# commands without --input) and returns the report's results.
+def cmd_nur(args, g):
+    weights = _load_weights(args.weights, g) if args.weights else None
+    res = solve(g, args.r, weights=weights)
     results = {
         "nu_r": res.value,
         "r": args.r,
@@ -77,14 +76,10 @@ def cmd_nur(args):
     }
     if args.emit_matching:
         results["matching"] = [list(e) for e in res.matching]
-    _emit_report("nur", text, results, started)
-    return EXIT_OK
+    return results
 
 
-def cmd_color(args):
-    started = time.monotonic()
-    text = _read_input(args.input)
-    g = load_graph(text, args.format)
+def cmd_color(args, g):
     if args.order == "lex":
         order = None
     else:
@@ -97,75 +92,64 @@ def cmd_color(args):
         if not ok:
             raise ColoringInvariantError(report)
         verified = ok
-    _emit_report("color", text, coloring.to_payload(verified), started)
-    return EXIT_OK
+    return coloring.to_payload(verified)
 
 
-def cmd_oracle(args):
-    started = time.monotonic()
-    text = _read_input(args.input)
-    g = load_graph(text, args.format)
+def cmd_oracle(args, g):
     if args.what == "nur":
-        results = {"nu_r": brute_nu_r(g, args.r), "r": args.r}
-    elif args.what == "chi":
-        results = {"chi_r": brute_chromatic_index_r(g, args.r), "r": args.r}
-    elif args.what == "variants":
+        return {"nu_r": brute_nu_r(g, args.r), "r": args.r}
+    if args.what == "chi":
+        return {"chi_r": brute_chromatic_index_r(g, args.r), "r": args.r}
+    if args.what == "variants":
         nu_s, nu_1, nu_ur, nu = brute_nu_variants(g)
-        results = {"nu_s": nu_s, "nu_1": nu_1, "nu_ur": nu_ur, "nu": nu}
-    else:  # states, at the decomposition root
-        from .chordal import build_nice_decomposition, mcs_order
-        decomp = build_nice_decomposition(g, mcs_order(g))
-        states = brute_degenerate_states(g, decomp, args.r, decomp.root)
-        results = {
-            "r": args.r,
-            "node": decomp.root,
-            "states": sorted([list(s), list(n), k] for s, n, k in states),
-        }
-    _emit_report("oracle", text, results, started)
-    return EXIT_OK
+        return {"nu_s": nu_s, "nu_1": nu_1, "nu_ur": nu_ur, "nu": nu}
+    # states, at the decomposition root
+    from .chordal import build_nice_decomposition, mcs_order
+    decomp = build_nice_decomposition(g, mcs_order(g))
+    states = brute_degenerate_states(g, decomp, args.r, decomp.root)
+    return {
+        "r": args.r,
+        "node": decomp.root,
+        "states": sorted([list(s), list(n), k] for s, n, k in states),
+    }
 
 
-def cmd_gen(args):
-    started = time.monotonic()
+def cmd_gen(args, _):
     params = {}
-    for name in ("n", "k", "a", "b", "max_degree"):
+    for name in ("n", "k", "a", "b", "p", "max_degree"):
         value = getattr(args, name)
         if value is not None:
             params[name] = value
-    if args.p is not None:
-        params["p"] = args.p
     g = generate(GeneratorSpec(args.family, params, args.seed))
     line = serialize_graph6(g)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(line + "\n")
-    _emit_report("gen", None,
-                 {"family": args.family, "n": g.n, "m": g.m,
-                  "graph6": line}, started)
-    return EXIT_OK
+    return {"family": args.family, "n": g.n, "m": g.m, "graph6": line}
 
 
-def cmd_check_chordal(args):
-    started = time.monotonic()
-    text = _read_input(args.input)
-    g = load_graph(text, args.format)
-    _emit_report("check-chordal", text, {"chordal": is_chordal(g)}, started)
-    return EXIT_OK
+def cmd_check_chordal(args, g):
+    return {"chordal": is_chordal(g)}
 
 
 def _bench_task(task):
     inst, r = task
-    spec = GeneratorSpec(inst["family"], inst.get("params", {}),
+    spec = GeneratorSpec(inst.get("family"), inst.get("params", {}),
                          inst.get("seed", 0))
-    g = generate(spec)
+    try:
+        g = generate(spec)
+    except ValueError as exc:
+        raise ValueError("instance %r: %s" % (inst.get("id"), exc)) from None
     row = {"graph-id": inst.get("id", inst["family"]), "n": g.n, "m": g.m,
            "delta": g.max_degree(), "r": r}
     agree = {"dp_oracle": None, "palette": None}
-    if is_chordal(g):
-        res = solve(g, r)
-        row["nu_r"] = res.value
+    try:
+        row["nu_r"] = solve(g, r).value
+    except NotChordalError:
+        pass
+    else:
         if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= DEFAULT_LIMITS.max_edges:
-            agree["dp_oracle"] = brute_nu_r(g, r) == res.value
+            agree["dp_oracle"] = brute_nu_r(g, r) == row["nu_r"]
     if g.m <= 12:
         row["chi_r"] = brute_chromatic_index_r(g, r)
     if g.n <= 10 and g.m <= DEFAULT_LIMITS.max_edges:
@@ -178,8 +162,7 @@ def _bench_task(task):
     return row, agree
 
 
-def cmd_bench(args):
-    started = time.monotonic()
+def cmd_bench(args, _):
     with open(args.suite) as fh:
         suite = json.load(fh)
     tasks = [(inst, r) for inst in suite["instances"]
@@ -203,8 +186,7 @@ def cmd_bench(args):
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_survey_csv(rows, fh)
-    _emit_report("bench", None, counters, started)
-    return EXIT_OK
+    return counters
 
 
 def _build_parser():
@@ -270,8 +252,13 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
+    text = g = None
     try:
-        return args.func(args)
+        if "input" in args:
+            text = _read_input(args.input)
+            g = load_graph(text, args.format)
+        results = args.func(args, g)
     except NotChordalError as exc:
         print("not chordal: %s" % exc, file=sys.stderr)
         return EXIT_NOT_CHORDAL
@@ -287,6 +274,8 @@ def main(argv=None):
     except ValueError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
+    _emit_report(args.command, text, results, started)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

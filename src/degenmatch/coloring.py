@@ -69,10 +69,15 @@ def forbidden_sets(g, color, uv, r):
     if (u, v) in color:
         raise ValueError("edge (%d, %d) already colored" % (u, v))
     colors_at = {}
-    for (x, y), a in color.items():
-        colors_at.setdefault(x, set()).add(a)
-        colors_at.setdefault(y, set()).add(a)
+    for e, a in color.items():
+        _add_color(colors_at, e, a)
     return _forbidden(g, colors_at, u, v, r)
+
+
+def _add_color(colors_at, e, a):
+    # colors_at maps each vertex to the colors on its incident edges
+    colors_at.setdefault(e[0], set()).add(a)
+    colors_at.setdefault(e[1], set()).add(a)
 
 
 def _forbidden(g, colors_at, u, v, r):
@@ -128,25 +133,27 @@ def greedy_color(g, r, order=None, delta=None, check=False):
         if chosen is None:
             raise ColoringInvariantError("no available color for edge %s" % (uv,))
         color[uv] = chosen
-        colors_at.setdefault(uv[0], set()).add(chosen)
-        colors_at.setdefault(uv[1], set()).add(chosen)
+        _add_color(colors_at, uv, chosen)
         if check:
             cls = [e for e, a in color.items() if a == chosen]
-            if not _class_ok(g, cls, r):
+            if _class_violation(g, cls, r):
                 raise ColoringInvariantError(
                     "class %d broke after coloring %s" % (chosen, uv))
     return EdgeColoring(color, k, delta, r)
 
 
-def _class_ok(g, cls, r):
+def _class_violation(g, cls, r):
+    """Why the edges cls do not form an r-degenerate matching; None if they do."""
     used = set()
     for u, v in cls:
         if u in used or v in used:
-            return False
+            return "matching violation"
         used.add(u)
         used.add(v)
     sub, _ = induced_subgraph(g, used)
-    return degeneracy(sub) <= r
+    if degeneracy(sub) > r:
+        return "degeneracy violation"
+    return None
 
 
 def verify_coloring(g, coloring, r):
@@ -159,13 +166,7 @@ def verify_coloring(g, coloring, r):
     for e, a in color.items():
         classes.setdefault(a, []).append(_norm_edge(*e))
     for a in sorted(classes):
-        used = set()
-        for u, v in sorted(classes[a]):
-            if u in used or v in used:
-                return False, "matching violation in class %d" % a
-            used.add(u)
-            used.add(v)
-        sub, _ = induced_subgraph(g, used)
-        if degeneracy(sub) > r:
-            return False, "degeneracy violation in class %d" % a
+        violation = _class_violation(g, classes[a], r)
+        if violation:
+            return False, "%s in class %d" % (violation, a)
     return True, None

@@ -5,6 +5,7 @@ to the best matching size (or weight) achievable below the node, together with
 a backpointer for witness reconstruction. Only the maximum value per state is
 kept; the recursions are monotone in the value, so pruning is exact."""
 
+import math
 from dataclasses import dataclass
 
 from .chordal import build_nice_decomposition, mcs_order
@@ -20,6 +21,14 @@ class WeightedGraph:
         missing = self.graph.edges - set(self.weights)
         if missing:
             raise ValueError("missing weight for edges %s" % sorted(missing))
+        extra = set(self.weights) - self.graph.edges
+        if extra:
+            raise ValueError("weight given for non-edges %s" % sorted(extra))
+        # abs(w) < inf rejects NaN and infinities; math.isfinite overflows on big ints
+        for e, w in sorted(self.weights.items()):
+            if (isinstance(w, bool) or not isinstance(w, (int, float))
+                    or not abs(w) < math.inf):
+                raise ValueError("weight %r of edge %s is not a finite number" % (w, e))
 
     def weight(self, u, v):
         return self.weights[_norm_edge(u, v)]
@@ -54,7 +63,7 @@ def dp_introduce(child, x, r):
     return table
 
 
-def dp_forget(child, x, g, r, weights=None):
+def dp_forget(child, x, weights=None):
     """Forget node for x, three case families.
 
     Case 1 keeps states avoiding x; case 3 drops an already matched x; case 2
@@ -104,7 +113,7 @@ def dp_join(left, right):
     return table
 
 
-def run_tables(g, decomp, r, weights=None):
+def run_tables(decomp, r, weights=None):
     """Compute the table at every decomposition node, bottom-up."""
     tables = {}
     for t in decomp.post_order():
@@ -114,7 +123,7 @@ def run_tables(g, decomp, r, weights=None):
         elif nd.kind == "introduce":
             tables[t] = dp_introduce(tables[nd.children[0]], nd.vertex, r)
         elif nd.kind == "forget":
-            tables[t] = dp_forget(tables[nd.children[0]], nd.vertex, g, r, weights)
+            tables[t] = dp_forget(tables[nd.children[0]], nd.vertex, weights)
         elif nd.kind == "join":
             tables[t] = dp_join(tables[nd.children[0]], tables[nd.children[1]])
         else:
@@ -159,7 +168,7 @@ def solve(g, r, weights=None):
         raise ValueError("r must be a positive integer")
     peo = mcs_order(g)
     decomp = build_nice_decomposition(g, peo)
-    tables = run_tables(g, decomp, r, weights)
+    tables = run_tables(decomp, r, weights)
     root_table = tables[decomp.root]
     value = root_table[_EMPTY][0]
     matching = _reconstruct(decomp, tables, decomp.root)

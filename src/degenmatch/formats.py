@@ -159,8 +159,8 @@ def load_graph(text, fmt="auto"):
         return parse_dimacs(text)
     if fmt != "auto":
         raise ParseError("unknown format %r" % fmt)
-    stripped = text.strip()
-    first = stripped.splitlines()[0].strip() if stripped else ""
+    lines = (line.strip() for line in text.splitlines())
+    first = next((line for line in lines if line and not line.startswith("#")), "")
     if first.startswith("p ") or first.startswith("c ") or first.startswith("e "):
         return parse_dimacs(text)
     if len(first.split()) == 2:

@@ -158,22 +158,28 @@ class GeneratorSpec:
 
 
 def generate(spec):
-    p = spec.params
+    """Graph of spec.family; raises ValueError for a missing parameter."""
+
+    def param(name):
+        if name not in spec.params:
+            raise ValueError("family %r needs parameter %r" % (spec.family, name))
+        return spec.params[name]
+
     if spec.family == "path":
-        return path(p["n"])
+        return path(param("n"))
     if spec.family == "cycle":
-        return cycle(p["n"])
+        return cycle(param("n"))
     if spec.family == "complete":
-        return complete(p["n"])
+        return complete(param("n"))
     if spec.family == "complete-bipartite":
-        return complete_bipartite(p["a"], p["b"])
+        return complete_bipartite(param("a"), param("b"))
     if spec.family == "k-tree":
-        return k_tree(p["k"], p["n"], spec.seed)
+        return k_tree(param("k"), param("n"), spec.seed)
     if spec.family == "random-chordal":
-        return random_chordal(p["n"], spec.seed)
+        return random_chordal(param("n"), spec.seed)
     if spec.family == "random-bounded-degree":
-        return random_bounded_degree(p["n"], p.get("p", 0.2),
-                                     p["max_degree"], spec.seed)
+        return random_bounded_degree(param("n"), spec.params.get("p", 0.2),
+                                     param("max_degree"), spec.seed)
     if spec.family == "interval":
-        return interval(p["n"], spec.seed)
+        return interval(param("n"), spec.seed)
     raise ValueError("unknown family %r" % spec.family)

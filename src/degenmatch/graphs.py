@@ -40,9 +40,6 @@ class Graph:
     def degree(self, v):
         return len(self.adj[v])
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def has_edge(self, u, v):
         return _norm_edge(u, v) in self.edges
 
@@ -138,10 +135,6 @@ def is_r_degenerate(g, r):
     if stuck:
         return False, stuck
     return True, DegeneracyCertificate(tuple(order), r)
-
-
-def max_degree(g):
-    return g.max_degree()
 
 
 class Matching:

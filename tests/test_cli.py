@@ -60,6 +60,23 @@ def test_nur_weighted(tmp_path, capsys):
     assert code == 0 and report["results"]["nu_r"] == 10
 
 
+@pytest.mark.parametrize("graph, weights", [
+    ("1 2\n2 3\n", "[[0, 1, NaN], [1, 2, 1]]"),
+    ("1 2\n2 3\n", '[[0, 1, "5"], [1, 2, 1]]'),
+    ("1 2\n2 3\n", "[[0, 1, 1], [1, 2, 1], [0, 2, 7]]"),
+    ("1 2\n", "[[0, 1, 1], [1, 0, 9]]"),
+], ids=["nan", "string", "non-edge", "duplicate"])
+def test_nur_rejects_bad_weights(tmp_path, capsys, graph, weights):
+    g = tmp_path / "g.txt"
+    g.write_text(graph)
+    w = tmp_path / "w.json"
+    w.write_text(weights)
+    code = main(["nur", "--input", str(g), "--r", "1", "--weights", str(w)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
 def test_color_k22(tmp_path, capsys):
     code, report = run(capsys, "color", "--input",
                        write_graph(tmp_path, complete_bipartite(2, 2)),
@@ -118,6 +135,13 @@ def test_gen_round_trip(tmp_path, capsys):
     assert report["results"]["m"] == 9
 
 
+def test_gen_missing_parameter(capsys):
+    code = main(["gen", "--family", "k-tree", "--n", "10"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "invalid input: family 'k-tree' needs parameter 'k'\n"
+
+
 def test_check_chordal(tmp_path, capsys):
     code, report = run(capsys, "check-chordal", "--input",
                        write_graph(tmp_path, k_tree(2, 7, seed=1)))
@@ -157,3 +181,15 @@ def test_bench(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("graph-id,")
     assert len(lines) == 4
+
+
+def test_bench_missing_parameter(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [
+        {"id": "kt-no-k", "family": "k-tree", "params": {"n": 8}, "r": [1]},
+    ]}))
+    code = main(["bench", "--suite", str(suite)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "kt-no-k" in err and "needs parameter 'k'" in err
+    assert err.count("\n") == 1

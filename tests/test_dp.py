@@ -53,7 +53,7 @@ def test_dp_forget_cases():
         ((2,), ()): (0, ("leaf",)),
         ((1, 2), ()): (0, ("leaf",)),
     }
-    t = dp_forget(child, 1, None, 1)
+    t = dp_forget(child, 1)
     assert t[((), ())][0] == 0
     assert t[((2,), ())][0] == 0
     assert t[((2,), (2,))] == (1, ("forget-match", ((1, 2), ()), (1, 2)))
@@ -61,14 +61,14 @@ def test_dp_forget_cases():
 
 def test_dp_forget_drop_case():
     child = {((1,), (1,)): (3, ("leaf",))}
-    t = dp_forget(child, 1, None, 1)
+    t = dp_forget(child, 1)
     assert t == {((), ()): (3, ("forget-drop", ((1,), (1,))))}
 
 
 def test_dp_forget_weighted():
     w = WeightedGraph(Graph(3, [(1, 2)]), {(1, 2): 5})
     child = {((1, 2), ()): (0, ("leaf",))}
-    t = dp_forget(child, 1, w.graph, 1, weights=w)
+    t = dp_forget(child, 1, weights=w)
     assert t[((2,), (2,))][0] == 5
 
 
@@ -115,7 +115,7 @@ def test_state_bound_and_downward_closure():
         g = random_chordal(10, seed)
         decomp = build_nice_decomposition(g, mcs_order(g))
         for r in (1, 2):
-            tables = run_tables(g, decomp, r)
+            tables = run_tables(decomp, r)
             for t, table in tables.items():
                 bag = set(decomp.nodes[t].bag)
                 for (s, n), (value, _) in table.items():
@@ -136,7 +136,7 @@ def test_tables_match_full_state_enumeration():
         g = random_chordal(6, seed)
         decomp = build_nice_decomposition(g, mcs_order(g))
         for r in (1, 2):
-            tables = run_tables(g, decomp, r)
+            tables = run_tables(decomp, r)
             for t in decomp.post_order():
                 literal = brute_degenerate_states(g, decomp, r, t)
                 best = {}
@@ -160,7 +160,7 @@ def test_witness_edges_leave_the_bag():
     # reconstruction creates edge xy only at x's forget node with y in the bag
     g = k_tree(2, 9, seed=2)
     decomp = build_nice_decomposition(g, mcs_order(g))
-    tables = run_tables(g, decomp, 2)
+    tables = run_tables(decomp, 2)
     for t in decomp.post_order():
         nd = decomp.nodes[t]
         if nd.kind != "forget":

@@ -97,6 +97,7 @@ def test_dimacs():
 def test_load_graph_autodetect():
     assert load_graph("C~") == complete(4)
     assert load_graph("1 2\n2 3\n") == path(3)
+    assert load_graph("# a path on three vertices\n\n1 2\n2 3\n") == path(3)
     assert load_graph("p edge 3 1\ne 1 3\n") == Graph(3, [(0, 2)])
 
 
