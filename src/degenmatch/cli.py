@@ -55,6 +55,11 @@ def _emit_report(command, input_text, results, started):
 def _load_weights(path, g):
     with open(path) as fh:
         entries = json.load(fh)
+    # type(...) is int: JSON true/false load as bools, which are ints too
+    if not (isinstance(entries, list) and all(
+            isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e[:2])
+            for e in entries)):
+        raise ValueError("weights must be a JSON list of [u, v, w] with integer u, v")
     weights = {}
     for u, v, w in entries:
         e = _norm_edge(u, v)
@@ -165,8 +170,17 @@ def _bench_task(task):
 def cmd_bench(args, _):
     with open(args.suite) as fh:
         suite = json.load(fh)
-    tasks = [(inst, r) for inst in suite["instances"]
-             for r in inst.get("r", [1])]
+    # the whole suite is checked before any instance runs
+    if not (isinstance(suite, dict) and isinstance(suite.get("instances"), list)
+            and all(isinstance(inst, dict) for inst in suite["instances"])):
+        raise ValueError("suite needs an 'instances' list of JSON objects")
+    tasks = []
+    for inst in suite["instances"]:
+        rs = inst.get("r", [1])
+        if not (isinstance(rs, list) and all(type(r) is int and r >= 1 for r in rs)):
+            raise ValueError("instance %r: r must be a list of positive integers"
+                             % inst.get("id"))
+        tasks.extend((inst, r) for r in rs)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_bench_task, tasks))

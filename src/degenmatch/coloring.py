@@ -51,13 +51,6 @@ class EdgeColoring:
         return payload
 
 
-def _local_sets(g, u, v):
-    nu = set(g.adj[u]) - set(g.adj[v]) - {v}
-    nv = set(g.adj[v]) - set(g.adj[u]) - {u}
-    nuv = set(g.adj[u]) & set(g.adj[v])
-    return nu, nv, nuv
-
-
 def forbidden_sets(g, color, uv, r):
     """Forbidden color sets for an uncolored edge uv.
 
@@ -84,17 +77,15 @@ def _forbidden(g, colors_at, u, v, r):
     f1 = set()
     f1.update(colors_at.get(u, ()))
     f1.update(colors_at.get(v, ()))
-    nu, nv, nuv = _local_sets(g, u, v)
-    candidates = set()
-    for w in nu | nv | nuv:
-        candidates.update(colors_at.get(w, ()))
-    f2 = set()
-    for a in candidates - f1:
-        du = sum(1 for w in nu if a in colors_at.get(w, ()))
-        dv = sum(1 for w in nv if a in colors_at.get(w, ()))
-        duv = sum(1 for w in nuv if a in colors_at.get(w, ()))
-        if du + 2 * duv + dv >= r + 1:
-            f2.add(a)
+    # every vertex of N(u)-v and of N(v)-u adds 1 to each color on its edges;
+    # a common neighbour is met from both sides, so the count is d_u + 2*d_uv + d_v
+    count = {}
+    for x, other in ((u, v), (v, u)):
+        for w in g.adj[x]:
+            if w != other:
+                for a in colors_at.get(w, ()):
+                    count[a] = count.get(a, 0) + 1
+    f2 = {a for a, c in count.items() if c >= r + 1} - f1
     return f1, f2
 
 

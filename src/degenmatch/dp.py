@@ -51,65 +51,56 @@ def _insert(table, key, value, bp):
 
 def dp_introduce(child, x, r):
     """Introduce node for x: keep child states, and add x to any S' of size <= r."""
+    # x is new to the bag, so no two candidates share a key
     table = {}
-    for key in sorted(child):
-        _insert(table, key, child[key][0], ("intro-keep", key))
-    for key in sorted(child):
+    for key, (value, _) in child.items():
+        table[key] = (value, ("intro-keep", key))
         s, n = key
-        if x in s or len(s) > r:
-            continue
-        new_key = (tuple(sorted(s + (x,))), n)
-        _insert(table, new_key, child[key][0], ("intro-add", key))
+        if len(s) <= r:
+            table[(tuple(sorted(s + (x,))), n)] = (value, ("intro-add", key))
     return table
 
 
 def dp_forget(child, x, weights=None):
-    """Forget node for x, three case families.
+    """Forget node for x, one case family per child state.
 
-    Case 1 keeps states avoiding x; case 3 drops an already matched x; case 2
-    matches x to some other bag vertex y in S' (the bag is a clique, so xy is
-    an edge) adding 1 or weight(xy). Reconstruction ties prefer case 1, then
-    case 3, then case 2 with smallest y."""
+    A state avoiding x is kept; a state with x matched (x in N) drops x;
+    otherwise x is matched to each y in S' outside N (the bag is a clique, so xy
+    is an edge), adding 1 or weight(xy). Ties keep the candidate met first in
+    child-table order, which the decomposition fixes."""
     table = {}
-    for key in sorted(child):
+    for key, (value, _) in child.items():
         s, n = key
         if x not in s:
-            _insert(table, key, child[key][0], ("forget-keep", key))
-    for key in sorted(child):
-        s, n = key
-        if x in n:
+            _insert(table, key, value, ("forget-keep", key))
+        elif x in n:
             new_key = (tuple(v for v in s if v != x), tuple(v for v in n if v != x))
-            _insert(table, new_key, child[key][0], ("forget-drop", key))
-    for key in sorted(child):
-        s, n = key
-        if x not in s or x in n:
-            continue
-        s_minus = tuple(v for v in s if v != x)
-        for y in s_minus:
-            if y in n:
-                continue
-            gain = 1 if weights is None else weights.weight(x, y)
-            new_key = (s_minus, tuple(sorted(n + (y,))))
-            _insert(table, new_key, child[key][0] + gain,
-                    ("forget-match", key, _norm_edge(x, y)))
+            _insert(table, new_key, value, ("forget-drop", key))
+        else:
+            s_minus = tuple(v for v in s if v != x)
+            for y in s_minus:
+                if y in n:
+                    continue
+                gain = 1 if weights is None else weights.weight(x, y)
+                new_key = (s_minus, tuple(sorted(n + (y,))))
+                _insert(table, new_key, value + gain,
+                        ("forget-match", key, _norm_edge(x, y)))
     return table
 
 
 def dp_join(left, right):
     """Join node: combine same-S states with disjoint matched sets."""
     by_s = {}
-    for key in sorted(right):
-        by_s.setdefault(key[0], []).append(key)
+    for rkey, (rvalue, _) in right.items():
+        by_s.setdefault(rkey[0], []).append((rkey, rvalue))
     table = {}
-    for lkey in sorted(left):
+    for lkey, (lvalue, _) in left.items():
         s, ln = lkey
-        for rkey in by_s.get(s, ()):
-            rn = rkey[1]
-            if set(ln) & set(rn):
-                continue
-            new_key = (s, tuple(sorted(ln + rn)))
-            _insert(table, new_key, left[lkey][0] + right[rkey][0],
-                    ("join", lkey, rkey))
+        lset = set(ln)
+        for rkey, rvalue in by_s.get(s, ()):
+            if lset.isdisjoint(rkey[1]):
+                new_key = (s, tuple(sorted(ln + rkey[1])))
+                _insert(table, new_key, lvalue + rvalue, ("join", lkey, rkey))
     return table
 
 

@@ -243,6 +243,7 @@ def brute_degenerate_states(g, d, r, node, limits=None):
         outside = sorted(bag - used)
         for extra in range(len(outside) + 1):
             for combo in combinations(outside, extra):
+                deadline.tick()
                 s_set = tuple(sorted(n_set + combo))
                 if _sub_degeneracy(g, used | set(combo)) <= r:
                     states.add((s_set, n_set, count))

@@ -65,7 +65,9 @@ def test_nur_weighted(tmp_path, capsys):
     ("1 2\n2 3\n", '[[0, 1, "5"], [1, 2, 1]]'),
     ("1 2\n2 3\n", "[[0, 1, 1], [1, 2, 1], [0, 2, 7]]"),
     ("1 2\n", "[[0, 1, 1], [1, 0, 9]]"),
-], ids=["nan", "string", "non-edge", "duplicate"])
+    ("1 2\n2 3\n", '[["a", 1, 5]]'),
+    ("1 2\n2 3\n", "[5]"),
+], ids=["nan", "string", "non-edge", "duplicate", "string-vertex", "not-a-triple"])
 def test_nur_rejects_bad_weights(tmp_path, capsys, graph, weights):
     g = tmp_path / "g.txt"
     g.write_text(graph)
@@ -181,6 +183,23 @@ def test_bench(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("graph-id,")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("suite, named", [
+    ({}, False),
+    ([], False),
+    ({"instances": [{"id": "p5", "family": "path", "params": {"n": 5}, "r": 2}]}, True),
+    ({"instances": [{"id": "p5", "family": "path", "params": {"n": 5}, "r": ["x"]}]}, True),
+    ({"instances": [{"id": "p5", "family": "path", "params": {"n": 5}, "r": [0]}]}, True),
+], ids=["no-instances", "not-an-object", "r-not-a-list", "r-not-an-int", "r-zero"])
+def test_bench_rejects_bad_suite(tmp_path, capsys, suite, named):
+    suite_file = tmp_path / "suite.json"
+    suite_file.write_text(json.dumps(suite))
+    code = main(["bench", "--suite", str(suite_file)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert ("'p5'" in err) == named
 
 
 def test_bench_missing_parameter(tmp_path, capsys):

@@ -52,12 +52,18 @@ def test_forbidden_sets_rejects_colored_edge():
 
 
 def test_f2_detects_degeneracy_pressure():
-    # P5 with both outer edges colored alike: recoloring the middle edge with
-    # that color would induce the whole path's interior, coverage 1+1 >= r+1
-    g = path(5)
-    f1, f2 = forbidden_sets(g, {(0, 1): 1, (3, 4): 1}, (1, 3) if False else (1, 2), 1)
-    # edge 12: N_u = {0}, N_v = {3}; vertex 0 and 3 both touched by color 1
-    assert 1 in f1 or 1 in f2
+    # P6 with both outer edges colored 1: coloring the middle edge 23 with 1
+    # too touches vertices 1 and 4, coverage d_u + d_v = 2
+    g = path(6)
+    color = {(0, 1): 1, (4, 5): 1}
+    assert forbidden_sets(g, color, (2, 3), 1) == (set(), {1})
+    assert forbidden_sets(g, color, (2, 3), 2) == (set(), set())
+    # triangle 012 plus pendant 23: the common neighbour 2 of edge 01 is
+    # touched by color 1 and counts twice, 2*d_uv = 2
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    color = {(2, 3): 1}
+    assert forbidden_sets(g, color, (0, 1), 1) == (set(), {1})
+    assert forbidden_sets(g, color, (0, 1), 2) == (set(), set())
 
 
 def test_greedy_k22():

@@ -107,6 +107,16 @@ def test_limits_enforced():
         brute_nu_variants(path(5), limits=tiny)
 
 
+def test_degenerate_states_timeout():
+    # at K14's 14-vertex bag no edge is allowed, so all the work is the
+    # 2^14 subsets of the bag, which the deadline must bound as well
+    g = complete(14)
+    d = build_nice_decomposition(g, mcs_order(g))
+    node = next(i for i, nd in enumerate(d.nodes) if len(nd.bag) == 14)
+    with pytest.raises(LimitsExceededError):
+        brute_degenerate_states(g, d, 1, node, OracleLimits(16, 200, timeout_ms=1))
+
+
 def test_survey_csv():
     buf = io.StringIO()
     write_survey_csv([{"graph-id": "p4", "n": 4, "m": 3, "delta": 2, "r": 1,
