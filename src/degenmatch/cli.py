@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -10,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .chordal import NotChordalError, is_chordal
 from .coloring import ColoringInvariantError, greedy_color, verify_coloring
-from .dp import WeightedGraph, solve
+from .dp import DPInvariantError, WeightedGraph, solve
 from .formats import ParseError, load_graph, serialize_graph6
 from .generate import FAMILIES, GeneratorSpec, Rng, generate
 from .graphs import _norm_edge
@@ -176,10 +177,20 @@ def cmd_bench(args, _):
         raise ValueError("suite needs an 'instances' list of JSON objects")
     tasks = []
     for inst in suite["instances"]:
-        rs = inst.get("r", [1])
-        if not (isinstance(rs, list) and all(type(r) is int and r >= 1 for r in rs)):
-            raise ValueError("instance %r: r must be a list of positive integers"
-                             % inst.get("id"))
+        rs, params = inst.get("r", [1]), inst.get("params", {})
+        checks = (
+            (isinstance(rs, list) and all(type(r) is int and r >= 1 for r in rs),
+             "r must be a list of positive integers"),
+            (isinstance(params, dict) and all(
+                type(v) is int
+                or (name == "p" and type(v) is float and abs(v) < math.inf)
+                for name, v in params.items()),
+             "params must be an object of integers (p may be a finite number)"),
+            (type(inst.get("seed", 0)) is int, "seed must be an integer"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError("instance %r: %s" % (inst.get("id"), message))
         tasks.extend((inst, r) for r in rs)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -282,7 +293,7 @@ def main(argv=None):
     except LimitsExceededError as exc:
         print("limits exceeded: %s" % exc, file=sys.stderr)
         return EXIT_LIMITS
-    except (ColoringInvariantError, AssertionError) as exc:
+    except (ColoringInvariantError, DPInvariantError, AssertionError) as exc:
         print("internal invariant violation: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

@@ -1,9 +1,12 @@
 """Bottom-up dynamic program for maximum r-degenerate matchings in chordal graphs.
 
 Tables map a state (S, N) -- N inside S inside the current bag, |S| <= r+1 --
-to the best matching size (or weight) achievable below the node, together with
-a backpointer for witness reconstruction. Only the maximum value per state is
-kept; the recursions are monotone in the value, so pruning is exact."""
+to the best matching size (or weight) achievable below the node; the
+recursions are monotone in the value, so keeping only the maximum is exact.
+The witness is re-derived from these values by a walk down from the root: a
+node takes the first child state (two at a join) whose value its recurrence
+turns into its own, a forget trying keep, drop, then match in N order, a join
+the splits of N in mask order."""
 
 import math
 from dataclasses import dataclass
@@ -37,27 +40,27 @@ class WeightedGraph:
 _EMPTY = ((), ())
 
 
+class DPInvariantError(RuntimeError):
+    """The value tables admit no witness; signals an implementation bug."""
+
+
 def dp_leaf():
-    return {_EMPTY: (0, ("leaf",))}
+    return {_EMPTY: 0}
 
 
-def _insert(table, key, value, bp):
-    # strictly greater replaces; ties keep the first insertion, so callers
-    # control tie-breaking by insertion order
+def _insert(table, key, value):
     cur = table.get(key)
-    if cur is None or value > cur[0]:
-        table[key] = (value, bp)
+    if cur is None or value > cur:
+        table[key] = value
 
 
 def dp_introduce(child, x, r):
     """Introduce node for x: keep child states, and add x to any S' of size <= r."""
     # x is new to the bag, so no two candidates share a key
-    table = {}
-    for key, (value, _) in child.items():
-        table[key] = (value, ("intro-keep", key))
-        s, n = key
+    table = dict(child)
+    for (s, n), value in child.items():
         if len(s) <= r:
-            table[(tuple(sorted(s + (x,))), n)] = (value, ("intro-add", key))
+            table[(tuple(sorted(s + (x,))), n)] = value
     return table
 
 
@@ -66,41 +69,37 @@ def dp_forget(child, x, weights=None):
 
     A state avoiding x is kept; a state with x matched (x in N) drops x;
     otherwise x is matched to each y in S' outside N (the bag is a clique, so xy
-    is an edge), adding 1 or weight(xy). Ties keep the candidate met first in
-    child-table order, which the decomposition fixes."""
+    is an edge), adding 1 or weight(xy). Each state keeps its best value; the
+    witness walk tries the cases as keep, drop, then match in N order."""
     table = {}
-    for key, (value, _) in child.items():
+    for key, value in child.items():
         s, n = key
         if x not in s:
-            _insert(table, key, value, ("forget-keep", key))
+            _insert(table, key, value)
         elif x in n:
-            new_key = (tuple(v for v in s if v != x), tuple(v for v in n if v != x))
-            _insert(table, new_key, value, ("forget-drop", key))
+            _insert(table, (tuple(v for v in s if v != x),
+                            tuple(v for v in n if v != x)), value)
         else:
             s_minus = tuple(v for v in s if v != x)
             for y in s_minus:
                 if y in n:
                     continue
                 gain = 1 if weights is None else weights.weight(x, y)
-                new_key = (s_minus, tuple(sorted(n + (y,))))
-                _insert(table, new_key, value + gain,
-                        ("forget-match", key, _norm_edge(x, y)))
+                _insert(table, (s_minus, tuple(sorted(n + (y,)))), value + gain)
     return table
 
 
 def dp_join(left, right):
     """Join node: combine same-S states with disjoint matched sets."""
     by_s = {}
-    for rkey, (rvalue, _) in right.items():
-        by_s.setdefault(rkey[0], []).append((rkey, rvalue))
+    for rkey, rvalue in right.items():
+        by_s.setdefault(rkey[0], []).append((rkey[1], rvalue))
     table = {}
-    for lkey, (lvalue, _) in left.items():
-        s, ln = lkey
+    for (s, ln), lvalue in left.items():
         lset = set(ln)
-        for rkey, rvalue in by_s.get(s, ()):
-            if lset.isdisjoint(rkey[1]):
-                new_key = (s, tuple(sorted(ln + rkey[1])))
-                _insert(table, new_key, lvalue + rvalue, ("join", lkey, rkey))
+        for rn, rvalue in by_s.get(s, ()):
+            if lset.isdisjoint(rn):
+                _insert(table, (s, tuple(sorted(ln + rn))), lvalue + rvalue)
     return table
 
 
@@ -122,24 +121,46 @@ def run_tables(decomp, r, weights=None):
     return tables
 
 
-def _reconstruct(decomp, tables, root):
+def _candidates(nd, key, weights):
+    """(child keys, gain, witness edges) for each way the recurrence of node
+    nd can produce state key, in the order the witness walk tries them."""
+    s, n = key
+    if nd.kind == "leaf":
+        yield (), 0, ()
+    elif nd.kind == "introduce":
+        yield ((tuple(v for v in s if v != nd.vertex), n),), 0, ()
+    elif nd.kind == "forget":
+        x = nd.vertex
+        s_x = tuple(sorted(s + (x,)))
+        yield (key,), 0, ()
+        yield ((s_x, tuple(sorted(n + (x,)))),), 0, ()
+        for y in n:
+            gain = 1 if weights is None else weights.weight(x, y)
+            yield ((s_x, tuple(v for v in n if v != y)),), gain, (_norm_edge(x, y),)
+    else:
+        for mask in range(1 << len(n)):
+            ln = tuple(v for i, v in enumerate(n) if mask >> i & 1)
+            yield ((s, ln), (s, tuple(v for v in n if v not in ln))), 0, ()
+
+
+def _reconstruct(decomp, tables, weights=None):
+    """Witness for the root state: each node takes the first candidate whose
+    child values plus gain equal its value (the same additions as the forward
+    pass, so float weights compare exactly), else raises DPInvariantError."""
     pairs = []
-    stack = [(root, _EMPTY)]
+    stack = [(decomp.root, _EMPTY)]
     while stack:
         t, key = stack.pop()
-        _, bp = tables[t][key]
         nd = decomp.nodes[t]
-        tag = bp[0]
-        if tag == "leaf":
-            continue
-        if tag == "forget-match":
-            pairs.append(bp[2])
-            stack.append((nd.children[0], bp[1]))
-        elif tag == "join":
-            stack.append((nd.children[0], bp[1]))
-            stack.append((nd.children[1], bp[2]))
+        for ckeys, gain, edges in _candidates(nd, key, weights):
+            values = [tables[c].get(k) for c, k in zip(nd.children, ckeys)]
+            if None not in values and sum(values) + gain == tables[t][key]:
+                break
         else:
-            stack.append((nd.children[0], bp[1]))
+            raise DPInvariantError("no child state of %s node %r gives %r = %r"
+                                   % (nd.kind, t, key, tables[t][key]))
+        pairs.extend(edges)
+        stack.extend(zip(nd.children, ckeys))
     return Matching(pairs)
 
 
@@ -160,9 +181,8 @@ def solve(g, r, weights=None):
     peo = mcs_order(g)
     decomp = build_nice_decomposition(g, peo)
     tables = run_tables(decomp, r, weights)
-    root_table = tables[decomp.root]
-    value = root_table[_EMPTY][0]
-    matching = _reconstruct(decomp, tables, decomp.root)
+    value = tables[decomp.root][_EMPTY]
+    matching = _reconstruct(decomp, tables, weights)
     return DPResult(value, matching, len(decomp.nodes),
                     max(len(t) for t in tables.values()))
 

@@ -161,7 +161,7 @@ def load_graph(text, fmt="auto"):
         raise ParseError("unknown format %r" % fmt)
     lines = (line.strip() for line in text.splitlines())
     first = next((line for line in lines if line and not line.startswith("#")), "")
-    if first.startswith("p ") or first.startswith("c ") or first.startswith("e "):
+    if first == "c" or first[:2] in ("c ", "p ", "e "):
         return parse_dimacs(text)
     if len(first.split()) == 2:
         return parse_edge_list(text)

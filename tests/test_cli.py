@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from degenmatch import dp
 from degenmatch.cli import main
 from degenmatch.formats import serialize_graph6
 from degenmatch.generate import complete, complete_bipartite, cycle, k_tree, path
@@ -29,6 +30,22 @@ def test_nur_p6(tmp_path, capsys):
     assert len(report["results"]["matching"]) == 3
     assert set(report) == {"command", "input_digest", "version", "results",
                            "elapsed_ms"}
+
+
+def test_nur_inconsistent_tables_exit_internal(tmp_path, capsys, monkeypatch):
+    # a DP table whose root value no child state explains is an internal error
+    run_tables = dp.run_tables
+
+    def corrupted(decomp, r, weights=None):
+        tables = run_tables(decomp, r, weights)
+        tables[decomp.root][((), ())] += 1
+        return tables
+
+    monkeypatch.setattr(dp, "run_tables", corrupted)
+    code = main(["nur", "--input", write_graph(tmp_path, path(6)), "--r", "1"])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == ""
+    assert err.startswith("internal invariant violation: ")
 
 
 def test_nur_not_chordal(tmp_path, capsys):
@@ -191,7 +208,15 @@ def test_bench(tmp_path, capsys):
     ({"instances": [{"id": "p5", "family": "path", "params": {"n": 5}, "r": 2}]}, True),
     ({"instances": [{"id": "p5", "family": "path", "params": {"n": 5}, "r": ["x"]}]}, True),
     ({"instances": [{"id": "p5", "family": "path", "params": {"n": 5}, "r": [0]}]}, True),
-], ids=["no-instances", "not-an-object", "r-not-a-list", "r-not-an-int", "r-zero"])
+    ({"instances": [{"id": "p5", "family": "path", "params": 5, "r": [1]}]}, True),
+    ({"instances": [{"id": "p5", "family": "path", "params": {"n": "x"}, "r": [1]}]}, True),
+    ({"instances": [{"id": "p5", "family": "path", "params": {"n": 2.5}, "r": [1]}]}, True),
+    ({"instances": [{"id": "p5", "family": "path", "params": {"n": True}, "r": [1]}]}, True),
+    ({"instances": [{"id": "p5", "family": "k-tree", "params": {"k": 2, "n": 8},
+                     "seed": "a", "r": [1]}]}, True),
+], ids=["no-instances", "not-an-object", "r-not-a-list", "r-not-an-int", "r-zero",
+        "params-not-an-object", "param-not-a-number", "param-float", "param-bool",
+        "seed-not-an-int"])
 def test_bench_rejects_bad_suite(tmp_path, capsys, suite, named):
     suite_file = tmp_path / "suite.json"
     suite_file.write_text(json.dumps(suite))

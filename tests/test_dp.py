@@ -13,7 +13,15 @@ from degenmatch import (
     solve,
 )
 from degenmatch.chordal import build_nice_decomposition, mcs_order
-from degenmatch.dp import dp_forget, dp_introduce, dp_join, dp_leaf, run_tables
+from degenmatch.dp import (
+    DPInvariantError,
+    _reconstruct,
+    dp_forget,
+    dp_introduce,
+    dp_join,
+    dp_leaf,
+    run_tables,
+)
 from degenmatch.generate import (
     Rng,
     complete,
@@ -27,7 +35,7 @@ from degenmatch.generate import (
 
 def test_dp_leaf():
     t = dp_leaf()
-    assert t == {((), ()): (0, ("leaf",))}
+    assert t == {((), ()): 0}
     assert dp_leaf() == t  # recomputation identical
 
 
@@ -35,11 +43,11 @@ def test_dp_introduce_both_cases():
     child = dp_leaf()
     t = dp_introduce(child, 5, 2)
     assert set(t) == {((), ()), ((5,), ())}
-    assert t[((5,), ())][0] == 0
+    assert t[((5,), ())] == 0
 
 
 def test_dp_introduce_size_guard():
-    child = {((1, 2), ()): (0, ("leaf",))}
+    child = {((1, 2), ()): 0}
     t = dp_introduce(child, 3, 1)
     # |S'| = 2 > r = 1, so no augmented copy
     assert set(t) == {((1, 2), ())}
@@ -47,40 +55,35 @@ def test_dp_introduce_size_guard():
 
 def test_dp_forget_cases():
     # downward-closed child table over bag {x=1, y=2}
-    child = {
-        ((), ()): (0, ("leaf",)),
-        ((1,), ()): (0, ("leaf",)),
-        ((2,), ()): (0, ("leaf",)),
-        ((1, 2), ()): (0, ("leaf",)),
-    }
+    child = {((), ()): 0, ((1,), ()): 0, ((2,), ()): 0, ((1, 2), ()): 0}
     t = dp_forget(child, 1)
-    assert t[((), ())][0] == 0
-    assert t[((2,), ())][0] == 0
-    assert t[((2,), (2,))] == (1, ("forget-match", ((1, 2), ()), (1, 2)))
+    assert t[((), ())] == 0
+    assert t[((2,), ())] == 0
+    assert t[((2,), (2,))] == 1
 
 
 def test_dp_forget_drop_case():
-    child = {((1,), (1,)): (3, ("leaf",))}
+    child = {((1,), (1,)): 3}
     t = dp_forget(child, 1)
-    assert t == {((), ()): (3, ("forget-drop", ((1,), (1,))))}
+    assert t == {((), ()): 3}
 
 
 def test_dp_forget_weighted():
     w = WeightedGraph(Graph(3, [(1, 2)]), {(1, 2): 5})
-    child = {((1, 2), ()): (0, ("leaf",))}
+    child = {((1, 2), ()): 0}
     t = dp_forget(child, 1, weights=w)
-    assert t[((2,), (2,))][0] == 5
+    assert t[((2,), (2,))] == 5
 
 
 def test_dp_join():
-    assert dp_join(dp_leaf(), dp_leaf()) == {((), ()): (0, ("join", ((), ()), ((), ())))}
-    left = {((7,), (7,)): (1, ("leaf",))}
-    right = {((7,), (7,)): (1, ("leaf",))}
+    assert dp_join(dp_leaf(), dp_leaf()) == {((), ()): 0}
+    left = {((7,), (7,)): 1}
+    right = {((7,), (7,)): 1}
     assert dp_join(left, right) == {}  # N sets overlap
-    left = {((7, 8), (7,)): (1, ("leaf",))}
-    right = {((7, 8), (8,)): (2, ("leaf",))}
+    left = {((7, 8), (7,)): 1}
+    right = {((7, 8), (8,)): 2}
     t = dp_join(left, right)
-    assert t[((7, 8), (7, 8))][0] == 3
+    assert t[((7, 8), (7, 8))] == 3
 
 
 def test_nu_r_examples():
@@ -118,14 +121,14 @@ def test_state_bound_and_downward_closure():
             tables = run_tables(decomp, r)
             for t, table in tables.items():
                 bag = set(decomp.nodes[t].bag)
-                for (s, n), (value, _) in table.items():
+                for (s, n), value in table.items():
                     assert set(n) <= set(s) <= bag
                     assert len(s) <= r + 1
                     # shrinking S outside N keeps a state with >= value
                     for drop in set(s) - set(n):
                         smaller = tuple(x for x in s if x != drop)
                         assert (smaller, n) in table
-                        assert table[(smaller, n)][0] >= value
+                        assert table[(smaller, n)] >= value
             assert set(tables[decomp.root]) == {((), ())}
 
 
@@ -142,8 +145,7 @@ def test_tables_match_full_state_enumeration():
                 best = {}
                 for s, n, k in literal:
                     best[(s, n)] = max(best.get((s, n), -1), k)
-                got = {key: value for key, (value, _) in tables[t].items()}
-                assert got == best
+                assert tables[t] == best
 
 
 def test_monotone_in_r_and_delta_collapse():
@@ -156,21 +158,41 @@ def test_monotone_in_r_and_delta_collapse():
         assert values[-1] == brute_nu_r(g, g.n + 1)
 
 
-def test_witness_edges_leave_the_bag():
-    # reconstruction creates edge xy only at x's forget node with y in the bag
-    g = k_tree(2, 9, seed=2)
+def _witness_corpus():
+    for s in range(60):
+        yield random_chordal(8 + s % 12, s), (1, 2), s
+        yield interval(10 + s % 20, s), (1, 2, 3), s
+        yield k_tree(2 + s % 2, 30 + s, s), (1, 2), s
+
+
+def test_witness_valid_over_wide_bags():
+    # r = 3 on interval graphs gives joins over states with a nonempty N
+    for g, rs, s in _witness_corpus():
+        rng = Rng(s)
+        wg = WeightedGraph(g, {e: rng.randbelow(9) - 2 for e in g.sorted_edges()})
+        for r in rs:
+            for weights in (None, wg):
+                res = solve(g, r, weights=weights)
+                m = res.matching  # Matching() rejects edges sharing an endpoint
+                assert m.edges <= g.edges
+                worth = len(m) if weights is None else sum(wg.weights[e] for e in m)
+                assert worth == res.value
+                assert classify_matching(g, m, r).is_r_degenerate
+
+
+@pytest.mark.parametrize("where", ["root", "leaves"])
+def test_reconstruct_rejects_inconsistent_tables(where):
+    g = interval(14, seed=3)
     decomp = build_nice_decomposition(g, mcs_order(g))
     tables = run_tables(decomp, 2)
-    for t in decomp.post_order():
-        nd = decomp.nodes[t]
-        if nd.kind != "forget":
-            continue
-        for (s, n), (_, bp) in tables[t].items():
-            if bp[0] == "forget-match":
-                x, y = bp[2]
-                assert nd.vertex in (x, y)
-                other = y if nd.vertex == x else x
-                assert other in nd.bag
+    if where == "root":
+        tables[decomp.root][((), ())] += 1
+    else:  # every leaf lies on the walk
+        for t, nd in enumerate(decomp.nodes):
+            if nd.kind == "leaf":
+                tables[t][((), ())] = 1
+    with pytest.raises(DPInvariantError):
+        _reconstruct(decomp, tables)
 
 
 def test_weighted_p4():

@@ -1,5 +1,6 @@
-"""Property tests over small drawn graphs: the DP against brute force, and
-the greedy colorer's validity and palette bound under any edge order."""
+"""Property tests over small drawn graphs: the DP against brute force, the
+greedy colorer's validity and palette bound under any edge order, and the
+graph6, edge-list and DIMACS round trips."""
 
 from itertools import combinations
 
@@ -19,8 +20,11 @@ from degenmatch import (
     induced_subgraph,
     nu_r_weighted,
     palette_size,
+    parse_graph6,
+    serialize_graph6,
     verify_coloring,
 )
+from degenmatch.formats import parse_dimacs, parse_edge_list
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -86,3 +90,33 @@ def test_greedy_coloring_valid_within_palette(g, r, extra, data):
     coloring = greedy_color(g, r, order=order, delta=delta)
     assert verify_coloring(g, coloring, r) == (True, None)
     assert coloring.max_color() <= palette_size(delta, r)
+
+
+@st.composite
+def sparse_graphs(draw, min_n=0, max_n=70):
+    """Up to 80 edges on min_n..max_n vertices, drawn as vertex pairs."""
+    n = draw(st.integers(min_n, max_n))
+    if n < 2:
+        return Graph(n)
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=80))
+    return Graph(n, {(min(e), max(e)) for e in pairs if e[0] != e[1]})
+
+
+@SETTINGS
+@given(sparse_graphs())
+def test_graph6_round_trip(g):
+    # n crosses 62/63, where the graph6 header grows from one byte to four
+    assert parse_graph6(serialize_graph6(g)) == g
+
+
+@SETTINGS
+@given(sparse_graphs(min_n=2), st.data())
+def test_edge_list_and_dimacs_round_trip(g, data):
+    # the edge list sets n to its largest id, so vertex n-1 gets an edge
+    u = data.draw(st.integers(0, g.n - 2))
+    g = Graph(g.n, g.edges | {(u, g.n - 1)})
+    lines = ["%d %d" % (u + 1, v + 1) for u, v in g.sorted_edges()]
+    assert parse_edge_list("\n".join(lines)) == g
+    dimacs = ["p edge %d %d" % (g.n, g.m)] + ["e " + line for line in lines]
+    assert parse_dimacs("\n".join(dimacs)) == g
