@@ -1,7 +1,10 @@
 """Chordality recognition and nice clique-tree decompositions."""
 
+import heapq
 import json
 from dataclasses import dataclass, field
+
+from .graphs import _norm_edge
 
 
 class NotChordalError(Exception):
@@ -46,19 +49,25 @@ def is_perfect_elimination(g, order):
 def mcs_order(g):
     """Maximum cardinality search, reversed into an elimination order.
 
-    Tie-break: highest weight, then smallest vertex id. Raises NotChordalError
-    when the resulting order fails the perfect-elimination check."""
+    Tie-break: highest weight, then smallest vertex id. A lazy-deletion heap
+    keyed (-weight, v) finds each next vertex; an entry whose vertex is
+    visited or whose weight is stale is skipped, so the search runs in
+    O((n+m) log n). Raises NotChordalError when the resulting order fails
+    the perfect-elimination check."""
     weight = [0] * g.n
     visited = [False] * g.n
+    heap = [(0, v) for v in range(g.n)]  # sorted, hence already a heap
     visit = []
-    for _ in range(g.n):
-        v = max((v for v in range(g.n) if not visited[v]),
-                key=lambda v: (weight[v], -v))
+    while heap:
+        neg, v = heapq.heappop(heap)
+        if visited[v] or -neg != weight[v]:
+            continue
         visited[v] = True
         visit.append(v)
         for w in g.adj[v]:
             if not visited[w]:
                 weight[w] += 1
+                heapq.heappush(heap, (-weight[w], w))
     order = tuple(reversed(visit))
     if not is_perfect_elimination(g, order):
         raise NotChordalError("graph is not chordal")
@@ -265,27 +274,34 @@ def validate_decomposition(g, d):
     if covered != set(range(g.n)):
         return False, "vertex-coverage"
 
-    for u, v in g.edges:
-        if not any(u in nd.bag and v in nd.bag
-                   for nd in d.nodes if u in nd.bag):
-            return False, "edge-coverage: edge (%d, %d) in no bag" % (u, v)
-
-    # connected subtree per vertex: exactly one containing node whose parent
-    # does not contain it
-    for v in range(g.n):
-        holders = [t for t, nd in enumerate(d.nodes) if v in nd.bag]
-        tops = [t for t in holders
-                if parent[t] is None or v not in d.nodes[parent[t]].bag]
-        if len(tops) != 1:
-            return False, "connectivity: vertex %d" % v
-
+    # one walk over the nodes: the bag pairs that are edges of g, the first
+    # bag that is not a clique, and per vertex the holders whose parent lacks
+    # it (a connected subtree has exactly one such top)
     adj = [set(g.adj[v]) for v in range(g.n)]
+    bag_edges = set()
+    not_clique = None
+    tops = [0] * g.n
     for t, nd in enumerate(d.nodes):
         bag = nd.bag
         for i in range(len(bag)):
             for j in range(i + 1, len(bag)):
-                if bag[j] not in adj[bag[i]]:
-                    return False, "clique-bag: node %d" % t
+                if bag[j] in adj[bag[i]]:
+                    bag_edges.add(_norm_edge(bag[i], bag[j]))
+                elif not_clique is None:
+                    not_clique = t
+        above = d.nodes[parent[t]].bag if parent[t] is not None else ()
+        for v in bag:
+            if v not in above:
+                tops[v] += 1
+
+    for u, v in g.edges:
+        if (u, v) not in bag_edges:
+            return False, "edge-coverage: edge (%d, %d) in no bag" % (u, v)
+    for v in range(g.n):
+        if tops[v] != 1:
+            return False, "connectivity: vertex %d" % v
+    if not_clique is not None:
+        return False, "clique-bag: node %d" % not_clique
 
     forgets = {}
     for nd in d.nodes:

@@ -12,7 +12,7 @@ from . import __version__
 from .chordal import NotChordalError, is_chordal
 from .coloring import ColoringInvariantError, greedy_color, verify_coloring
 from .dp import DPInvariantError, WeightedGraph, solve
-from .formats import ParseError, load_graph, serialize_graph6
+from .formats import MAX_EDGES, MAX_VERTICES, ParseError, load_graph, serialize_graph6
 from .generate import FAMILIES, GeneratorSpec, Rng, generate
 from .graphs import _norm_edge
 from .oracles import (
@@ -221,21 +221,27 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p):
-        p.add_argument("--input", required=True,
-                       help="graph file or '-' for stdin")
-        p.add_argument("--format", default="auto",
-                       choices=["auto", "graph6", "edgelist", "dimacs"])
+    # the input options, shared by the subcommands that read a graph; argparse
+    # copies them into each one, which is cheaper than adding them four times
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--input", required=True,
+                        help="graph file or '-' for stdin")
+    inputs.add_argument("--format", default="auto",
+                        choices=["auto", "graph6", "edgelist", "dimacs"])
+    inputs.add_argument("--max-vertices", type=int, default=MAX_VERTICES,
+                        help="reject larger inputs with exit 4 (default %(default)s)")
+    inputs.add_argument("--max-edges", type=int, default=MAX_EDGES,
+                        help="reject larger inputs with exit 4 (default %(default)s)")
 
-    p = sub.add_parser("nur", help="maximum r-degenerate matching (chordal)")
-    add_input(p)
+    p = sub.add_parser("nur", parents=[inputs],
+                       help="maximum r-degenerate matching (chordal)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--weights", help="JSON list of [u, v, weight] (0-based ids)")
     p.add_argument("--emit-matching", action="store_true")
     p.set_defaults(func=cmd_nur)
 
-    p = sub.add_parser("color", help="greedy r-degenerate edge coloring")
-    add_input(p)
+    p = sub.add_parser("color", parents=[inputs],
+                       help="greedy r-degenerate edge coloring")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--order", default="lex", choices=["lex", "random"])
     p.add_argument("--seed", type=int, default=0)
@@ -243,8 +249,8 @@ def _build_parser():
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_color)
 
-    p = sub.add_parser("oracle", help="exhaustive desk-scale oracles")
-    add_input(p)
+    p = sub.add_parser("oracle", parents=[inputs],
+                       help="exhaustive desk-scale oracles")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--what", required=True,
                    choices=["nur", "chi", "variants", "states"])
@@ -262,8 +268,8 @@ def _build_parser():
     p.add_argument("--out", help="write graph6 to this file")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("check-chordal", help="chordality test")
-    add_input(p)
+    p = sub.add_parser("check-chordal", parents=[inputs],
+                       help="chordality test")
     p.set_defaults(func=cmd_check_chordal)
 
     p = sub.add_parser("bench", help="run a suite and emit the survey CSV")
@@ -282,7 +288,7 @@ def main(argv=None):
     try:
         if "input" in args:
             text = _read_input(args.input)
-            g = load_graph(text, args.format)
+            g = load_graph(text, args.format, args.max_vertices, args.max_edges)
         results = args.func(args, g)
     except NotChordalError as exc:
         print("not chordal: %s" % exc, file=sys.stderr)

@@ -1,10 +1,23 @@
 """Graph serialization: graph6, plain edge lists, and DIMACS."""
 
-from .graphs import Graph
+from .graphs import Graph, LimitsExceededError
+
+# Default caps on the size of a parsed graph, checked before Graph allocates
+# its adjacency lists.
+MAX_VERTICES = 10 ** 6
+MAX_EDGES = 10 ** 7
 
 
 class ParseError(ValueError):
     pass
+
+
+def _check_size(n, m, max_vertices, max_edges):
+    if n > max_vertices:
+        raise LimitsExceededError(
+            "%d vertices exceeds limit %d" % (n, max_vertices))
+    if m > max_edges:
+        raise LimitsExceededError("%d edges exceeds limit %d" % (m, max_edges))
 
 
 def _g6_encode_n(n):
@@ -35,7 +48,7 @@ def serialize_graph6(g):
     return "".join(chr(c) for c in data)
 
 
-def parse_graph6(text):
+def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -64,6 +77,7 @@ def parse_graph6(text):
     else:
         n = data[0]
         pos = 1
+    _check_size(n, 0, max_vertices, max_edges)
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
     if len(data) - pos != ngroups:
@@ -82,10 +96,11 @@ def parse_graph6(text):
             if bits[idx]:
                 edges.append((i, j))
             idx += 1
+    _check_size(n, len(edges), max_vertices, max_edges)
     return Graph(n, edges)
 
 
-def parse_edge_list(text):
+def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """Plain 'u v' lines with 1-based vertex ids; n is the largest id seen."""
     edges = []
     max_id = 0
@@ -106,13 +121,14 @@ def parse_edge_list(text):
             raise ParseError("line %d: self-loop" % lineno)
         max_id = max(max_id, u, v)
         edges.append((u - 1, v - 1))
+    _check_size(max_id, len(edges), max_vertices, max_edges)
     try:
         return Graph(max_id, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
-def parse_dimacs(text):
+def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """DIMACS 'p edge n m' with 'e u v' lines, 1-based ids."""
     n = None
     declared_m = None
@@ -126,6 +142,7 @@ def parse_dimacs(text):
             if n is not None or len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise ParseError("line %d: bad problem line" % lineno)
             n, declared_m = int(parts[2]), int(parts[3])
+            _check_size(n, declared_m, max_vertices, max_edges)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("line %d: edge before problem line" % lineno)
@@ -150,19 +167,22 @@ def parse_dimacs(text):
         raise ParseError(str(exc)) from None
 
 
-def load_graph(text, fmt="auto"):
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt == "edgelist":
-        return parse_edge_list(text)
-    if fmt == "dimacs":
-        return parse_dimacs(text)
-    if fmt != "auto":
+def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
+    """Parse text in the given format, or the one its first line suggests.
+
+    Raises ParseError on malformed text and LimitsExceededError when the
+    graph has more than max_vertices vertices or max_edges edges."""
+    if fmt == "auto":
+        lines = (line.strip() for line in text.splitlines())
+        first = next((line for line in lines if line and not line.startswith("#")), "")
+        if first == "c" or first[:2] in ("c ", "p ", "e "):
+            fmt = "dimacs"
+        elif len(first.split()) == 2:
+            fmt = "edgelist"
+        else:
+            fmt = "graph6"
+    parsers = {"graph6": parse_graph6, "edgelist": parse_edge_list,
+               "dimacs": parse_dimacs}
+    if fmt not in parsers:
         raise ParseError("unknown format %r" % fmt)
-    lines = (line.strip() for line in text.splitlines())
-    first = next((line for line in lines if line and not line.startswith("#")), "")
-    if first == "c" or first[:2] in ("c ", "p ", "e "):
-        return parse_dimacs(text)
-    if len(first.split()) == 2:
-        return parse_edge_list(text)
-    return parse_graph6(text)
+    return parsers[fmt](text, max_vertices, max_edges)

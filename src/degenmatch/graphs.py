@@ -1,6 +1,11 @@
 """Simple undirected graphs, degeneracy machinery, and matching classification."""
 
+import heapq
 from dataclasses import dataclass
+
+
+class LimitsExceededError(Exception):
+    """An input or a search is larger than a configured limit allows."""
 
 
 def _norm_edge(u, v):
@@ -72,8 +77,8 @@ def induced_subgraph(g, s):
         if not 0 <= v < g.n:
             raise ValueError("unknown vertex %s" % v)
     index = {v: i for i, v in enumerate(vs)}
-    inside = set(vs)
-    edges = [(index[u], index[v]) for u, v in g.edges if u in inside and v in inside]
+    edges = [(index[u], index[w]) for u in vs for w in g.adj[u]
+             if u < w and w in index]
     return Graph(len(vs), edges), tuple(vs)
 
 
@@ -100,21 +105,29 @@ def _peel(g, stop_above=None):
 
     Returns (order, degeneracy, remaining); if stop_above is given and the
     current minimum degree exceeds it, peeling stops and `remaining` holds the
-    stuck vertex set (otherwise remaining is empty)."""
+    stuck vertex set (otherwise remaining is empty). A lazy-deletion heap
+    keyed (degree, v) finds each next vertex; an entry whose vertex is peeled
+    or whose degree is stale is skipped, so peeling runs in O((n+m) log n)."""
     deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+    peeled = [False] * g.n
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     order = []
     worst = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        if stop_above is not None and deg[v] > stop_above:
-            return order, worst, frozenset(alive)
-        worst = max(worst, deg[v])
-        alive.remove(v)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if peeled[v] or d != deg[v]:
+            continue
+        if stop_above is not None and d > stop_above:
+            return order, worst, frozenset(
+                x for x in range(g.n) if not peeled[x])
+        worst = max(worst, d)
+        peeled[v] = True
         order.append(v)
         for w in g.adj[v]:
-            if w in alive:
+            if not peeled[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return order, worst, frozenset()
 
 

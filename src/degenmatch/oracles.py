@@ -8,9 +8,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-
-class LimitsExceededError(Exception):
-    pass
+from .graphs import LimitsExceededError
 
 
 @dataclass(frozen=True)

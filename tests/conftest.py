@@ -3,7 +3,14 @@
 from itertools import combinations
 
 from degenmatch import Graph, Matching
-from degenmatch.generate import Rng, random_bounded_degree
+from degenmatch.generate import (
+    Rng,
+    cycle,
+    interval,
+    k_tree,
+    random_bounded_degree,
+    random_chordal,
+)
 
 
 def gnp(n, p, seed):
@@ -69,3 +76,19 @@ def has_chordless_cycle(g):
             if is_induced_cycle(g, vs):
                 return True
     return False
+
+
+def order_corpus():
+    """Graphs for the order-equality tests of MCS and the degeneracy peel:
+    chordal, interval and k-tree graphs over seeds 0..59, bounded-degree
+    graphs, a disconnected graph, an edgeless graph and a chordless cycle."""
+    graphs = []
+    for seed in range(60):
+        graphs.append(random_chordal(5 + seed % 40, seed))
+        graphs.append(interval(5 + seed % 30, seed))
+        graphs.append(k_tree(1 + seed % 4, 5 + 2 * seed, seed))
+        graphs.append(random_bounded_degree(10 + seed, 0.3, 2 + seed % 5, seed))
+    graphs.append(Graph(9, [(0, 1), (1, 2), (0, 2), (4, 5), (6, 7), (7, 8)]))
+    graphs.append(Graph(6))
+    graphs.append(cycle(6))
+    return graphs

@@ -22,12 +22,43 @@ from degenmatch.generate import (
     random_chordal,
 )
 
-from conftest import gnp, has_chordless_cycle
+from conftest import gnp, has_chordless_cycle, order_corpus
 
 
 def test_c4_not_chordal():
     with pytest.raises(NotChordalError):
         mcs_order(cycle(4))
+
+
+def _reference_mcs(g):
+    """Maximum cardinality search by a scan of every unvisited vertex per
+    step (highest weight, then smallest id), reversed; the order mcs_order
+    must return."""
+    weight = [0] * g.n
+    visited = [False] * g.n
+    visit = []
+    for _ in range(g.n):
+        v = max((v for v in range(g.n) if not visited[v]),
+                key=lambda v: (weight[v], -v))
+        visited[v] = True
+        visit.append(v)
+        for w in g.adj[v]:
+            if not visited[w]:
+                weight[w] += 1
+    return tuple(reversed(visit))
+
+
+def test_mcs_order_equals_reference_scan():
+    chordal = 0
+    for g in order_corpus():
+        expected = _reference_mcs(g)
+        if is_perfect_elimination(g, expected):
+            assert mcs_order(g).order == expected
+            chordal += 1
+        else:
+            with pytest.raises(NotChordalError):
+                mcs_order(g)
+    assert chordal >= 180
 
 
 def test_complete_graphs_chordal():
@@ -127,6 +158,23 @@ def test_validator_reports_edge_coverage():
     ]
     ok, report = validate_decomposition(g, NiceTreeDecomposition(nodes, 6))
     assert not ok and report.startswith("edge-coverage")
+
+
+def test_validator_reports_connectivity():
+    from degenmatch import Graph
+    g = Graph(1)
+    # vertex 0 sits in two subtrees that meet only at the empty join
+    nodes = [
+        DecompNode("leaf", ()),
+        DecompNode("introduce", (0,), (0,), 0),
+        DecompNode("forget", (), (1,), 0),
+        DecompNode("leaf", ()),
+        DecompNode("introduce", (0,), (3,), 0),
+        DecompNode("forget", (), (4,), 0),
+        DecompNode("join", (), (2, 5)),
+    ]
+    ok, report = validate_decomposition(g, NiceTreeDecomposition(nodes, 6))
+    assert not ok and report == "connectivity: vertex 0"
 
 
 def test_validator_reports_clique_bag():

@@ -136,6 +136,28 @@ def test_oracle_limits(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("text, flags, message", [
+    ("1 1000000000\n", [], "1000000000 vertices exceeds limit 1000000"),
+    ("p edge 2000000 1\ne 1 2\n", [], "2000000 vertices exceeds limit 1000000"),
+    ("p edge 10 20000000\n", [], "20000000 edges exceeds limit 10000000"),
+    ("~" * 8 + "\n", [], "68719476735 vertices exceeds limit 1000000"),
+    ("~}}}\n", ["--max-vertices", "100000"], "257982 vertices exceeds limit 100000"),
+    ("1 2\n2 3\n", ["--max-edges", "1"], "2 edges exceeds limit 1"),
+    ("1 2\n2 3\n", ["--max-vertices", "2"], "3 vertices exceeds limit 2"),
+], ids=["edgelist-id", "dimacs-n", "dimacs-m", "graph6-long-header",
+        "graph6-header", "max-edges-flag", "max-vertices-flag"])
+def test_size_cap_exits_limits(tmp_path, capsys, text, flags, message):
+    # each input is rejected before a Graph is built, so none of them
+    # allocates its declared size
+    p = tmp_path / "big.txt"
+    p.write_text(text)
+    for command in (["check-chordal"], ["nur", "--r", "1"], ["color", "--r", "1"]):
+        code = main(command + ["--input", str(p)] + flags)
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert err == "limits exceeded: %s\n" % message
+
+
 def test_oracle_states(tmp_path, capsys):
     code, report = run(capsys, "oracle", "--input",
                        write_graph(tmp_path, path(3)), "--what", "states",

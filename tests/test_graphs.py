@@ -9,8 +9,9 @@ from degenmatch import (
     is_r_degenerate,
 )
 from degenmatch.generate import Rng, complete, complete_bipartite, cycle, path
+from degenmatch.graphs import _peel
 
-from conftest import all_matchings, gnp, random_matching
+from conftest import all_matchings, gnp, order_corpus, random_matching
 
 
 def test_graph_rejects_bad_edges():
@@ -70,6 +71,37 @@ def test_certificate_soundness():
         pos = {v: i for i, v in enumerate(cert.order)}
         for v in cert.order:
             assert sum(1 for w in g.adj[v] if pos[w] > pos[v]) <= r
+
+
+def _reference_peel(g, stop_above=None):
+    """Min-degree peeling by a scan of every remaining vertex per step
+    (lowest degree, then smallest id); the result _peel must return."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    order = []
+    worst = 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        if stop_above is not None and deg[v] > stop_above:
+            return order, worst, frozenset(alive)
+        worst = max(worst, deg[v])
+        alive.remove(v)
+        order.append(v)
+        for w in g.adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return order, worst, frozenset()
+
+
+@pytest.mark.parametrize("stop_above", [None, 0, 1, 2, 3])
+def test_peel_equals_reference_scan(stop_above):
+    stuck = 0
+    for g in order_corpus():
+        expected = _reference_peel(g, stop_above)
+        assert _peel(g, stop_above) == expected
+        stuck += bool(expected[2])
+    if stop_above is not None:
+        assert stuck > 0
 
 
 def test_induced_subgraph_examples():

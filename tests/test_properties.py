@@ -1,7 +1,11 @@
 """Property tests over small drawn graphs: the DP against brute force, the
-greedy colorer's validity and palette bound under any edge order, and the
-graph6, edge-list and DIMACS round trips."""
+greedy colorer's validity and palette bound under any edge order, the
+graph6, edge-list and DIMACS round trips, and the CLI's exit codes on
+arbitrary input bytes."""
 
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
@@ -24,6 +28,7 @@ from degenmatch import (
     serialize_graph6,
     verify_coloring,
 )
+from degenmatch.cli import main
 from degenmatch.formats import parse_dimacs, parse_edge_list
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -120,3 +125,36 @@ def test_edge_list_and_dimacs_round_trip(g, data):
     assert parse_edge_list("\n".join(lines)) == g
     dimacs = ["p edge %d %d" % (g.n, g.m)] + ["e " + line for line in lines]
     assert parse_dimacs("\n".join(dimacs)) == g
+
+
+# Lines of the three input formats, and whole graph6 strings, so that drawn
+# inputs also get past the parsers and reach the solvers.
+IDS = st.one_of(st.integers(-1, 9), st.sampled_from([600, 10 ** 9]))
+LINES = st.one_of(
+    st.tuples(IDS, IDS).map(lambda t: "%d %d" % t),
+    st.tuples(IDS, IDS).map(lambda t: "e %d %d" % t),
+    st.tuples(IDS, IDS).map(lambda t: "p edge %d %d" % t),
+    st.sampled_from(["c x", "# x", "", "~", "C~", "~" * 8, "1 2 3", "e 1 x"]))
+INPUT_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(LINES, max_size=12).map("\n".join),
+    sparse_graphs(max_n=20).map(serialize_graph6),
+).map(lambda x: x if isinstance(x, bytes) else x.encode()[:200])
+
+
+@SETTINGS
+@given(INPUT_BYTES)
+def test_cli_exit_codes_on_arbitrary_bytes(data):
+    # the vertex cap keeps every run small: a 200-byte DIMACS header can
+    # declare a million vertices, which the default cap admits
+    for command in (["check-chordal"], ["nur", "--r", "1"], ["color", "--r", "1"]):
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(command + ["--input", "-", "--max-vertices", "500"])
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 2, 3, 4, 5), (command, data, err.getvalue())
+        assert "Traceback" not in err.getvalue()
