@@ -1,7 +1,6 @@
 """Chordality recognition and nice clique-tree decompositions."""
 
 import heapq
-import json
 from dataclasses import dataclass, field
 
 from .graphs import _norm_edge
@@ -122,31 +121,6 @@ class NiceTreeDecomposition:
             seen.update(self.nodes[s].bag)
             stack.extend(self.nodes[s].children)
         return frozenset(seen)
-
-    def to_json(self):
-        payload = {
-            "root": self.root,
-            "nodes": [
-                {
-                    "id": i,
-                    "kind": nd.kind,
-                    "bag": list(nd.bag),
-                    "children": list(nd.children),
-                    "vertex": nd.vertex,
-                }
-                for i, nd in enumerate(self.nodes)
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        nodes = [None] * len(payload["nodes"])
-        for rec in payload["nodes"]:
-            nodes[rec["id"]] = DecompNode(rec["kind"], tuple(rec["bag"]),
-                                          tuple(rec["children"]), rec["vertex"])
-        return cls(nodes, payload["root"])
 
 
 class _Builder:

@@ -1,6 +1,7 @@
 """Command-line front door: solver, coloring, oracles, generators, benchmarks."""
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -49,8 +50,9 @@ def _emit_report(command, input_text, results, started):
         "results": results,
         "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one line; elapsed_ms stays the last key, so a reader can strip the
+    # timing from '"elapsed_ms": ' to the end of the line
+    sys.stdout.write(json.dumps(report) + "\n")
 
 
 def _load_weights(path, g):
@@ -214,8 +216,19 @@ def cmd_bench(args, _):
     return counters
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PARSE; exit 2 means "not chordal"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
+
+
+@functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    """The parser, built on the first call and shared by later ones;
+    parse_args does not change it."""
+    parser = _Parser(
         prog="degenmatch",
         description="r-degenerate matchings and edge colorings")
     parser.add_argument("--version", action="version", version=__version__)

@@ -227,12 +227,3 @@ def test_curated_recognition_suite():
                       (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
     from degenmatch import Graph
     assert not is_chordal(Graph(10, petersen_edges))
-
-
-def test_json_round_trip():
-    g = random_chordal(8, 3)
-    d = build_nice_decomposition(g, mcs_order(g))
-    d2 = NiceTreeDecomposition.from_json(d.to_json())
-    assert d2.root == d.root
-    assert d2.nodes == d.nodes
-    assert validate_decomposition(g, d2)[0]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -259,3 +260,62 @@ def test_bench_missing_parameter(tmp_path, capsys):
     assert code == 3 and out == ""
     assert "kt-no-k" in err and "needs parameter 'k'" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["nur", "--input", "g.txt"], "the following arguments are required: --r"),
+    (["decompose", "--input", "g.txt"], "invalid choice: 'decompose'"),
+    (["nur", "--input", "g.txt", "--r", "1", "--format", "xml"],
+     "invalid choice: 'xml'"),
+    (["nur", "--input", "g.txt", "--r", "x"], "invalid int value: 'x'"),
+], ids=["missing-r", "unknown-command", "unknown-format", "r-not-an-int"])
+def test_usage_errors_exit_parse(capsys, argv, problem):
+    # exit 2 means "not chordal", so argparse's own exit 2 is not used
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    assert problem in err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["nur", "--help"]])
+def test_help_and_version_exit_ok(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out
+
+
+def test_many_calls_in_one_process(tmp_path, capsys):
+    # the parser is built once and shared; no call may see another's options
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("1 2\n2 3\n3 4\n")
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps([[0, 1, 5], [1, 2, 9], [2, 3, 5]]))
+    first = ["nur", "--input", str(p4), "--r", "1", "--emit-matching",
+             "--weights", str(weights)]
+    calls = [first,
+             ["nur", "--input", str(p4), "--r", "1"],
+             ["color", "--input", str(p4), "--r", "1", "--verify"],
+             ["nur", "--input", str(p4)],
+             ["check-chordal", "--input", str(p4)],
+             first]
+    reports = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        if code == 3:
+            assert out == ""
+            continue
+        assert code == 0 and out.count("\n") == 1
+        assert re.search(r'"elapsed_ms": \d+\.\d+(e-?\d+)?\}\n\Z', out)
+        reports.append(json.loads(out))
+    weighted, plain, colored, chordal, again = reports
+    assert weighted["results"]["nu_r"] == 10
+    assert plain["results"]["nu_r"] == 2 and "matching" not in plain["results"]
+    assert colored["results"]["verified"] and chordal["results"]["chordal"]
+    weighted.pop("elapsed_ms")
+    again.pop("elapsed_ms")
+    assert again == weighted

@@ -1,7 +1,8 @@
-"""Property tests over small drawn graphs: the DP against brute force, the
-greedy colorer's validity and palette bound under any edge order, the
-graph6, edge-list and DIMACS round trips, and the CLI's exit codes on
-arbitrary input bytes."""
+"""Property tests over drawn graphs: the DP against brute force, the
+greedy colorer's validity and palette bound under any edge order,
+metamorphic relations of the DP above the oracles' size limit, the graph6,
+edge-list and DIMACS round trips, and the CLI's exit codes on arbitrary
+input bytes."""
 
 import io
 import sys
@@ -22,6 +23,7 @@ from degenmatch import (
     degeneracy,
     greedy_color,
     induced_subgraph,
+    nu_r,
     nu_r_weighted,
     palette_size,
     parse_graph6,
@@ -30,6 +32,8 @@ from degenmatch import (
 )
 from degenmatch.cli import main
 from degenmatch.formats import parse_dimacs, parse_edge_list
+from degenmatch.generate import interval, k_tree, random_chordal
+from degenmatch.oracles import DEFAULT_LIMITS
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -95,6 +99,52 @@ def test_greedy_coloring_valid_within_palette(g, r, extra, data):
     coloring = greedy_color(g, r, order=order, delta=delta)
     assert verify_coloring(g, coloring, r) == (True, None)
     assert coloring.max_color() <= palette_size(delta, r)
+
+
+# Above the oracles' vertex limit no brute force checks a DP value; these
+# relations need none.
+METAMORPHIC = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def large_chordal_graphs(draw):
+    """Generated chordal graphs with 17 to 60 vertices. Interval graphs stop
+    at 30, where an r=2 table still holds only a few thousand states."""
+    family = draw(st.sampled_from(["random-chordal", "k-tree", "interval"]))
+    low = DEFAULT_LIMITS.max_vertices + 1
+    seed = draw(st.integers(0, 2 ** 32))
+    if family == "interval":
+        return interval(draw(st.integers(low, 30)), seed)
+    n = draw(st.integers(low, 60))
+    if family == "k-tree":
+        return k_tree(draw(st.integers(1, 3)), n, seed)
+    return random_chordal(n, seed)
+
+
+@METAMORPHIC
+@given(large_chordal_graphs(), st.integers(1, 2), st.data())
+def test_relabelling_keeps_the_values(g, r, data):
+    # another labelling gives another MCS order, decomposition and tables
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert nu_r(h, r)[0] == nu_r(g, r)[0]
+    edges = g.sorted_edges()
+    ws = data.draw(st.lists(st.integers(-2, 6), min_size=len(edges),
+                            max_size=len(edges)))
+    weights = dict(zip(edges, ws))
+    moved = {tuple(sorted((perm[u], perm[v]))): w for (u, v), w in weights.items()}
+    assert (nu_r_weighted(WeightedGraph(h, moved), r)[0]
+            == nu_r_weighted(WeightedGraph(g, weights), r)[0])
+
+
+@METAMORPHIC
+@given(large_chordal_graphs(), st.integers(1, 2), st.data())
+def test_greedy_classes_are_at_most_nu_r(g, r, data):
+    # each class is an r-degenerate matching, so no class beats the optimum
+    order = data.draw(st.permutations(g.sorted_edges()))
+    coloring = greedy_color(g, r, order=order)
+    largest = max((len(es) for es in coloring.classes().values()), default=0)
+    assert largest <= nu_r(g, r)[0]
 
 
 @st.composite
