@@ -12,14 +12,21 @@ class NotChordalError(Exception):
 
 @dataclass(frozen=True)
 class EliminationOrder:
+    """A perfect elimination order with its elimination tree, as built and
+    checked by elimination_order: later[v] lists the neighbours of v after
+    it in order, parent[v] is the earliest of them (None at a component
+    root)."""
+
     order: tuple
+    later: list
+    parent: list
 
 
-def _elimination_tree(g, order):
-    """Later neighbors and parent (earliest later neighbor, or None) of each
-    vertex under order. Raises ValueError at the first violation of the
-    perfect-elimination property (Rose-Tarjan-Lueker): every other later
-    neighbor of v must be adjacent to the parent of v."""
+def elimination_order(g, order):
+    """The checked EliminationOrder of order. Raises ValueError at the first
+    violation of the perfect-elimination property (Rose-Tarjan-Lueker):
+    every other later neighbor of v must be adjacent to the parent of v."""
+    order = tuple(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
     pos = {v: i for i, v in enumerate(order)}
@@ -33,20 +40,20 @@ def _elimination_tree(g, order):
         for w in later[v]:
             if w != u and w not in adj[u]:
                 raise ValueError("invalid perfect elimination order at vertex %d" % v)
-    return later, parent
+    return EliminationOrder(order, later, parent)
 
 
 def is_perfect_elimination(g, order):
     """Lex check of the perfect-elimination property (Rose-Tarjan-Lueker)."""
     try:
-        _elimination_tree(g, tuple(order))
+        elimination_order(g, order)
     except ValueError:
         return False
     return True
 
 
 def mcs_order(g):
-    """Maximum cardinality search, reversed into an elimination order.
+    """Maximum cardinality search, reversed into a checked elimination order.
 
     Tie-break: highest weight, then smallest vertex id. A lazy-deletion heap
     keyed (-weight, v) finds each next vertex; an entry whose vertex is
@@ -67,10 +74,10 @@ def mcs_order(g):
             if not visited[w]:
                 weight[w] += 1
                 heapq.heappush(heap, (-weight[w], w))
-    order = tuple(reversed(visit))
-    if not is_perfect_elimination(g, order):
-        raise NotChordalError("graph is not chordal")
-    return EliminationOrder(order)
+    try:
+        return elimination_order(g, reversed(visit))
+    except ValueError:
+        raise NotChordalError("graph is not chordal") from None
 
 
 def is_chordal(g):
@@ -91,26 +98,16 @@ class DecompNode:
 
 @dataclass
 class NiceTreeDecomposition:
-    """Rooted binary tree of clique bags with empty root and leaf bags."""
+    """Rooted binary tree of clique bags with empty root and leaf bags.
+
+    Every node's children come before it in nodes, so walking nodes in
+    index order visits children first and the root (the empty bag) last."""
 
     nodes: list = field(default_factory=list)
     root: int = 0
 
     def max_bag_size(self):
         return max((len(nd.bag) for nd in self.nodes), default=0)
-
-    def post_order(self):
-        out = []
-        stack = [(self.root, False)]
-        while stack:
-            t, done = stack.pop()
-            if done:
-                out.append(t)
-                continue
-            stack.append((t, True))
-            for c in self.nodes[t].children:
-                stack.append((c, False))
-        return out
 
     def subtree_vertices(self, t):
         """Union of the bags at t and all its descendants."""
@@ -147,42 +144,37 @@ class _Builder:
 
 
 def build_nice_decomposition(g, peo):
-    """Nice decomposition from a perfect elimination order.
+    """Nice decomposition from a checked EliminationOrder (mcs_order or
+    elimination_order); its tree is read, not rebuilt or re-checked.
 
     Per-vertex bags {v} + later-neighbors parented at the bag of v's earliest
     later neighbor, then normalized: left-deep join binarization, canonical
     forget-before-introduce chains, empty root and leaves. Disconnected graphs
-    get one subtree per component joined under the empty root."""
-    order = tuple(peo.order)
-    later, parent = _elimination_tree(g, order)
-    bags = [tuple(sorted([v] + later[v])) for v in range(g.n)]
-    children = [[] for _ in range(g.n)]
+    get one subtree per component joined under the empty root. Nodes are
+    appended children first."""
+    bags = [tuple(sorted([v] + peo.later[v])) for v in range(g.n)]
+    # the empty root is one more parent, with index g.n
+    children = [[] for _ in range(g.n + 1)]
     for v in range(g.n):
-        if parent[v] is not None:
-            children[parent[v]].append(v)
-    roots = [v for v in range(g.n) if parent[v] is None]
+        children[g.n if peo.parent[v] is None else peo.parent[v]].append(v)
 
     b = _Builder()
-    top = {}
-    for v in order:
-        subtrees = [b.chain(top[c], bags[c], bags[v]) for c in sorted(children[v])]
-        if not subtrees:
-            leaf = b.add("leaf", ())
-            cur = b.chain(leaf, (), bags[v])
-        else:
-            cur = subtrees[0]
-            for s in subtrees[1:]:
-                cur = b.add("join", bags[v], (cur, s))
-        top[v] = cur
+    top = [None] * g.n
 
-    comp_tops = [b.chain(top[v], bags[v], ()) for v in sorted(roots)]
-    if not comp_tops:
-        root = b.add("leaf", ())
-    else:
-        root = comp_tops[0]
-        for s in comp_tops[1:]:
-            root = b.add("join", (), (root, s))
-    return NiceTreeDecomposition(b.nodes, root)
+    def attach(kids, bag):
+        """Chains from the tops of kids (ascending) up to bag, then joined
+        left-deep; a leaf and a chain when there are none."""
+        subtrees = [b.chain(top[c], bags[c], bag) for c in kids]
+        if not subtrees:
+            return b.chain(b.add("leaf", ()), (), bag)
+        cur = subtrees[0]
+        for s in subtrees[1:]:
+            cur = b.add("join", bag, (cur, s))
+        return cur
+
+    for v in peo.order:
+        top[v] = attach(children[v], bags[v])
+    return NiceTreeDecomposition(b.nodes, attach(children[g.n], ()))
 
 
 def validate_decomposition(g, d):
@@ -201,6 +193,8 @@ def validate_decomposition(g, d):
         for c in d.nodes[t].children:
             if not 0 <= c < n_nodes or seen[c]:
                 return False, "tree-structure: not a tree"
+            if c >= t:
+                return False, "tree-structure: child after parent at node %d" % t
             seen[c] = True
             parent[c] = t
             stack.append(c)

@@ -89,12 +89,11 @@ def _forbidden(g, colors_at, u, v, r):
     return f1, f2
 
 
-def greedy_color(g, r, order=None, delta=None, check=False):
+def greedy_color(g, r, order=None, delta=None):
     """Color every edge with the minimum color outside F1 and F2.
 
     Default order is lexicographic by endpoint ids. delta may be overridden
-    upward (the palette bound holds for any delta >= max degree). With check,
-    the touched class is re-verified after every assignment."""
+    upward (the palette bound holds for any delta >= max degree)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     actual = g.max_degree()
@@ -125,11 +124,6 @@ def greedy_color(g, r, order=None, delta=None, check=False):
             raise ColoringInvariantError("no available color for edge %s" % (uv,))
         color[uv] = chosen
         _add_color(colors_at, uv, chosen)
-        if check:
-            cls = [e for e, a in color.items() if a == chosen]
-            if _class_violation(g, cls, r):
-                raise ColoringInvariantError(
-                    "class %d broke after coloring %s" % (chosen, uv))
     return EdgeColoring(color, k, delta, r)
 
 

@@ -104,10 +104,9 @@ def dp_join(left, right):
 
 
 def run_tables(decomp, r, weights=None):
-    """Compute the table at every decomposition node, bottom-up."""
+    """Compute the table at every decomposition node, children first."""
     tables = {}
-    for t in decomp.post_order():
-        nd = decomp.nodes[t]
+    for t, nd in enumerate(decomp.nodes):
         if nd.kind == "leaf":
             tables[t] = dp_leaf()
         elif nd.kind == "introduce":

@@ -14,6 +14,8 @@ MAX_EDGES = 10 ** 7
 # a graph6 byte is 63..126 ('?'..'~'); '?' is a group of six zero bits
 _G6_BAD_BYTE = re.compile(r"[^?-~]")
 _G6_NONZERO_GROUP = re.compile(r"[@-~]")
+# body bytes hold 0..63 before the offset
+_G6_ADD_63 = bytes(range(63, 127)) + bytes(192)
 
 
 class ParseError(ValueError):
@@ -41,19 +43,14 @@ def _g6_encode_n(n):
 
 
 def serialize_graph6(g):
-    data = _g6_encode_n(g.n)
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    for i in range(0, len(bits), 6):
-        chunk = bits[i:i + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = (val << 1) | b
-        data.append(val + 63)
-    return "".join(chr(c) for c in data)
+    """Encode in time linear in the output: edge (i, j), i < j, sets bit
+    j(j-1)/2 + i of the body, six bits a byte, most significant first."""
+    nbits = g.n * (g.n - 1) // 2
+    body = bytearray((nbits + 5) // 6)
+    for i, j in g.edges:
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> k % 6
+    return (bytes(_g6_encode_n(g.n)) + body.translate(_G6_ADD_63)).decode("ascii")
 
 
 def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):

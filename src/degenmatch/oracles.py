@@ -158,12 +158,12 @@ def brute_nu_variants(g, limits=None):
     return nu_s, nu_1, nu_ur, nu
 
 
-def _bnb_chromatic(g, class_feasible, cap, deadline, upper_bound=None):
+def _bnb_chromatic(g, class_feasible, cap, deadline):
     edges = g.sorted_edges()
     m = len(edges)
     if m == 0:
         return 0
-    best = m if upper_bound is None else min(m, upper_bound)
+    best = m
     classes = []  # list of vertex sets
 
     def rec(i):
@@ -197,7 +197,7 @@ def _bnb_chromatic(g, class_feasible, cap, deadline, upper_bound=None):
     return best
 
 
-def brute_chromatic_index_r(g, r, limits=None, upper_bound=None):
+def brute_chromatic_index_r(g, r, limits=None):
     """Exact r-degenerate chromatic index by first-fit backtracking.
 
     A new color may only be opened as the next unused index; classes are
@@ -210,17 +210,17 @@ def brute_chromatic_index_r(g, r, limits=None, upper_bound=None):
         return 0
     cap = brute_nu_r(g, r, limits)
     return _bnb_chromatic(g, lambda vs: _sub_degeneracy(g, vs) <= r,
-                          cap, deadline, upper_bound)
+                          cap, deadline)
 
 
-def brute_chromatic_index(g, limits=None, upper_bound=None):
+def brute_chromatic_index(g, limits=None):
     """Classical chromatic index chi' by the same backtracking without
     degeneracy constraints."""
     deadline = _Deadline(_check_limits(g, limits))
     if g.m == 0:
         return 0
     cap = _bnb_matching(g, lambda vs, k: True, deadline)
-    return _bnb_chromatic(g, lambda vs: True, cap, deadline, upper_bound)
+    return _bnb_chromatic(g, lambda vs: True, cap, deadline)
 
 
 def brute_degenerate_states(g, d, r, node, limits=None):

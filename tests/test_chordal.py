@@ -11,7 +11,7 @@ from degenmatch import (
     mcs_order,
     validate_decomposition,
 )
-from degenmatch.chordal import DecompNode, is_perfect_elimination
+from degenmatch.chordal import DecompNode, elimination_order, is_perfect_elimination
 from degenmatch.generate import (
     complete,
     complete_bipartite,
@@ -72,6 +72,9 @@ def test_p4_elimination_order():
     assert is_perfect_elimination(p4, (0, 3, 1, 2))
     peo = mcs_order(p4)
     assert is_perfect_elimination(p4, peo.order)
+    assert isinstance(peo, EliminationOrder)
+    assert peo == elimination_order(p4, peo.order)
+    assert peo.parent[peo.order[-1]] is None
 
 
 def test_recognition_matches_chordless_cycle_search():
@@ -124,8 +127,11 @@ def test_build_empty_graph():
 
 
 def test_invalid_peo_rejected():
+    # the check runs where the tree is built, before any decomposition
     with pytest.raises(ValueError):
-        build_nice_decomposition(path(4), EliminationOrder((1, 2, 0, 3)))
+        elimination_order(path(4), (1, 2, 0, 3))
+    with pytest.raises(ValueError):
+        elimination_order(path(4), (0, 1, 2))
 
 
 def test_validator_on_random_chordal_corpus():
@@ -175,6 +181,18 @@ def test_validator_reports_connectivity():
     ]
     ok, report = validate_decomposition(g, NiceTreeDecomposition(nodes, 6))
     assert not ok and report == "connectivity: vertex 0"
+
+
+def test_validator_reports_child_after_parent():
+    from degenmatch import Graph
+    g = Graph(1)
+    nodes = [
+        DecompNode("introduce", (0,), (2,), 0),
+        DecompNode("forget", (), (0,), 0),
+        DecompNode("leaf", ()),
+    ]
+    ok, report = validate_decomposition(g, NiceTreeDecomposition(nodes, 1))
+    assert not ok and report == "tree-structure: child after parent at node 0"
 
 
 def test_validator_reports_clique_bag():

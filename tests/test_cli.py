@@ -205,7 +205,17 @@ def test_golden_stability(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
-def test_bench(tmp_path, capsys):
+BENCH_CSV = (
+    "graph-id,n,m,delta,r,nu_r,chi_r,nu_s,nu_1,nu_ur,nu\r\n"
+    "kt2,8,13,7,1,2,,1,2,2,3\r\n"
+    "kt2,8,13,7,2,3,,1,2,2,3\r\n"
+    "p5,5,4,2,1,2,2,2,2,2,2\r\n"
+)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench(tmp_path, capsys, jobs):
+    # the worker pool (--jobs 2) must give the serial run's counters and CSV
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"instances": [
         {"id": "kt2", "family": "k-tree", "params": {"k": 2, "n": 8},
@@ -214,15 +224,12 @@ def test_bench(tmp_path, capsys):
     ]}))
     out = tmp_path / "survey.csv"
     code, report = run(capsys, "bench", "--suite", str(suite),
-                       "--out", str(out))
+                       "--out", str(out), "--jobs", jobs)
     assert code == 0
-    res = report["results"]
-    assert res["rows"] == 3
-    assert res["dp_oracle_disagreements"] == 0
-    assert res["palette_failures"] == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("graph-id,")
-    assert len(lines) == 4
+    assert report["results"] == {"rows": 3, "dp_oracle_checked": 3,
+                                 "dp_oracle_disagreements": 0,
+                                 "palette_checked": 3, "palette_failures": 0}
+    assert out.read_bytes() == BENCH_CSV.encode()
 
 
 @pytest.mark.parametrize("suite, named", [

@@ -82,7 +82,7 @@ def test_greedy_p3():
 
 def test_greedy_c5_vs_exact():
     g = cycle(5)
-    coloring = greedy_color(g, 1, check=True)
+    coloring = greedy_color(g, 1)
     assert coloring.colors_used() <= 4
     assert verify_coloring(g, coloring, 1)[0]
     assert brute_chromatic_index_r(g, 1) == 3

@@ -1,5 +1,6 @@
 import pytest
 
+from degenmatch import chordal
 from degenmatch import (
     Graph,
     Matching,
@@ -140,7 +141,7 @@ def test_tables_match_full_state_enumeration():
         decomp = build_nice_decomposition(g, mcs_order(g))
         for r in (1, 2):
             tables = run_tables(decomp, r)
-            for t in decomp.post_order():
+            for t in range(len(decomp.nodes)):
                 literal = brute_degenerate_states(g, decomp, r, t)
                 best = {}
                 for s, n, k in literal:
@@ -227,3 +228,22 @@ def test_solve_stats():
     res = solve(interval(8, seed=1), 2)
     assert res.nodes >= 1 and res.max_table >= 1
     assert len(res.matching) == res.value
+
+
+def test_one_elimination_tree_per_solve(monkeypatch):
+    calls = []
+    build = chordal.elimination_order
+
+    def counted(g, order):
+        calls.append(g)
+        return build(g, order)
+
+    monkeypatch.setattr(chordal, "elimination_order", counted)
+    for g in (k_tree(2, 12, seed=3), Graph(5, [(0, 1), (2, 3)]), Graph(0)):
+        calls.clear()
+        solve(g, 1)
+        assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(NotChordalError):
+        solve(cycle(4), 1)
+    assert len(calls) == 1

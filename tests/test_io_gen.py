@@ -20,7 +20,7 @@ from degenmatch.generate import (
     random_chordal,
 )
 
-from conftest import gnp
+from conftest import gnp, order_corpus
 
 
 def test_graph6_hand_encoded():
@@ -46,6 +46,36 @@ def test_graph6_round_trip_fuzz():
         assert serialize_graph6(parse_graph6(s)) == s
         count += 1
     assert count == 1000
+
+
+def _reference_graph6(g):
+    """The quadratic encoder serialize_graph6 replaced: one has_edge call
+    per vertex pair, bits packed six at a time."""
+    n = g.n
+    if n <= 62:
+        data = [n + 63]
+    else:
+        data = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if g.has_edge(i, j) else 0)
+    for i in range(0, len(bits), 6):
+        chunk = bits[i:i + 6]
+        chunk += [0] * (6 - len(chunk))
+        val = 0
+        for b in chunk:
+            val = (val << 1) | b
+        data.append(val + 63)
+    return "".join(chr(c) for c in data)
+
+
+def test_graph6_equals_reference_encoder():
+    graphs = order_corpus()
+    for n in range(71):  # the header grows from one byte to four at 63
+        graphs += [Graph(n), complete(n), path(n)]
+    for g in graphs:
+        assert serialize_graph6(g) == _reference_graph6(g)
 
 
 def test_graph6_long_form():

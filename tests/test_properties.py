@@ -1,6 +1,7 @@
 """Property tests over drawn graphs: the DP against brute force, the
 greedy colorer's validity and palette bound under any edge order,
-metamorphic relations of the DP above the oracles' size limit, the graph6,
+metamorphic relations of the DP above the oracles' size limit (relabelling,
+growth in r, disjoint unions, vertex deletion, weight scaling), the graph6,
 edge-list and DIMACS round trips, and the CLI's exit codes on arbitrary
 input bytes."""
 
@@ -145,6 +146,53 @@ def test_greedy_classes_are_at_most_nu_r(g, r, data):
     coloring = greedy_color(g, r, order=order)
     largest = max((len(es) for es in coloring.classes().values()), default=0)
     assert largest <= nu_r(g, r)[0]
+
+
+# At an interval graph's degeneracy (7 to 23 here) every subset of a bag is
+# a state, so the relations that run r up to the degeneracy keep to 4.
+LOW_DEGENERACY = large_chordal_graphs().filter(lambda g: degeneracy(g) <= 4)
+
+
+@METAMORPHIC
+@given(LOW_DEGENERACY)
+def test_nu_r_grows_with_r_up_to_the_degeneracy(g):
+    # G[V(M)] is a subgraph of G, so every matching is degeneracy(G)-degenerate
+    d = degeneracy(g)
+    rs = sorted({1, 2, 3, d, g.n})
+    values = {r: nu_r(g, r)[0] for r in rs}
+    assert [values[r] for r in rs] == sorted(values.values())
+    assert values[d] == values[g.n]
+
+
+@METAMORPHIC
+@given(large_chordal_graphs(), large_chordal_graphs(), st.integers(1, 2))
+def test_nu_r_adds_over_a_disjoint_union(g, h, r):
+    union = Graph(g.n + h.n, list(g.edges)
+                  + [(u + g.n, v + g.n) for u, v in h.edges])
+    assert nu_r(union, r)[0] == nu_r(g, r)[0] + nu_r(h, r)[0]
+
+
+@METAMORPHIC
+@given(large_chordal_graphs(), st.integers(1, 2), st.data())
+def test_deleting_a_vertex_lowers_nu_r_by_at_most_one(g, r, data):
+    # an induced subgraph of a chordal graph is chordal
+    v = data.draw(st.integers(0, g.n - 1))
+    sub, _ = induced_subgraph(g, set(range(g.n)) - {v})
+    assert nu_r(g, r)[0] - nu_r(sub, r)[0] in (0, 1)
+
+
+@METAMORPHIC
+@given(large_chordal_graphs(), st.integers(1, 2), st.integers(2, 5), st.data())
+def test_unit_weights_give_nu_r_and_scaling_scales_the_value(g, r, c, data):
+    edges = g.sorted_edges()
+    unit = WeightedGraph(g, dict.fromkeys(edges, 1))
+    assert nu_r_weighted(unit, r)[0] == nu_r(g, r)[0]
+    ws = data.draw(st.lists(st.integers(-2, 6), min_size=len(edges),
+                            max_size=len(edges)))
+    weights = dict(zip(edges, ws))
+    scaled = {e: c * w for e, w in weights.items()}
+    assert (nu_r_weighted(WeightedGraph(g, scaled), r)[0]
+            == c * nu_r_weighted(WeightedGraph(g, weights), r)[0])
 
 
 @st.composite
