@@ -1,9 +1,8 @@
 """Chordality recognition and nice clique-tree decompositions."""
 
-import heapq
 from dataclasses import dataclass, field
 
-from .graphs import _norm_edge
+from .graphs import _min_key_order, _norm_edge
 
 
 class NotChordalError(Exception):
@@ -55,27 +54,13 @@ def is_perfect_elimination(g, order):
 def mcs_order(g):
     """Maximum cardinality search, reversed into a checked elimination order.
 
-    Tie-break: highest weight, then smallest vertex id. A lazy-deletion heap
-    keyed (-weight, v) finds each next vertex; an entry whose vertex is
-    visited or whose weight is stale is skipped, so the search runs in
-    O((n+m) log n). Raises NotChordalError when the resulting order fails
-    the perfect-elimination check."""
-    weight = [0] * g.n
-    visited = [False] * g.n
-    heap = [(0, v) for v in range(g.n)]  # sorted, hence already a heap
-    visit = []
-    while heap:
-        neg, v = heapq.heappop(heap)
-        if visited[v] or -neg != weight[v]:
-            continue
-        visited[v] = True
-        visit.append(v)
-        for w in g.adj[v]:
-            if not visited[w]:
-                weight[w] += 1
-                heapq.heappush(heap, (-weight[w], w))
+    Tie-break: most visited neighbours, then smallest vertex id; this is
+    graphs._min_key_order with every key starting at 0. Raises
+    NotChordalError when the resulting order fails the perfect-elimination
+    check."""
+    visits = _min_key_order(g, [0] * g.n)
     try:
-        return elimination_order(g, reversed(visit))
+        return elimination_order(g, [v for _, v in reversed(visits)])
     except ValueError:
         raise NotChordalError("graph is not chordal") from None
 

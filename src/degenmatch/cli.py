@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -171,6 +172,8 @@ def _bench_task(task):
 
 
 def cmd_bench(args, _):
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     with open(args.suite) as fh:
         suite = json.load(fh)
     # the whole suite is checked before any instance runs
@@ -194,8 +197,10 @@ def cmd_bench(args, _):
             if not ok:
                 raise ValueError("instance %r: %s" % (inst.get("id"), message))
         tasks.extend((inst, r) for r in rs)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers at once, so start no more than can run
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_bench_task, tasks))
     else:
         outcomes = [_bench_task(t) for t in tasks]

@@ -3,7 +3,7 @@
 import math
 import re
 
-from .graphs import Graph, LimitsExceededError
+from .graphs import Graph, _check_size
 
 # Default caps on the size of a parsed graph, checked before Graph allocates
 # its adjacency lists.
@@ -20,14 +20,6 @@ _G6_ADD_63 = bytes(range(63, 127)) + bytes(192)
 
 class ParseError(ValueError):
     pass
-
-
-def _check_size(n, m, max_vertices, max_edges):
-    if n > max_vertices:
-        raise LimitsExceededError(
-            "%d vertices exceeds limit %d" % (n, max_vertices))
-    if m > max_edges:
-        raise LimitsExceededError("%d edges exceeds limit %d" % (m, max_edges))
 
 
 def _g6_encode_n(n):

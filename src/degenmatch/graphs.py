@@ -8,6 +8,14 @@ class LimitsExceededError(Exception):
     """An input or a search is larger than a configured limit allows."""
 
 
+def _check_size(n, m, max_vertices, max_edges):
+    if n > max_vertices:
+        raise LimitsExceededError(
+            "%d vertices exceeds limit %d" % (n, max_vertices))
+    if m > max_edges:
+        raise LimitsExceededError("%d edges exceeds limit %d" % (m, max_edges))
+
+
 def _norm_edge(u, v):
     return (u, v) if u < v else (v, u)
 
@@ -100,54 +108,51 @@ class DegeneracyCertificate:
         return True
 
 
-def _peel(g, stop_above=None):
-    """Min-degree peeling, smallest id among ties.
+def _min_key_order(g, key):
+    """Visit every vertex, each time the unvisited one with the smallest
+    (key, id); a visit lowers the key of each unvisited neighbour by one.
 
-    Returns (order, degeneracy, remaining); if stop_above is given and the
-    current minimum degree exceeds it, peeling stops and `remaining` holds the
-    stuck vertex set (otherwise remaining is empty). A lazy-deletion heap
-    keyed (degree, v) finds each next vertex; an entry whose vertex is peeled
-    or whose degree is stale is skipped, so peeling runs in O((n+m) log n)."""
-    deg = [g.degree(v) for v in range(g.n)]
-    peeled = [False] * g.n
-    heap = [(d, v) for v, d in enumerate(deg)]
+    Returns [(key when visited, v), ...] in visit order. Min-degree peeling
+    starts from the degrees; maximum cardinality search starts every key at
+    0, so minus the key counts visited neighbours. A lazy-deletion heap
+    finds each next vertex in O((n+m) log n): keys only fall, so a vertex's
+    newest entry pops before its stale ones, which are skipped as visited."""
+    key = list(key)
+    visited = [False] * g.n
+    heap = [(k, v) for v, k in enumerate(key)]
     heapq.heapify(heap)
-    order = []
-    worst = 0
+    visits = []
     while heap:
-        d, v = heapq.heappop(heap)
-        if peeled[v] or d != deg[v]:
+        k, v = heapq.heappop(heap)
+        if visited[v]:
             continue
-        if stop_above is not None and d > stop_above:
-            return order, worst, frozenset(
-                x for x in range(g.n) if not peeled[x])
-        worst = max(worst, d)
-        peeled[v] = True
-        order.append(v)
+        visited[v] = True
+        visits.append((k, v))
         for w in g.adj[v]:
-            if not peeled[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return order, worst, frozenset()
+            if not visited[w]:
+                key[w] -= 1
+                heapq.heappush(heap, (key[w], w))
+    return visits
 
 
 def degeneracy(g):
     """Exact degeneracy: the largest minimum degree seen while peeling."""
-    _, worst, _ = _peel(g)
-    return worst
+    return max((d for d, _ in _min_key_order(g, map(len, g.adj))), default=0)
 
 
 def is_r_degenerate(g, r):
-    """Test r-degeneracy by peeling.
+    """Test r-degeneracy by min-degree peeling, smallest id among ties.
 
     Returns (True, DegeneracyCertificate) or (False, stuck_vertex_set) where
-    the stuck set induces a subgraph of minimum degree > r."""
+    the stuck set, the vertices left when the minimum degree first exceeds
+    r, induces a subgraph of minimum degree > r."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    order, _, stuck = _peel(g, stop_above=r)
-    if stuck:
-        return False, stuck
-    return True, DegeneracyCertificate(tuple(order), r)
+    visits = _min_key_order(g, map(len, g.adj))
+    for i, (d, _) in enumerate(visits):
+        if d > r:
+            return False, frozenset(v for _, v in visits[i:])
+    return True, DegeneracyCertificate(tuple(v for _, v in visits), r)
 
 
 class Matching:
@@ -198,24 +203,6 @@ class MatchingClass:
     is_r_degenerate: bool
 
 
-def _is_forest(g):
-    # acyclic iff every component has |V| - 1 edges
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
 def _mate_digraph_acyclic(sub, matching_edges):
     """Cycle test on the mate digraph of a matching.
 
@@ -264,7 +251,7 @@ def classify_matching(g, m, r):
     index = {v: i for i, v in enumerate(ids)}
     local = frozenset(_norm_edge(index[u], index[v]) for u, v in m.edges)
     induced = sub.m == len(local)
-    acyclic = _is_forest(sub)
     ur = _mate_digraph_acyclic(sub, local)
     deg = degeneracy(sub)
-    return MatchingClass(True, induced, acyclic, ur, deg, deg <= r)
+    # a graph is a forest exactly when it is 1-degenerate
+    return MatchingClass(True, induced, deg <= 1, ur, deg, deg <= r)

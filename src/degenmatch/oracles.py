@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import LimitsExceededError
+from .graphs import LimitsExceededError, _check_size
 
 
 @dataclass(frozen=True)
@@ -23,12 +23,7 @@ DEFAULT_LIMITS = OracleLimits()
 
 def _check_limits(g, limits):
     limits = limits or DEFAULT_LIMITS
-    if g.n > limits.max_vertices:
-        raise LimitsExceededError(
-            "%d vertices exceeds limit %d" % (g.n, limits.max_vertices))
-    if g.m > limits.max_edges:
-        raise LimitsExceededError(
-            "%d edges exceeds limit %d" % (g.m, limits.max_edges))
+    _check_size(g.n, g.m, limits.max_vertices, limits.max_edges)
     return time.monotonic() + limits.timeout_ms / 1000.0
 
 
@@ -87,8 +82,8 @@ def _induced_has_cycle(g, vs):
     return edges // 2 > len(vs) - comps
 
 
-def _perfect_matching_count(g, vs, stop_at=2):
-    """Number of perfect matchings of G[vs], counting at most stop_at."""
+def _perfect_matching_count(g, vs):
+    """Number of perfect matchings of G[vs], counted until it reaches 2."""
     vs = sorted(vs)
 
     def rec(free):
@@ -101,7 +96,7 @@ def _perfect_matching_count(g, vs, stop_at=2):
         for i, w in enumerate(rest):
             if w in nbrs:
                 total += rec(rest[:i] + rest[i + 1:])
-                if total >= stop_at:
+                if total >= 2:
                     return total
         return total
 

@@ -1,9 +1,10 @@
 import json
+import os
 import re
 
 import pytest
 
-from degenmatch import dp
+from degenmatch import cli, dp
 from degenmatch.cli import main
 from degenmatch.formats import serialize_graph6
 from degenmatch.generate import complete, complete_bipartite, cycle, k_tree, path
@@ -213,23 +214,93 @@ BENCH_CSV = (
 )
 
 
+BENCH_SUITE = {"instances": [
+    {"id": "kt2", "family": "k-tree", "params": {"k": 2, "n": 8},
+     "seed": 1, "r": [1, 2]},
+    {"id": "p5", "family": "path", "params": {"n": 5}, "r": [1]},
+]}
+
+
+def record_pools(monkeypatch, pool_class):
+    """Replace the CLI's ProcessPoolExecutor with a subclass of pool_class
+    that records the max_workers of every pool made; returns that list."""
+    made = []
+
+    class Recording(pool_class):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    return made
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_bench(tmp_path, capsys, jobs):
-    # the worker pool (--jobs 2) must give the serial run's counters and CSV
+def test_bench(tmp_path, capsys, monkeypatch, jobs):
+    # the worker pool (--jobs 2) must give the serial run's counters and CSV;
+    # two CPUs keep --jobs 2 on the pool on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    made = record_pools(monkeypatch, cli.ProcessPoolExecutor)
     suite = tmp_path / "suite.json"
-    suite.write_text(json.dumps({"instances": [
-        {"id": "kt2", "family": "k-tree", "params": {"k": 2, "n": 8},
-         "seed": 1, "r": [1, 2]},
-        {"id": "p5", "family": "path", "params": {"n": 5}, "r": [1]},
-    ]}))
+    suite.write_text(json.dumps(BENCH_SUITE))
     out = tmp_path / "survey.csv"
     code, report = run(capsys, "bench", "--suite", str(suite),
                        "--out", str(out), "--jobs", jobs)
     assert code == 0
+    assert made == ([] if jobs == "1" else [2])
     assert report["results"] == {"rows": 3, "dp_oracle_checked": 3,
                                  "dp_oracle_disagreements": 0,
                                  "palette_checked": 3, "palette_failures": 0}
     assert out.read_bytes() == BENCH_CSV.encode()
+
+
+class InProcessPool:
+    """Runs the tasks in this process, so a large --jobs starts nothing."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, instances, workers", [
+    (2, 8, 2, [2]),
+    (1000, 8, 2, [3]),      # three tasks: kt2 at r 1 and 2, p5 at r 1
+    (1000, 8, 1, []),       # one task
+    (1000, 2, 2, [2]),
+    (1000, None, 2, []),    # cpu_count unknown
+])
+def test_bench_workers_capped(tmp_path, capsys, monkeypatch, jobs, cpus,
+                              instances, workers):
+    # the pool forks every worker at once, so --jobs is capped by the number
+    # of tasks and of CPUs; the answers do not depend on the pool
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    made = record_pools(monkeypatch, InProcessPool)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(
+        {"instances": BENCH_SUITE["instances"][2 - instances:]}))
+    code, report = run(capsys, "bench", "--suite", str(suite),
+                       "--jobs", str(jobs))
+    assert code == 0 and made == workers
+    assert report["results"]["rows"] == (3 if instances == 2 else 1)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_bench_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    made = record_pools(monkeypatch, InProcessPool)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(BENCH_SUITE))
+    code = main(["bench", "--suite", str(suite), "--jobs", jobs])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and made == []
+    assert err == "invalid input: --jobs must be at least 1\n"
 
 
 @pytest.mark.parametrize("suite, named", [

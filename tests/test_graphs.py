@@ -9,7 +9,8 @@ from degenmatch import (
     is_r_degenerate,
 )
 from degenmatch.generate import Rng, complete, complete_bipartite, cycle, path
-from degenmatch.graphs import _peel
+from degenmatch.graphs import _min_key_order
+from degenmatch.oracles import _induced_has_cycle
 
 from conftest import all_matchings, gnp, order_corpus, random_matching
 
@@ -75,7 +76,9 @@ def test_certificate_soundness():
 
 def _reference_peel(g, stop_above=None):
     """Min-degree peeling by a scan of every remaining vertex per step
-    (lowest degree, then smallest id); the result _peel must return."""
+    (lowest degree, then smallest id). Returns (order, degeneracy, stuck);
+    with stop_above, peeling stops once the minimum degree exceeds it and
+    stuck holds the vertices left."""
     deg = [g.degree(v) for v in range(g.n)]
     alive = set(range(g.n))
     order = []
@@ -97,9 +100,18 @@ def _reference_peel(g, stop_above=None):
 def test_peel_equals_reference_scan(stop_above):
     stuck = 0
     for g in order_corpus():
-        expected = _reference_peel(g, stop_above)
-        assert _peel(g, stop_above) == expected
-        stuck += bool(expected[2])
+        order, worst, remaining = _reference_peel(g, stop_above)
+        if stop_above is None:
+            visits = _min_key_order(g, map(len, g.adj))
+            assert [v for _, v in visits] == order
+            assert degeneracy(g) == worst
+            continue
+        ok, result = is_r_degenerate(g, stop_above)
+        if remaining:
+            assert not ok and result == remaining
+        else:
+            assert ok and result.order == tuple(order)
+        stuck += bool(remaining)
     if stop_above is not None:
         assert stuck > 0
 
@@ -203,7 +215,7 @@ def test_acyclic_iff_1_degenerate():
             continue
         m = random_matching(g, rng)
         cls = classify_matching(g, m, 1)
-        assert cls.is_acyclic == (cls.degeneracy_of_induced <= 1)
+        assert cls.is_acyclic == (not _induced_has_cycle(g, m.vertices))
         assert cls.is_r_degenerate == cls.is_acyclic
 
 
