@@ -58,7 +58,7 @@ def mcs_order(g):
     graphs._min_key_order with every key starting at 0. Raises
     NotChordalError when the resulting order fails the perfect-elimination
     check."""
-    visits = _min_key_order(g, [0] * g.n)
+    visits = _min_key_order(g.adj, [0] * g.n)
     try:
         return elimination_order(g, [v for _, v in reversed(visits)])
     except ValueError:

@@ -311,7 +311,7 @@ def main(argv=None):
     except NotChordalError as exc:
         print("not chordal: %s" % exc, file=sys.stderr)
         return EXIT_NOT_CHORDAL
-    except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except LimitsExceededError as exc:

@@ -1,6 +1,6 @@
 """Greedy r-degenerate edge coloring within the 2(D-1)^2/(r+1) + 2(D-1) + 1 palette."""
 
-from .graphs import _norm_edge, degeneracy, induced_subgraph
+from .graphs import Matching, _norm_edge, degeneracy, induced_subgraph
 
 
 class ColoringInvariantError(RuntimeError):
@@ -101,9 +101,12 @@ def greedy_color(g, r, order=None, delta=None):
         delta = actual
     elif delta < actual:
         raise ValueError("delta override %d below max degree %d" % (delta, actual))
-    edges = [_norm_edge(*e) for e in order] if order is not None else g.sorted_edges()
-    if sorted(edges) != g.sorted_edges():
-        raise ValueError("order is not a permutation of the edge set")
+    edges = g.sorted_edges()
+    if order is not None:
+        order = [_norm_edge(*e) for e in order]
+        if sorted(order) != edges:
+            raise ValueError("order is not a permutation of the edge set")
+        edges = order
     if not edges:
         return EdgeColoring({}, 0, delta, r)
     k = palette_size(delta, r)
@@ -127,31 +130,29 @@ def greedy_color(g, r, order=None, delta=None):
     return EdgeColoring(color, k, delta, r)
 
 
-def _class_violation(g, cls, r):
-    """Why the edges cls do not form an r-degenerate matching; None if they do."""
-    used = set()
-    for u, v in cls:
-        if u in used or v in used:
-            return "matching violation"
-        used.add(u)
-        used.add(v)
-    sub, _ = induced_subgraph(g, used)
-    if degeneracy(sub) > r:
-        return "degeneracy violation"
-    return None
-
-
 def verify_coloring(g, coloring, r):
-    """Check that every class is an r-degenerate matching; (ok, report)."""
-    color = coloring.color if isinstance(coloring, EdgeColoring) else dict(coloring)
-    for e in g.edges:
-        if _norm_edge(*e) not in color:
-            return False, "uncolored edge %s" % (e,)
+    """Check that each edge of g has one color, no non-edge has one, and
+    every class is an r-degenerate matching; (ok, report)."""
+    color = coloring.color if isinstance(coloring, EdgeColoring) else coloring
+    colored = set()
     classes = {}
     for e, a in color.items():
-        classes.setdefault(a, []).append(_norm_edge(*e))
+        e = _norm_edge(*e)
+        if e in colored:
+            return False, "edge %s colored twice" % (e,)
+        colored.add(e)
+        classes.setdefault(a, []).append(e)
+    missing = g.edges - colored
+    if missing:
+        return False, "uncolored edge %s" % (min(missing),)
+    extra = colored - g.edges
+    if extra:
+        return False, "colored non-edge %s" % (min(extra),)
     for a in sorted(classes):
-        violation = _class_violation(g, classes[a], r)
-        if violation:
-            return False, "%s in class %d" % (violation, a)
+        try:
+            m = Matching(classes[a])
+        except ValueError:
+            return False, "matching violation in class %d" % a
+        if degeneracy(induced_subgraph(g, m.vertices)[0]) > r:
+            return False, "degeneracy violation in class %d" % a
     return True, None

@@ -14,8 +14,13 @@ MAX_EDGES = 10 ** 7
 # a graph6 byte is 63..126 ('?'..'~'); '?' is a group of six zero bits
 _G6_BAD_BYTE = re.compile(r"[^?-~]")
 _G6_NONZERO_GROUP = re.compile(r"[@-~]")
-# body bytes hold 0..63 before the offset
+# body bytes hold 0..63 before the offset: _G6_ADD_63 adds it and
+# _G6_SUB_63 takes it off
 _G6_ADD_63 = bytes(range(63, 127)) + bytes(192)
+_G6_SUB_63 = bytes(63) + bytes(range(64)) + bytes(129)
+# the edge count is read from the body this many bytes at a time, so
+# counting does not hold a second copy of a large body
+_G6_COUNT_CHUNK = 1 << 20
 
 
 class ParseError(ValueError):
@@ -72,6 +77,10 @@ def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     # the last group's low padding bits must be zero
     if (ord(s[-1]) - 63) & ((1 << (6 * ngroups - nbits)) - 1):
         raise ParseError("nonzero trailing bits in graph6 string")
+    m = sum(int.from_bytes(s[k:k + _G6_COUNT_CHUNK].encode().translate(_G6_SUB_63),
+                           "big").bit_count()
+            for k in range(pos, len(s), _G6_COUNT_CHUNK))
+    _check_size(n, m, max_vertices, max_edges)
     # bit idx = j(j-1)/2 + i stands for the edge (i, j), i < j
     edges = []
     for group in _G6_NONZERO_GROUP.finditer(s, pos):
@@ -82,7 +91,6 @@ def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
                 idx = base + k
                 j = (1 + math.isqrt(8 * idx + 1)) // 2
                 edges.append((idx - j * (j - 1) // 2, j))
-    _check_size(n, len(edges), max_vertices, max_edges)
     return Graph(n, edges)
 
 
@@ -107,7 +115,9 @@ def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
             raise ParseError("line %d: self-loop" % lineno)
         max_id = max(max_id, u, v)
         edges.append((u - 1, v - 1))
-    _check_size(max_id, len(edges), max_vertices, max_edges)
+        # reading stops at the first line past a cap
+        if max_id > max_vertices or len(edges) > max_edges:
+            _check_size(max_id, len(edges), max_vertices, max_edges)
     try:
         return Graph(max_id, edges)
     except ValueError as exc:
@@ -127,14 +137,23 @@ def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
         if parts[0] == "p":
             if n is not None or len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise ParseError("line %d: bad problem line" % lineno)
-            n, declared_m = int(parts[2]), int(parts[3])
+            try:
+                n, declared_m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError("line %d: bad problem line" % lineno) from None
             _check_size(n, declared_m, max_vertices, max_edges)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("line %d: edge before problem line" % lineno)
             if len(parts) != 3:
                 raise ParseError("line %d: expected 'e u v'" % lineno)
-            u, v = int(parts[1]), int(parts[2])
+            if len(edges) == declared_m:
+                raise ParseError("line %d: more edges than the %d the header declares"
+                                 % (lineno, declared_m))
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError("line %d: non-integer vertex id" % lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError("line %d: vertex id out of range" % lineno)
             if u == v:
@@ -159,8 +178,9 @@ def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES)
     Raises ParseError on malformed text and LimitsExceededError when the
     graph has more than max_vertices vertices or max_edges edges."""
     if fmt == "auto":
-        lines = (line.strip() for line in text.splitlines())
-        first = next((line for line in lines if line and not line.startswith("#")), "")
+        # the line list is dropped before the parser makes its own
+        first = next((line for line in map(str.strip, text.splitlines())
+                      if line and not line.startswith("#")), "")
         if first == "c" or first[:2] in ("c ", "p ", "e "):
             fmt = "dimacs"
         elif len(first.split()) == 2:

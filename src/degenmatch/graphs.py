@@ -108,17 +108,18 @@ class DegeneracyCertificate:
         return True
 
 
-def _min_key_order(g, key):
+def _min_key_order(adj, key):
     """Visit every vertex, each time the unvisited one with the smallest
-    (key, id); a visit lowers the key of each unvisited neighbour by one.
+    (key, id); visiting v lowers the key of each unvisited w in adj[v] by 1.
 
     Returns [(key when visited, v), ...] in visit order. Min-degree peeling
     starts from the degrees; maximum cardinality search starts every key at
-    0, so minus the key counts visited neighbours. A lazy-deletion heap
-    finds each next vertex in O((n+m) log n): keys only fall, so a vertex's
-    newest entry pops before its stale ones, which are skipped as visited."""
+    0, so minus the key counts visited neighbours; Kahn's peel of a digraph
+    passes successor lists and in-degrees. A lazy-deletion heap finds each
+    next vertex in O((n+m) log n): keys only fall, so a vertex's newest
+    entry pops before its stale ones, which are skipped as visited."""
     key = list(key)
-    visited = [False] * g.n
+    visited = [False] * len(adj)
     heap = [(k, v) for v, k in enumerate(key)]
     heapq.heapify(heap)
     visits = []
@@ -128,7 +129,7 @@ def _min_key_order(g, key):
             continue
         visited[v] = True
         visits.append((k, v))
-        for w in g.adj[v]:
+        for w in adj[v]:
             if not visited[w]:
                 key[w] -= 1
                 heapq.heappush(heap, (key[w], w))
@@ -137,7 +138,7 @@ def _min_key_order(g, key):
 
 def degeneracy(g):
     """Exact degeneracy: the largest minimum degree seen while peeling."""
-    return max((d for d, _ in _min_key_order(g, map(len, g.adj))), default=0)
+    return max((d for d, _ in _min_key_order(g.adj, map(len, g.adj))), default=0)
 
 
 def is_r_degenerate(g, r):
@@ -148,7 +149,7 @@ def is_r_degenerate(g, r):
     r, induces a subgraph of minimum degree > r."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    visits = _min_key_order(g, map(len, g.adj))
+    visits = _min_key_order(g.adj, map(len, g.adj))
     for i, (d, _) in enumerate(visits):
         if d > r:
             return False, frozenset(v for _, v in visits[i:])
@@ -208,31 +209,21 @@ def _mate_digraph_acyclic(sub, matching_edges):
 
     sub is the subgraph induced by V(M) (local ids); for every non-matching
     edge xy of sub we add arcs mate(x)->y and mate(y)->x. The matching is
-    uniquely restricted iff no directed cycle exists."""
-    mate = {}
+    uniquely restricted iff no directed cycle exists, that is iff Kahn's
+    peel visits every vertex at in-degree 0."""
+    mate = [0] * sub.n
     for u, v in matching_edges:
         mate[u] = v
         mate[v] = u
-    succ = {v: [] for v in range(sub.n)}
+    succ = [[] for _ in range(sub.n)]
+    indeg = [0] * sub.n
     for x, y in sub.edges:
-        if (x, y) in matching_edges:
-            continue
-        succ[mate[x]].append(y)
-        succ[mate[y]].append(x)
-    indeg = {v: 0 for v in range(sub.n)}
-    for v, outs in succ.items():
-        for w in outs:
-            indeg[w] += 1
-    queue = [v for v in range(sub.n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == sub.n
+        if (x, y) not in matching_edges:
+            succ[mate[x]].append(y)
+            succ[mate[y]].append(x)
+            indeg[x] += 1
+            indeg[y] += 1
+    return all(k == 0 for k, _ in _min_key_order(succ, indeg))
 
 
 def classify_matching(g, m, r):

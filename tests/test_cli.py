@@ -160,6 +160,48 @@ def test_size_cap_exits_limits(tmp_path, capsys, text, flags, message):
         assert err == "limits exceeded: %s\n" % message
 
 
+@pytest.mark.parametrize("text, flags, code, err", [
+    ("".join("%d %d\n" % (i, i + 1) for i in range(1, 5001)), ["--max-edges", "1000"],
+     4, "limits exceeded: 1001 edges exceeds limit 1000\n"),
+    ("1 10\nx y\n", ["--max-vertices", "5"],
+     4, "limits exceeded: 10 vertices exceeds limit 5\n"),
+    ("p edge 3 1\ne 1 2\ne 2 3\n", [],
+     3, "parse error: line 3: more edges than the 1 the header declares\n"),
+    ("p edge x 1\n", [], 3, "parse error: line 1: bad problem line\n"),
+    ("p edge 2 1\ne 1 y\n", [], 3, "parse error: line 2: non-integer vertex id\n"),
+], ids=["edgelist-edges", "edgelist-id", "dimacs-extra-edge", "dimacs-n-not-int",
+        "dimacs-id-not-int"])
+def test_parsers_stop_at_the_first_bad_line(tmp_path, capsys, text, flags, code,
+                                            err):
+    # an edge list or DIMACS file is rejected at the first line that passes a
+    # cap or holds a non-integer, before the lines after it are read
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    assert main(["check-chordal", "--input", str(p)] + flags) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-chordal", "--input", "{dir}"],
+    ["nur", "--input", "{p3}", "--r", "1", "--weights", "{dir}"],
+    ["bench", "--suite", "{dir}"],
+    ["gen", "--family", "path", "--n", "3", "--out", "{dir}"],
+    ["bench", "--suite", "{suite}", "--out", "{dir}"],
+], ids=["input", "weights", "suite", "gen-out", "bench-out"])
+def test_unusable_paths_exit_parse(tmp_path, capsys, argv):
+    # a path that cannot be opened or written, here a directory, is an input
+    # error like a missing file
+    p3 = tmp_path / "p3.txt"
+    p3.write_text("1 2\n2 3\n")
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [{"family": "path", "params": {"n": 3}}]}))
+    paths = {"dir": str(tmp_path), "p3": str(p3), "suite": str(suite)}
+    code = main([a.format(**paths) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_oracle_states(tmp_path, capsys):
     code, report = run(capsys, "oracle", "--input",
                        write_graph(tmp_path, path(3)), "--what", "states",

@@ -98,6 +98,18 @@ def test_verify_negative_cases():
     assert not ok and "uncolored" in report
 
 
+def test_verify_reads_each_edge_once():
+    # a key may name an edge either way round, but must name an edge of g,
+    # and no edge may be named twice
+    g = path(3)
+    assert verify_coloring(g, {(1, 0): 1, (2, 1): 2}, 1) == (True, None)
+    assert verify_coloring(g, {(0, 1): 1, (1, 2): 2, (2, 0): 3}, 1) == (
+        False, "colored non-edge (0, 2)")
+    assert verify_coloring(g, {(0, 1): 1, (1, 2): 2, (1, 0): 3}, 1) == (
+        False, "edge (0, 1) colored twice")
+    assert verify_coloring(path(4), {(2, 3): 1}, 1) == (False, "uncolored edge (0, 1)")
+
+
 def test_random_corpus_palette_respect():
     for seed in range(120):
         g = random_bounded_degree(6 + seed % 20, 0.3, 5, seed)

@@ -102,7 +102,7 @@ def test_peel_equals_reference_scan(stop_above):
     for g in order_corpus():
         order, worst, remaining = _reference_peel(g, stop_above)
         if stop_above is None:
-            visits = _min_key_order(g, map(len, g.adj))
+            visits = _min_key_order(g.adj, map(len, g.adj))
             assert [v for _, v in visits] == order
             assert degeneracy(g) == worst
             continue

@@ -1,6 +1,16 @@
+import tracemalloc
+
 import pytest
 
-from degenmatch import Graph, GeneratorSpec, ParseError, generate, is_chordal
+from degenmatch import (
+    Graph,
+    GeneratorSpec,
+    LimitsExceededError,
+    ParseError,
+    formats,
+    generate,
+    is_chordal,
+)
 from degenmatch.formats import (
     load_graph,
     parse_dimacs,
@@ -94,6 +104,28 @@ def test_graph6_rejects_garbage():
         parse_graph6("B~")  # nonzero trailing bits for n=3
     with pytest.raises(ParseError):
         parse_graph6("C\x07")
+
+
+def test_graph6_edge_cap_checked_before_decoding(monkeypatch):
+    # the count of set bits is exact across chunk boundaries, and a graph
+    # over the cap is rejected before any edge is decoded
+    monkeypatch.setattr(formats, "_G6_COUNT_CHUNK", 7)
+    for g in (complete(13), k_tree(3, 40, seed=2), gnp(30, 0.4, seed=4)):
+        text = serialize_graph6(g)
+        assert parse_graph6(text, max_edges=g.m) == g
+        with pytest.raises(LimitsExceededError, match="^%d edges exceeds limit %d$"
+                           % (g.m, g.m - 1)):
+            parse_graph6(text, max_edges=g.m - 1)
+    monkeypatch.undo()
+    text = serialize_graph6(complete(800))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitsExceededError, match="^319600 edges exceeds limit 1000$"):
+            parse_graph6(text, max_edges=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_header_prefix_accepted():
