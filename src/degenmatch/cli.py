@@ -9,6 +9,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import __version__
 from .chordal import NotChordalError, is_chordal
@@ -32,6 +33,7 @@ EXIT_NOT_CHORDAL = 2
 EXIT_PARSE = 3
 EXIT_LIMITS = 4
 EXIT_INTERNAL = 5
+MAX_STATES = 10**6
 
 
 def _read_input(path):
@@ -77,7 +79,7 @@ def _load_weights(path, g):
 # commands without --input) and returns the report's results.
 def cmd_nur(args, g):
     weights = _load_weights(args.weights, g) if args.weights else None
-    res = solve(g, args.r, weights=weights)
+    res = solve(g, args.r, weights=weights, max_states=args.max_states)
     results = {
         "nu_r": res.value,
         "r": args.r,
@@ -197,14 +199,19 @@ def cmd_bench(args, _):
             if not ok:
                 raise ValueError("instance %r: %s" % (inst.get("id"), message))
         tasks.extend((inst, r) for r in rs)
-    # the pool forks all its workers at once, so start no more than can run
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_bench_task, tasks))
-    else:
-        outcomes = [_bench_task(t) for t in tasks]
-    rows = [row for row, _ in outcomes]
+    # the output is opened before any instance runs, so a path that cannot
+    # be written fails at once instead of after the whole suite
+    with open(args.out, "w", newline="") if args.out else nullcontext() as out:
+        # the pool forks all its workers at once, so start no more than can run
+        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(_bench_task, tasks))
+        else:
+            outcomes = [_bench_task(t) for t in tasks]
+        rows = [row for row, _ in outcomes]
+        if out is not None:
+            write_survey_csv(rows, out)
     counters = {"rows": len(rows),
                 "dp_oracle_checked": 0, "dp_oracle_disagreements": 0,
                 "palette_checked": 0, "palette_failures": 0}
@@ -215,9 +222,6 @@ def cmd_bench(args, _):
         if agree["palette"] is not None:
             counters["palette_checked"] += 1
             counters["palette_failures"] += not agree["palette"]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_survey_csv(rows, fh)
     return counters
 
 
@@ -256,6 +260,9 @@ def _build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--weights", help="JSON list of [u, v, weight] (0-based ids)")
     p.add_argument("--emit-matching", action="store_true")
+    p.add_argument("--max-states", type=int, default=MAX_STATES,
+                   help="exit 4 when the largest bag admits more DP states "
+                   "(default %(default)s)")
     p.set_defaults(func=cmd_nur)
 
     p = sub.add_parser("color", parents=[inputs],
@@ -311,8 +318,11 @@ def main(argv=None):
     except NotChordalError as exc:
         print("not chordal: %s" % exc, file=sys.stderr)
         return EXIT_NOT_CHORDAL
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, json.JSONDecodeError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        print("file error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except LimitsExceededError as exc:
         print("limits exceeded: %s" % exc, file=sys.stderr)

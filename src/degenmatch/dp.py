@@ -3,6 +3,9 @@
 Tables map a state (S, N) -- N inside S inside the current bag, |S| <= r+1 --
 to the best matching size (or weight) achievable below the node; the
 recursions are monotone in the value, so keeping only the maximum is exact.
+Each handler copies the states it keeps with `dict(child)`, which carries
+their stored hashes, and rehashes only the states that change: the ones an
+introduce adds, and at a forget the ones holding the forgotten vertex.
 The witness is re-derived from these values by a walk down from the root: a
 node takes the first child state (two at a join) whose value its recurrence
 turns into its own, a forget trying keep, drop, then match in N order, a join
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .chordal import build_nice_decomposition, mcs_order
-from .graphs import Matching, _norm_edge
+from .graphs import LimitsExceededError, Matching, _norm_edge
 
 
 @dataclass(frozen=True)
@@ -48,19 +51,18 @@ def dp_leaf():
     return {_EMPTY: 0}
 
 
-def _insert(table, key, value):
-    cur = table.get(key)
-    if cur is None or value > cur:
-        table[key] = value
-
-
 def dp_introduce(child, x, r):
     """Introduce node for x: keep child states, and add x to any S' of size <= r."""
-    # x is new to the bag, so no two candidates share a key
+    # x is new to the bag, so no two candidates share a key; dict(child) copies
+    # the kept states with their stored hashes, and each distinct S is sorted once
     table = dict(child)
+    grown = {}
     for (s, n), value in child.items():
         if len(s) <= r:
-            table[(tuple(sorted(s + (x,))), n)] = value
+            s_x = grown.get(s)
+            if s_x is None:
+                s_x = grown[s] = tuple(sorted(s + (x,)))
+            table[(s_x, n)] = value
     return table
 
 
@@ -71,35 +73,64 @@ def dp_forget(child, x, weights=None):
     otherwise x is matched to each y in S' outside N (the bag is a clique, so xy
     is an edge), adding 1 or weight(xy). Each state keeps its best value; the
     witness walk tries the cases as keep, drop, then match in N order."""
-    table = {}
+    # the kept states are copied with their stored hashes; only the states
+    # holding x are popped, and their cases folded back in by maximum (a
+    # folded key never holds x, so it is never one still waiting to be popped)
+    table = dict(child)
+    shrunk = {}
     for key, value in child.items():
         s, n = key
         if x not in s:
-            _insert(table, key, value)
-        elif x in n:
-            _insert(table, (tuple(v for v in s if v != x),
-                            tuple(v for v in n if v != x)), value)
-        else:
-            s_minus = tuple(v for v in s if v != x)
-            for y in s_minus:
-                if y in n:
-                    continue
-                gain = 1 if weights is None else weights.weight(x, y)
-                _insert(table, (s_minus, tuple(sorted(n + (y,)))), value + gain)
+            continue
+        del table[key]
+        s_minus = shrunk.get(s)
+        if s_minus is None:
+            i = s.index(x)
+            s_minus = shrunk[s] = s[:i] + s[i + 1:]
+        if x in n:
+            i = n.index(x)
+            new = (s_minus, n[:i] + n[i + 1:])
+            cur = table.get(new)
+            if cur is None or value > cur:
+                table[new] = value
+            continue
+        for y in s_minus:
+            if y in n:
+                continue
+            new = (s_minus, tuple(sorted(n + (y,))))
+            gained = value + (1 if weights is None else weights.weight(x, y))
+            cur = table.get(new)
+            if cur is None or gained > cur:
+                table[new] = gained
     return table
 
 
 def dp_join(left, right):
     """Join node: combine same-S states with disjoint matched sets."""
     by_s = {}
-    for rkey, rvalue in right.items():
-        by_s.setdefault(rkey[0], []).append((rkey[1], rvalue))
+    for (s, rn), rvalue in right.items():
+        by_s.setdefault(s, []).append((rn, rvalue))
     table = {}
     for (s, ln), lvalue in left.items():
-        lset = set(ln)
-        for rn, rvalue in by_s.get(s, ()):
-            if lset.isdisjoint(rn):
-                _insert(table, (s, tuple(sorted(ln + rn))), lvalue + rvalue)
+        rights = by_s.get(s)
+        if rights is None:
+            continue
+        lset = set(ln) if ln else None
+        for rn, rvalue in rights:
+            # an empty side merges to the other one, with no set and no sort
+            if lset is None:
+                n = rn
+            elif not rn:
+                n = ln
+            elif lset.isdisjoint(rn):
+                n = tuple(sorted(ln + rn))
+            else:
+                continue
+            key = (s, n)
+            value = lvalue + rvalue
+            cur = table.get(key)
+            if cur is None or value > cur:
+                table[key] = value
     return table
 
 
@@ -120,46 +151,89 @@ def run_tables(decomp, r, weights=None):
     return tables
 
 
-def _candidates(nd, key, weights):
-    """(child keys, gain, witness edges) for each way the recurrence of node
-    nd can produce state key, in the order the witness walk tries them."""
+def _forget_source(child, key, x, value, weights, pairs):
+    """The child state a forget of x turns into key at value, trying keep,
+    drop, then match with each y in N in N order (a match appends xy to
+    pairs); None if there is none."""
+    if child.get(key) == value:
+        return key
     s, n = key
-    if nd.kind == "leaf":
-        yield (), 0, ()
-    elif nd.kind == "introduce":
-        yield ((tuple(v for v in s if v != nd.vertex), n),), 0, ()
-    elif nd.kind == "forget":
-        x = nd.vertex
-        s_x = tuple(sorted(s + (x,)))
-        yield (key,), 0, ()
-        yield ((s_x, tuple(sorted(n + (x,)))),), 0, ()
-        for y in n:
-            gain = 1 if weights is None else weights.weight(x, y)
-            yield ((s_x, tuple(v for v in n if v != y)),), gain, (_norm_edge(x, y),)
-    else:
-        for mask in range(1 << len(n)):
-            ln = tuple(v for i, v in enumerate(n) if mask >> i & 1)
-            yield ((s, ln), (s, tuple(v for v in n if v not in ln))), 0, ()
+    s_x = tuple(sorted(s + (x,)))
+    ckey = (s_x, tuple(sorted(n + (x,))))
+    if child.get(ckey) == value:
+        return ckey
+    for i, y in enumerate(n):
+        ckey = (s_x, n[:i] + n[i + 1:])
+        cvalue = child.get(ckey)
+        if cvalue is not None and cvalue + (
+                1 if weights is None else weights.weight(x, y)) == value:
+            pairs.append(_norm_edge(x, y))
+            return ckey
+    return None
+
+
+def _join_split(left, right, key, value):
+    """The first split (ln, rn) of key's N, in mask order (bit i of the mask
+    puts N[i] on the left), whose child values add up to value; None if
+    there is none."""
+    s, n = key
+    for mask in range(1 << len(n)):
+        ln = rn = ()
+        bit = 1
+        for v in n:
+            if mask & bit:
+                ln += (v,)
+            else:
+                rn += (v,)
+            bit <<= 1
+        lvalue = left.get((s, ln))
+        if lvalue is not None:
+            rvalue = right.get((s, rn))
+            if rvalue is not None and lvalue + rvalue == value:
+                return ln, rn
+    return None
 
 
 def _reconstruct(decomp, tables, weights=None):
     """Witness for the root state: each node takes the first candidate whose
     child values plus gain equal its value (the same additions as the forward
-    pass, so float weights compare exactly), else raises DPInvariantError."""
+    pass, so float weights compare exactly), else raises DPInvariantError.
+    Each node's candidates are checked in place, with no per-node generator."""
     pairs = []
     stack = [(decomp.root, _EMPTY)]
+    nodes = decomp.nodes
     while stack:
         t, key = stack.pop()
-        nd = decomp.nodes[t]
-        for ckeys, gain, edges in _candidates(nd, key, weights):
-            values = [tables[c].get(k) for c, k in zip(nd.children, ckeys)]
-            if None not in values and sum(values) + gain == tables[t][key]:
-                break
+        nd = nodes[t]
+        value = tables[t][key]
+        if nd.kind == "leaf":
+            if value == 0:
+                continue
+        elif nd.kind == "introduce":
+            c, x = nd.children[0], nd.vertex
+            s, n = key
+            ckey = key
+            if x in s:
+                i = s.index(x)
+                ckey = (s[:i] + s[i + 1:], n)
+            if tables[c].get(ckey) == value:
+                stack.append((c, ckey))
+                continue
+        elif nd.kind == "forget":
+            c = nd.children[0]
+            ckey = _forget_source(tables[c], key, nd.vertex, value, weights, pairs)
+            if ckey is not None:
+                stack.append((c, ckey))
+                continue
         else:
-            raise DPInvariantError("no child state of %s node %r gives %r = %r"
-                                   % (nd.kind, t, key, tables[t][key]))
-        pairs.extend(edges)
-        stack.extend(zip(nd.children, ckeys))
+            lc, rc = nd.children
+            split = _join_split(tables[lc], tables[rc], key, value)
+            if split is not None:
+                stack.append((lc, (key[0], split[0])))
+                stack.append((rc, (key[0], split[1])))
+                continue
+        raise DPInvariantError("no child state of %s node %r gives %r = %r"
+                               % (nd.kind, t, key, value))
     return Matching(pairs)
 
 
@@ -171,14 +245,30 @@ class DPResult:
     max_table: int
 
 
-def solve(g, r, weights=None):
+def _state_bound(bag_size, r):
+    """The number of states (S, N) over a bag of bag_size vertices (N inside
+    S inside the bag, |S| <= r+1): a bound on every table of a decomposition
+    whose largest bag has that size."""
+    return sum(math.comb(bag_size, k) << k for k in range(min(r + 1, bag_size) + 1))
+
+
+def solve(g, r, weights=None, max_states=None):
     """Full pipeline: recognize, decompose, run the DP, reconstruct a witness.
 
-    Raises NotChordalError on non-chordal input and ValueError for r < 1."""
+    Raises NotChordalError on non-chordal input, ValueError for r < 1, and
+    LimitsExceededError, before any table is built, when the largest bag
+    admits more than max_states states."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     peo = mcs_order(g)
     decomp = build_nice_decomposition(g, peo)
+    if max_states is not None:
+        bag = decomp.max_bag_size()
+        bound = _state_bound(bag, r)
+        if bound > max_states:
+            raise LimitsExceededError(
+                "%d DP states (largest bag %d, r = %d) exceeds limit %d"
+                % (bound, bag, r, max_states))
     tables = run_tables(decomp, r, weights)
     value = tables[decomp.root][_EMPTY]
     matching = _reconstruct(decomp, tables, weights)

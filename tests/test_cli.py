@@ -1,13 +1,21 @@
 import json
 import os
 import re
+import time
 
 import pytest
 
 from degenmatch import cli, dp
 from degenmatch.cli import main
 from degenmatch.formats import serialize_graph6
-from degenmatch.generate import complete, complete_bipartite, cycle, k_tree, path
+from degenmatch.generate import (
+    complete,
+    complete_bipartite,
+    cycle,
+    interval,
+    k_tree,
+    path,
+)
 
 
 def run(capsys, *argv):
@@ -189,8 +197,8 @@ def test_parsers_stop_at_the_first_bad_line(tmp_path, capsys, text, flags, code,
     ["bench", "--suite", "{suite}", "--out", "{dir}"],
 ], ids=["input", "weights", "suite", "gen-out", "bench-out"])
 def test_unusable_paths_exit_parse(tmp_path, capsys, argv):
-    # a path that cannot be opened or written, here a directory, is an input
-    # error like a missing file
+    # a path that cannot be opened or written, here a directory, exits 3 like
+    # a missing file, under its own label since nothing was parsed
     p3 = tmp_path / "p3.txt"
     p3.write_text("1 2\n2 3\n")
     suite = tmp_path / "suite.json"
@@ -199,7 +207,40 @@ def test_unusable_paths_exit_parse(tmp_path, capsys, argv):
     code = main([a.format(**paths) for a in argv])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert err.startswith("file error: ") and err.count("\n") == 1
+
+
+def test_bench_opens_out_before_any_instance(tmp_path, capsys, monkeypatch):
+    # an output path that cannot be written fails before the suite runs
+    ran = []
+    monkeypatch.setattr(cli, "_bench_task", ran.append)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(BENCH_SUITE))
+    code = main(["bench", "--suite", str(suite), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and ran == []
+    assert err.startswith("file error: ") and err.count("\n") == 1
+
+
+def test_nur_max_states_exits_limits(tmp_path, capsys):
+    # interval(30, 2) has a bag of 16 vertices; at r = 15 every subset of a
+    # bag is a state, 3**16 pairs (S, N), so the default cap stops it at once
+    g = interval(30, 2)
+    started = time.monotonic()
+    code = main(["nur", "--input", write_graph(tmp_path, g), "--r", "15"])
+    assert time.monotonic() - started < 1
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err == ("limits exceeded: 43046721 DP states (largest bag 16, "
+                   "r = 15) exceeds limit 1000000\n")
+    # K5 at r = 2: 1 + 5*2 + 10*4 + 10*8 = 131 states over its one bag
+    k5 = write_graph(tmp_path, complete(5), "k5.g6")
+    code = main(["nur", "--input", k5, "--r", "2", "--max-states", "130"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == "" and err.startswith("limits exceeded: ")
+    code, report = run(capsys, "nur", "--input", k5, "--r", "2",
+                       "--max-states", "131")
+    assert code == 0 and report["results"]["nu_r"] == 1
 
 
 def test_oracle_states(tmp_path, capsys):

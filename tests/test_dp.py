@@ -1,5 +1,7 @@
 import pytest
 
+from degenmatch.graphs import LimitsExceededError, _norm_edge
+
 from degenmatch import chordal
 from degenmatch import (
     Graph,
@@ -16,7 +18,9 @@ from degenmatch import (
 from degenmatch.chordal import build_nice_decomposition, mcs_order
 from degenmatch.dp import (
     DPInvariantError,
+    _EMPTY,
     _reconstruct,
+    _state_bound,
     dp_forget,
     dp_introduce,
     dp_join,
@@ -179,6 +183,105 @@ def test_witness_valid_over_wide_bags():
                 worth = len(m) if weights is None else sum(wg.weights[e] for e in m)
                 assert worth == res.value
                 assert classify_matching(g, m, r).is_r_degenerate
+
+
+def _reference_candidates(nd, key, weights):
+    """(child keys, gain, witness edges) for each way the recurrence of node
+    nd can produce state key, in the order the witness walk tries them."""
+    s, n = key
+    if nd.kind == "leaf":
+        yield (), 0, ()
+    elif nd.kind == "introduce":
+        yield ((tuple(v for v in s if v != nd.vertex), n),), 0, ()
+    elif nd.kind == "forget":
+        x = nd.vertex
+        s_x = tuple(sorted(s + (x,)))
+        yield (key,), 0, ()
+        yield ((s_x, tuple(sorted(n + (x,)))),), 0, ()
+        for y in n:
+            gain = 1 if weights is None else weights.weight(x, y)
+            yield ((s_x, tuple(v for v in n if v != y)),), gain, (_norm_edge(x, y),)
+    else:
+        for mask in range(1 << len(n)):
+            ln = tuple(v for i, v in enumerate(n) if mask >> i & 1)
+            yield ((s, ln), (s, tuple(v for v in n if v not in ln))), 0, ()
+
+
+def _reference_reconstruct(decomp, tables, weights=None):
+    """The witness walk written from the candidate lists: the reference that
+    dp._reconstruct, which checks each node's candidates in place, must match."""
+    pairs = []
+    stack = [(decomp.root, _EMPTY)]
+    while stack:
+        t, key = stack.pop()
+        nd = decomp.nodes[t]
+        for ckeys, gain, edges in _reference_candidates(nd, key, weights):
+            values = [tables[c].get(k) for c, k in zip(nd.children, ckeys)]
+            if None not in values and sum(values) + gain == tables[t][key]:
+                break
+        else:
+            raise DPInvariantError("no child state of %s node %r gives %r = %r"
+                                   % (nd.kind, t, key, tables[t][key]))
+        pairs.extend(edges)
+        stack.extend(zip(nd.children, ckeys))
+    return Matching(pairs)
+
+
+def test_witness_equals_reference_walk():
+    for g, rs, s in _witness_corpus():
+        rng = Rng(s)
+        wg = WeightedGraph(g, {e: rng.randbelow(9) - 2 for e in g.sorted_edges()})
+        decomp = build_nice_decomposition(g, mcs_order(g))
+        for r in rs:
+            for weights in (None, wg):
+                tables = run_tables(decomp, r, weights)
+                assert (_reconstruct(decomp, tables, weights)
+                        == _reference_reconstruct(decomp, tables, weights))
+
+
+def test_handlers_leave_child_tables_unchanged():
+    # a handler copies its child table and must not edit the child itself;
+    # its parent, or the witness walk, reads the child again
+    for s in range(12):
+        g = interval(12 + s, s)
+        wg = WeightedGraph(g, {e: 1 + e[0] % 3 for e in g.sorted_edges()})
+        decomp = build_nice_decomposition(g, mcs_order(g))
+        for r, weights in ((1, None), (2, wg)):
+            tables = {}
+            for t, nd in enumerate(decomp.nodes):
+                kids = [tables[c] for c in nd.children]
+                before = [list(k.items()) for k in kids]
+                if nd.kind == "leaf":
+                    tables[t] = dp_leaf()
+                elif nd.kind == "introduce":
+                    tables[t] = dp_introduce(kids[0], nd.vertex, r)
+                elif nd.kind == "forget":
+                    tables[t] = dp_forget(kids[0], nd.vertex, weights)
+                else:
+                    tables[t] = dp_join(*kids)
+                assert [list(k.items()) for k in kids] == before
+            assert tables == run_tables(decomp, r, weights)
+
+
+def test_state_bound():
+    # sum over |S| = k <= min(r+1, b) of C(b, k) * 2^k
+    assert _state_bound(0, 1) == 1
+    assert _state_bound(4, 1) == 1 + 4 * 2 + 6 * 4
+    assert _state_bound(16, 15) == 3 ** 16
+    assert _state_bound(16, 100) == 3 ** 16
+    for s in range(10):
+        g = random_chordal(7, s)
+        decomp = build_nice_decomposition(g, mcs_order(g))
+        for r in (1, 2):
+            bound = _state_bound(decomp.max_bag_size(), r)
+            assert max(len(t) for t in run_tables(decomp, r).values()) <= bound
+
+
+def test_solve_max_states():
+    g = complete(5)  # one bag of 5: 131 states at r = 2
+    assert solve(g, 2, max_states=131).value == solve(g, 2).value == 1
+    with pytest.raises(LimitsExceededError, match="^131 DP states"):
+        solve(g, 2, max_states=130)
 
 
 @pytest.mark.parametrize("where", ["root", "leaves"])
