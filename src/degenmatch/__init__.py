@@ -5,12 +5,8 @@ __version__ = "0.1.0"
 from .graphs import (
     Graph,
     Matching,
-    MatchingClass,
-    DegeneracyCertificate,
-    classify_matching,
     degeneracy,
     induced_subgraph,
-    is_r_degenerate,
 )
 from .chordal import (
     EliminationOrder,
@@ -25,7 +21,6 @@ from .dp import WeightedGraph, nu_r, nu_r_weighted, solve
 from .coloring import (
     ColoringInvariantError,
     EdgeColoring,
-    forbidden_sets,
     greedy_color,
     palette_size,
     verify_coloring,
@@ -43,13 +38,12 @@ from .formats import ParseError, load_graph, parse_graph6, serialize_graph6
 from .generate import GeneratorSpec, Rng, generate
 
 __all__ = [
-    "Graph", "Matching", "MatchingClass", "DegeneracyCertificate",
-    "classify_matching", "degeneracy", "induced_subgraph", "is_r_degenerate",
+    "Graph", "Matching", "degeneracy", "induced_subgraph",
     "EliminationOrder", "NiceTreeDecomposition", "NotChordalError",
     "build_nice_decomposition", "is_chordal", "mcs_order",
     "validate_decomposition",
     "WeightedGraph", "nu_r", "nu_r_weighted", "solve",
-    "ColoringInvariantError", "EdgeColoring", "forbidden_sets", "greedy_color",
+    "ColoringInvariantError", "EdgeColoring", "greedy_color",
     "palette_size", "verify_coloring",
     "LimitsExceededError", "OracleLimits", "brute_chromatic_index",
     "brute_chromatic_index_r", "brute_degenerate_states", "brute_nu_r",

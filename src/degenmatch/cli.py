@@ -155,9 +155,11 @@ def _bench_task(task):
            "delta": g.max_degree(), "r": r}
     agree = {"dp_oracle": None, "palette": None}
     try:
-        row["nu_r"] = solve(g, r).value
+        row["nu_r"] = solve(g, r, max_states=MAX_STATES).value
     except NotChordalError:
         pass
+    except LimitsExceededError as exc:
+        raise LimitsExceededError("instance %r: %s" % (inst.get("id"), exc)) from None
     else:
         if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= DEFAULT_LIMITS.max_edges:
             agree["dp_oracle"] = brute_nu_r(g, r) == row["nu_r"]
@@ -326,6 +328,9 @@ def main(argv=None):
         return EXIT_PARSE
     except LimitsExceededError as exc:
         print("limits exceeded: %s" % exc, file=sys.stderr)
+        return EXIT_LIMITS
+    except MemoryError:
+        print("limits exceeded: out of memory", file=sys.stderr)
         return EXIT_LIMITS
     except (ColoringInvariantError, DPInvariantError, AssertionError) as exc:
         print("internal invariant violation: %s" % exc, file=sys.stderr)

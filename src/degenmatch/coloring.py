@@ -51,29 +51,14 @@ class EdgeColoring:
         return payload
 
 
-def forbidden_sets(g, color, uv, r):
-    """Forbidden color sets for an uncolored edge uv.
+def _forbidden(g, colors_at, u, v, r):
+    """Forbidden color sets for an uncolored edge uv, given colors_at, which
+    maps each vertex to the colors on its incident edges.
 
     F1: colors on edges incident to u or v. F2: colors a outside F1 whose
     nearby coverage d_u + 2*d_uv + d_v reaches r+1, where d_u counts vertices
     of N(u)-N[v] touched by an a-colored edge (similarly for the v-side and
     the common neighborhood)."""
-    u, v = _norm_edge(*uv)
-    if (u, v) in color:
-        raise ValueError("edge (%d, %d) already colored" % (u, v))
-    colors_at = {}
-    for e, a in color.items():
-        _add_color(colors_at, e, a)
-    return _forbidden(g, colors_at, u, v, r)
-
-
-def _add_color(colors_at, e, a):
-    # colors_at maps each vertex to the colors on its incident edges
-    colors_at.setdefault(e[0], set()).add(a)
-    colors_at.setdefault(e[1], set()).add(a)
-
-
-def _forbidden(g, colors_at, u, v, r):
     f1 = set()
     f1.update(colors_at.get(u, ()))
     f1.update(colors_at.get(v, ()))
@@ -126,7 +111,8 @@ def greedy_color(g, r, order=None, delta=None):
         if chosen is None:
             raise ColoringInvariantError("no available color for edge %s" % (uv,))
         color[uv] = chosen
-        _add_color(colors_at, uv, chosen)
+        colors_at.setdefault(uv[0], set()).add(chosen)
+        colors_at.setdefault(uv[1], set()).add(chosen)
     return EdgeColoring(color, k, delta, r)
 
 

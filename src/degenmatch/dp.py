@@ -9,13 +9,16 @@ introduce adds, and at a forget the ones holding the forgotten vertex.
 The witness is re-derived from these values by a walk down from the root: a
 node takes the first child state (two at a join) whose value its recurrence
 turns into its own, a forget trying keep, drop, then match in N order, a join
-the splits of N in mask order."""
+the splits of N in mask order. `solve` then certifies the witness with the
+class check of `verify_coloring`: a matching of g whose vertices induce an
+r-degenerate subgraph, of the reported size when unweighted."""
 
 import math
 from dataclasses import dataclass
 
 from .chordal import build_nice_decomposition, mcs_order
-from .graphs import LimitsExceededError, Matching, _norm_edge
+from .graphs import (
+    LimitsExceededError, Matching, _norm_edge, degeneracy, induced_subgraph)
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,9 @@ _EMPTY = ((), ())
 
 
 class DPInvariantError(RuntimeError):
-    """The value tables admit no witness; signals an implementation bug."""
+    """The value tables admit no witness, or the witness is not an
+    r-degenerate matching of the reported value; signals an implementation
+    bug."""
 
 
 def dp_leaf():
@@ -234,7 +239,10 @@ def _reconstruct(decomp, tables, weights=None):
                 continue
         raise DPInvariantError("no child state of %s node %r gives %r = %r"
                                % (nd.kind, t, key, value))
-    return Matching(pairs)
+    try:
+        return Matching(pairs)
+    except ValueError as exc:
+        raise DPInvariantError("witness is not a matching: %s" % exc) from None
 
 
 @dataclass(frozen=True)
@@ -255,9 +263,12 @@ def _state_bound(bag_size, r):
 def solve(g, r, weights=None, max_states=None):
     """Full pipeline: recognize, decompose, run the DP, reconstruct a witness.
 
-    Raises NotChordalError on non-chordal input, ValueError for r < 1, and
+    Raises NotChordalError on non-chordal input, ValueError for r < 1,
     LimitsExceededError, before any table is built, when the largest bag
-    admits more than max_states states."""
+    admits more than max_states states, and DPInvariantError when the
+    witness is not an r-degenerate matching of g of the reported size (the
+    size is not re-summed when weighted: the walk has already checked the
+    forward pass's own additions exactly)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     peo = mcs_order(g)
@@ -272,6 +283,15 @@ def solve(g, r, weights=None, max_states=None):
     tables = run_tables(decomp, r, weights)
     value = tables[decomp.root][_EMPTY]
     matching = _reconstruct(decomp, tables, weights)
+    if not matching.edges <= g.edges:
+        raise DPInvariantError("witness edge %s is not an edge of the graph"
+                               % (min(matching.edges - g.edges),))
+    if weights is None and len(matching) != value:
+        raise DPInvariantError("witness has %d edges, value is %r"
+                               % (len(matching), value))
+    if degeneracy(induced_subgraph(g, matching.vertices)[0]) > r:
+        raise DPInvariantError(
+            "witness induces a subgraph that is not %d-degenerate" % r)
     return DPResult(value, matching, len(decomp.nodes),
                     max(len(t) for t in tables.values()))
 

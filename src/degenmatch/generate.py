@@ -46,9 +46,6 @@ class Rng:
         # true with probability p, via a 53-bit threshold
         return self.next_u64() >> 11 < p * (1 << 53)
 
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]
-
     def shuffle(self, items):
         for i in range(len(items) - 1, 0, -1):
             j = self.randbelow(i + 1)

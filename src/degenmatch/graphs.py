@@ -1,7 +1,6 @@
-"""Simple undirected graphs, degeneracy machinery, and matching classification."""
+"""Simple undirected graphs, induced subgraphs, degeneracy, and matchings."""
 
 import heapq
-from dataclasses import dataclass
 
 
 class LimitsExceededError(Exception):
@@ -90,34 +89,15 @@ def induced_subgraph(g, s):
     return Graph(len(vs), edges), tuple(vs)
 
 
-@dataclass(frozen=True)
-class DegeneracyCertificate:
-    """Peeling order witnessing that a graph is r-degenerate."""
-
-    order: tuple
-    r: int
-
-    def verify(self, g):
-        if sorted(self.order) != list(range(g.n)):
-            return False
-        pos = {v: i for i, v in enumerate(self.order)}
-        for v in self.order:
-            later = sum(1 for w in g.adj[v] if pos[w] > pos[v])
-            if later > self.r:
-                return False
-        return True
-
-
 def _min_key_order(adj, key):
     """Visit every vertex, each time the unvisited one with the smallest
     (key, id); visiting v lowers the key of each unvisited w in adj[v] by 1.
 
     Returns [(key when visited, v), ...] in visit order. Min-degree peeling
     starts from the degrees; maximum cardinality search starts every key at
-    0, so minus the key counts visited neighbours; Kahn's peel of a digraph
-    passes successor lists and in-degrees. A lazy-deletion heap finds each
-    next vertex in O((n+m) log n): keys only fall, so a vertex's newest
-    entry pops before its stale ones, which are skipped as visited."""
+    0, so minus the key counts visited neighbours. A lazy-deletion heap
+    finds each next vertex in O((n+m) log n): keys only fall, so a vertex's
+    newest entry pops before its stale ones, which are skipped as visited."""
     key = list(key)
     visited = [False] * len(adj)
     heap = [(k, v) for v, k in enumerate(key)]
@@ -139,21 +119,6 @@ def _min_key_order(adj, key):
 def degeneracy(g):
     """Exact degeneracy: the largest minimum degree seen while peeling."""
     return max((d for d, _ in _min_key_order(g.adj, map(len, g.adj))), default=0)
-
-
-def is_r_degenerate(g, r):
-    """Test r-degeneracy by min-degree peeling, smallest id among ties.
-
-    Returns (True, DegeneracyCertificate) or (False, stuck_vertex_set) where
-    the stuck set, the vertices left when the minimum degree first exceeds
-    r, induces a subgraph of minimum degree > r."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    visits = _min_key_order(g.adj, map(len, g.adj))
-    for i, (d, _) in enumerate(visits):
-        if d > r:
-            return False, frozenset(v for _, v in visits[i:])
-    return True, DegeneracyCertificate(tuple(v for _, v in visits), r)
 
 
 class Matching:
@@ -192,57 +157,3 @@ class Matching:
 
     def __repr__(self):
         return "Matching(%s)" % (sorted(self.edges),)
-
-
-@dataclass(frozen=True)
-class MatchingClass:
-    is_matching: bool
-    is_induced: bool
-    is_acyclic: bool
-    is_uniquely_restricted: bool
-    degeneracy_of_induced: int
-    is_r_degenerate: bool
-
-
-def _mate_digraph_acyclic(sub, matching_edges):
-    """Cycle test on the mate digraph of a matching.
-
-    sub is the subgraph induced by V(M) (local ids); for every non-matching
-    edge xy of sub we add arcs mate(x)->y and mate(y)->x. The matching is
-    uniquely restricted iff no directed cycle exists, that is iff Kahn's
-    peel visits every vertex at in-degree 0."""
-    mate = [0] * sub.n
-    for u, v in matching_edges:
-        mate[u] = v
-        mate[v] = u
-    succ = [[] for _ in range(sub.n)]
-    indeg = [0] * sub.n
-    for x, y in sub.edges:
-        if (x, y) not in matching_edges:
-            succ[mate[x]].append(y)
-            succ[mate[y]].append(x)
-            indeg[x] += 1
-            indeg[y] += 1
-    return all(k == 0 for k, _ in _min_key_order(succ, indeg))
-
-
-def classify_matching(g, m, r):
-    """Place a matching in the induced/acyclic/uniquely-restricted hierarchy.
-
-    Also computes the exact degeneracy of G[V(M)], so one call answers the
-    r-degeneracy question for every r."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    for e in m.edges:
-        if e not in g.edges:
-            raise ValueError("matching edge %s not in graph" % (e,))
-    if not m.edges:
-        return MatchingClass(True, True, True, True, 0, True)
-    sub, ids = induced_subgraph(g, m.vertices)
-    index = {v: i for i, v in enumerate(ids)}
-    local = frozenset(_norm_edge(index[u], index[v]) for u, v in m.edges)
-    induced = sub.m == len(local)
-    ur = _mate_digraph_acyclic(sub, local)
-    deg = degeneracy(sub)
-    # a graph is a forest exactly when it is 1-degenerate
-    return MatchingClass(True, induced, deg <= 1, ur, deg, deg <= r)

@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from degenmatch import Graph, Matching
+from degenmatch import Graph, Matching, dp
 from degenmatch.generate import (
     Rng,
     cycle,
@@ -92,3 +92,56 @@ def order_corpus():
     graphs.append(Graph(6))
     graphs.append(cycle(6))
     return graphs
+
+
+
+# Wrong DP recurrences whose tables and witness walk still agree with each
+# other, so only a check of the witness itself can catch them.
+DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+STAR = Graph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def introduce_one_too_many(child, x, r):
+    """dp_introduce that grows S up to r + 2 vertices instead of r + 1."""
+    table = dict(child)
+    for (s, n), value in child.items():
+        if len(s) <= r + 1:
+            table[(tuple(sorted(s + (x,))), n)] = value
+    return table
+
+
+def join_overlapping(left, right):
+    """dp_join that lets both sides match the same bag vertex."""
+    table = {}
+    for (s, ln), lvalue in left.items():
+        for (rs, rn), rvalue in right.items():
+            key = (s, tuple(sorted(set(ln) | set(rn))))
+            cur = table.get(key)
+            if rs == s and (cur is None or lvalue + rvalue > cur):
+                table[key] = lvalue + rvalue
+    return table
+
+
+def split_overlapping(join_split):
+    """The witness walk's join split to go with join_overlapping: a state
+    goes to both children whole when their values add up."""
+    def split(left, right, key, value):
+        lvalue, rvalue = left.get(key), right.get(key)
+        if lvalue is not None and rvalue is not None and lvalue + rvalue == value:
+            return key[1], key[1]
+        return join_split(left, right, key, value)
+    return split
+
+
+# name -> (graph, dp attributes to replace, DPInvariantError message); each
+# run at r = 1, where the true value is 1
+WRONG_RECURRENCES = {
+    # nu_1(DIAMOND) = 2 with witness {02, 13}, which spans the 2-degenerate
+    # diamond
+    "introduce": (DIAMOND, {"dp_introduce": introduce_one_too_many},
+                  "not 1-degenerate"),
+    # every leaf of STAR matched to the centre: the walk's pairs share it
+    "join": (STAR, {"dp_join": join_overlapping,
+                    "_join_split": split_overlapping(dp._join_split)},
+             "not a matching"),
+}

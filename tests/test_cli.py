@@ -17,6 +17,8 @@ from degenmatch.generate import (
     path,
 )
 
+from conftest import WRONG_RECURRENCES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -56,6 +58,29 @@ def test_nur_inconsistent_tables_exit_internal(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 5 and out == ""
     assert err.startswith("internal invariant violation: ")
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_RECURRENCES))
+def test_nur_wrong_recurrence_exit_internal(tmp_path, capsys, monkeypatch, kind):
+    g, patches, _ = WRONG_RECURRENCES[kind]
+    for name, fn in patches.items():
+        monkeypatch.setattr(dp, name, fn)
+    code = main(["nur", "--input", write_graph(tmp_path, g), "--r", "1",
+                 "--emit-matching"])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == ""
+    assert err.startswith("internal invariant violation: ")
+
+
+def test_out_of_memory_exits_limits(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve", exhausted)
+    code = main(["nur", "--input", write_graph(tmp_path, path(6)), "--r", "1"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err == "limits exceeded: out of memory\n"
 
 
 def test_nur_not_chordal(tmp_path, capsys):
@@ -409,6 +434,24 @@ def test_bench_rejects_bad_suite(tmp_path, capsys, suite, named):
     assert code == 3 and out == ""
     assert err.startswith("invalid input: ") and err.count("\n") == 1
     assert ("'p5'" in err) == named
+
+
+def test_bench_instance_over_state_cap(tmp_path, capsys):
+    # interval n=30 at r=15 admits far more than MAX_STATES states; without
+    # the cap its tables grow past 5 GB
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [
+        {"id": "wide", "family": "interval", "params": {"n": 30}, "seed": 2,
+         "r": [15]},
+    ]}))
+    started = time.monotonic()
+    code = main(["bench", "--suite", str(suite)])
+    elapsed = time.monotonic() - started
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith("limits exceeded: instance 'wide': ")
+    assert "exceeds limit %d" % cli.MAX_STATES in err
+    assert elapsed < 1
 
 
 def test_bench_missing_parameter(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from degenmatch.graphs import LimitsExceededError, _norm_edge
 
-from degenmatch import chordal
+from degenmatch import chordal, dp
 from degenmatch import (
     Graph,
     Matching,
@@ -10,7 +10,6 @@ from degenmatch import (
     WeightedGraph,
     brute_degenerate_states,
     brute_nu_r,
-    classify_matching,
     nu_r,
     nu_r_weighted,
     solve,
@@ -36,6 +35,9 @@ from degenmatch.generate import (
     path,
     random_chordal,
 )
+from degenmatch.oracles import _sub_degeneracy
+
+from conftest import WRONG_RECURRENCES
 
 
 def test_dp_leaf():
@@ -94,7 +96,7 @@ def test_dp_join():
 def test_nu_r_examples():
     value, m = nu_r(path(6), 1)
     assert value == 3
-    assert classify_matching(path(6), m, 1).is_r_degenerate
+    assert m.edges <= path(6).edges and _sub_degeneracy(path(6), m.vertices) <= 1
     assert nu_r(complete(4), 1)[0] == 1
     assert nu_r(complete(4), 3)[0] == 2
     value, m = nu_r(Graph(5), 2)
@@ -114,8 +116,8 @@ def test_oracle_equivalence_small():
         for r in (1, 2, 3):
             value, m = nu_r(g, r)
             assert value == brute_nu_r(g, r)
-            cls = classify_matching(g, m, r)
-            assert cls.is_r_degenerate and len(m) == value
+            assert m.edges <= g.edges and len(m) == value
+            assert _sub_degeneracy(g, m.vertices) <= r
 
 
 def test_state_bound_and_downward_closure():
@@ -182,7 +184,7 @@ def test_witness_valid_over_wide_bags():
                 assert m.edges <= g.edges
                 worth = len(m) if weights is None else sum(wg.weights[e] for e in m)
                 assert worth == res.value
-                assert classify_matching(g, m, r).is_r_degenerate
+                assert _sub_degeneracy(g, m.vertices) <= r
 
 
 def _reference_candidates(nd, key, weights):
@@ -297,6 +299,26 @@ def test_reconstruct_rejects_inconsistent_tables(where):
                 tables[t][((), ())] = 1
     with pytest.raises(DPInvariantError):
         _reconstruct(decomp, tables)
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_RECURRENCES))
+def test_solve_rejects_wrong_recurrence(monkeypatch, kind):
+    g, patches, problem = WRONG_RECURRENCES[kind]
+    assert solve(g, 1).value == 1
+    for name, fn in patches.items():
+        monkeypatch.setattr(dp, name, fn)
+    with pytest.raises(DPInvariantError, match=problem):
+        solve(g, 1)
+
+
+def test_solve_certifies_witness_edges_and_size(monkeypatch):
+    # nu_1(P3) = 1: a walk that hands back a non-edge, or too few edges,
+    # is caught before the result leaves solve
+    for witness, problem in (([(0, 2)], "not an edge"), ([], "0 edges")):
+        monkeypatch.setattr(dp, "_reconstruct",
+                            lambda *args, w=witness: Matching(w))
+        with pytest.raises(DPInvariantError, match=problem):
+            solve(path(3), 1)
 
 
 def test_weighted_p4():

@@ -1,18 +1,11 @@
 import pytest
 
-from degenmatch import (
-    Graph,
-    Matching,
-    classify_matching,
-    degeneracy,
-    induced_subgraph,
-    is_r_degenerate,
-)
+from degenmatch import Graph, Matching, degeneracy, induced_subgraph
 from degenmatch.generate import Rng, complete, complete_bipartite, cycle, path
 from degenmatch.graphs import _min_key_order
 from degenmatch.oracles import _induced_has_cycle
 
-from conftest import all_matchings, gnp, order_corpus, random_matching
+from conftest import gnp, order_corpus, random_matching
 
 
 def test_graph_rejects_bad_edges():
@@ -32,25 +25,16 @@ def test_adjacency_consistent():
 
 
 def test_c4_not_1_degenerate():
-    ok, witness = is_r_degenerate(cycle(4), 1)
-    assert not ok
-    assert witness == frozenset({0, 1, 2, 3})
+    assert degeneracy(cycle(4)) == 2
 
 
 def test_forests_are_1_degenerate():
     for g in (path(1), path(5), Graph(7, [(0, 1), (0, 2), (2, 3), (4, 5)])):
-        ok, cert = is_r_degenerate(g, 1)
-        assert ok
-        assert cert.verify(g)
+        assert degeneracy(g) <= 1
 
 
 def test_complete_graph_degeneracy():
-    k4 = complete(4)
-    ok, cert = is_r_degenerate(k4, 3)
-    assert ok and cert.verify(k4)
-    ok, witness = is_r_degenerate(k4, 2)
-    assert not ok and witness == frozenset(range(4))
-    assert degeneracy(k4) == 3
+    assert degeneracy(complete(4)) == 3
 
 
 def test_degeneracy_hereditary_on_random_subgraphs():
@@ -60,17 +44,19 @@ def test_degeneracy_hereditary_on_random_subgraphs():
         r = degeneracy(g)
         vs = [v for v in range(g.n) if rng.randbelow(2)]
         sub, _ = induced_subgraph(g, vs)
-        assert is_r_degenerate(sub, r)[0]
+        assert degeneracy(sub) <= r
 
 
 def test_certificate_soundness():
+    # the peel order certifies the degeneracy: no vertex has more than r
+    # neighbours later in it
     for seed in range(30):
         g = gnp(10, 0.35, seed)
         r = degeneracy(g)
-        ok, cert = is_r_degenerate(g, r)
-        assert ok and cert.verify(g)
-        pos = {v: i for i, v in enumerate(cert.order)}
-        for v in cert.order:
+        order = [v for _, v in _min_key_order(g.adj, map(len, g.adj))]
+        assert sorted(order) == list(range(g.n))
+        pos = {v: i for i, v in enumerate(order)}
+        for v in order:
             assert sum(1 for w in g.adj[v] if pos[w] > pos[v]) <= r
 
 
@@ -98,19 +84,20 @@ def _reference_peel(g, stop_above=None):
 
 @pytest.mark.parametrize("stop_above", [None, 0, 1, 2, 3])
 def test_peel_equals_reference_scan(stop_above):
+    # each visit's key is the vertex's degree among the unvisited, so the
+    # vertices left when the key first exceeds stop_above are the stuck set
     stuck = 0
     for g in order_corpus():
         order, worst, remaining = _reference_peel(g, stop_above)
+        visits = _min_key_order(g.adj, map(len, g.adj))
         if stop_above is None:
-            visits = _min_key_order(g.adj, map(len, g.adj))
             assert [v for _, v in visits] == order
             assert degeneracy(g) == worst
             continue
-        ok, result = is_r_degenerate(g, stop_above)
-        if remaining:
-            assert not ok and result == remaining
-        else:
-            assert ok and result.order == tuple(order)
+        first = next((i for i, (d, _) in enumerate(visits) if d > stop_above),
+                     len(visits))
+        assert [v for _, v in visits[:first]] == order
+        assert frozenset(v for _, v in visits[first:]) == remaining
         stuck += bool(remaining)
     if stop_above is not None:
         assert stuck > 0
@@ -129,82 +116,9 @@ def test_induced_subgraph_examples():
         induced_subgraph(p4, {0, 9})
 
 
-def test_classify_c4_two_edge_matching():
-    # M' = {12, 30} covers the same vertices, and G[V(M)] is the whole C4
-    c4 = cycle(4)
-    cls = classify_matching(c4, Matching([(0, 1), (2, 3)]), 1)
-    assert cls.is_matching
-    assert not cls.is_induced
-    assert not cls.is_acyclic
-    assert not cls.is_uniquely_restricted
-    assert cls.degeneracy_of_induced == 2
-    assert not cls.is_r_degenerate
-
-
-def test_classify_p4_end_edges():
-    p4 = path(4)
-    cls = classify_matching(p4, Matching([(0, 1), (2, 3)]), 1)
-    assert not cls.is_induced
-    assert cls.is_acyclic
-    assert cls.is_uniquely_restricted
-    assert cls.is_r_degenerate
-
-
-def test_classify_single_edge_and_empty():
-    g = gnp(8, 0.5, 3)
-    e = g.sorted_edges()[0]
-    cls = classify_matching(g, Matching([e]), 1)
-    assert cls.is_induced and cls.is_acyclic and cls.is_uniquely_restricted
-    assert cls.is_r_degenerate
-    empty = classify_matching(g, Matching([]), 0)
-    assert empty.is_induced and empty.is_acyclic and empty.is_uniquely_restricted
-    assert empty.degeneracy_of_induced == 0 and empty.is_r_degenerate
-
-
-def test_classify_rejects_non_graph_edges():
-    with pytest.raises(ValueError):
-        classify_matching(path(4), Matching([(0, 2)]), 1)
-
-
 def test_matching_rejects_shared_endpoints():
     with pytest.raises(ValueError):
         Matching([(0, 1), (1, 2)])
-
-
-def test_hierarchy_never_violated():
-    # induced => acyclic => uniquely restricted, over 1000 random pairs
-    rng = Rng(99)
-    checked = 0
-    for seed in range(125):
-        g = gnp(8, 0.4, seed)
-        if not g.m:
-            continue
-        for _ in range(8):
-            m = random_matching(g, rng)
-            cls = classify_matching(g, m, 1)
-            if cls.is_induced:
-                assert cls.is_acyclic
-            if cls.is_acyclic:
-                assert cls.is_uniquely_restricted
-            assert cls.is_matching
-            checked += 1
-    assert checked >= 900
-
-
-def test_uniquely_restricted_agrees_with_definition():
-    # definitional: no distinct matching covers the same vertex set
-    for seed in range(25):
-        g = gnp(7, 0.45, seed)
-        matchings = [frozenset(m) for m in all_matchings(g)]
-        by_vertices = {}
-        for m in matchings:
-            vs = frozenset(v for e in m for v in e)
-            by_vertices.setdefault(vs, []).append(m)
-        for m in matchings:
-            vs = frozenset(v for e in m for v in e)
-            definitional = len(by_vertices[vs]) == 1
-            cls = classify_matching(g, Matching(m), 1)
-            assert cls.is_uniquely_restricted == definitional
 
 
 def test_acyclic_iff_1_degenerate():
@@ -213,10 +127,9 @@ def test_acyclic_iff_1_degenerate():
         g = gnp(8, 0.45, seed)
         if not g.m:
             continue
-        m = random_matching(g, rng)
-        cls = classify_matching(g, m, 1)
-        assert cls.is_acyclic == (not _induced_has_cycle(g, m.vertices))
-        assert cls.is_r_degenerate == cls.is_acyclic
+        vs = random_matching(g, rng).vertices
+        assert _induced_has_cycle(g, vs) == (
+            degeneracy(induced_subgraph(g, vs)[0]) > 1)
 
 
 def test_max_degree():
