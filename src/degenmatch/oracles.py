@@ -6,7 +6,6 @@ two sides can be cross-verified against each other."""
 import csv
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import LimitsExceededError, _check_size
 
@@ -38,74 +37,118 @@ class _Deadline:
             raise LimitsExceededError("oracle timeout")
 
 
-def _sub_degeneracy(g, vs):
-    # peel the induced subgraph without remapping ids
-    alive = set(vs)
-    deg = {v: sum(1 for w in g.adj[v] if w in alive) for v in alive}
-    worst = 0
+# The searches below keep vertex sets as int masks: bit v stands for vertex v,
+# and adj[v] is the mask of v's neighbours, built once per call.
+
+
+def _adjacency(g):
+    return [_mask(nbrs) for nbrs in g.adj]
+
+
+def _mask(vs):
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
+    return mask
+
+
+def _vertices(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _peels(adj, alive, r):
+    """Whether G[alive] is r-degenerate: remove vertices with at most r
+    neighbours left until none is left, or fail when no vertex qualifies."""
     while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        worst = max(worst, deg[v])
-        alive.remove(v)
-        for w in g.adj[v]:
-            if w in alive:
-                deg[w] -= 1
-    return worst
+        rest = alive
+        removed = False
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & alive).bit_count() <= r:
+                alive ^= low
+                removed = True
+        if not removed:
+            return False
+    return True
 
 
-def _induced_edge_count(g, vs):
-    vs = set(vs)
-    return sum(1 for u, v in g.edges if u in vs and v in vs)
+def _edge_count(adj, mask):
+    """Number of edges of G[mask]."""
+    ends = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ends += (adj[low.bit_length() - 1] & mask).bit_count()
+    return ends // 2
+
+
+def _has_cycle(adj, mask):
+    """Whether G[mask] has a cycle: more edges than vertices minus components."""
+    comps = 0
+    rest = mask
+    while rest:
+        comps += 1
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        rest &= ~comp
+    return _edge_count(adj, mask) > mask.bit_count() - comps
+
+
+def _perfect_matchings(adj, mask):
+    """Number of perfect matchings of G[mask], counted until it reaches 2:
+    the lowest vertex is matched to each of its neighbours in turn."""
+    if not mask:
+        return 1
+    low = mask & -mask
+    rest = mask ^ low
+    nbrs = adj[low.bit_length() - 1] & rest
+    total = 0
+    while nbrs:
+        w = nbrs & -nbrs
+        nbrs ^= w
+        total += _perfect_matchings(adj, rest ^ w)
+        if total >= 2:
+            return total
+    return total
+
+
+def _sub_degeneracy(g, vs):
+    """Degeneracy of G[vs], the least r for which G[vs] peels."""
+    adj, alive = _adjacency(g), _mask(vs)
+    r = 0
+    while not _peels(adj, alive, r):
+        r += 1
+    return r
 
 
 def _induced_has_cycle(g, vs):
-    vs = set(vs)
-    comps = 0
-    seen = set()
-    edges = 0
-    for s in vs:
-        if s in seen:
-            continue
-        comps += 1
-        stack = [s]
-        seen.add(s)
-        size = 0
-        while stack:
-            x = stack.pop()
-            size += 1
-            for w in g.adj[x]:
-                if w in vs:
-                    edges += 1
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-    return edges // 2 > len(vs) - comps
+    return _has_cycle(_adjacency(g), _mask(vs))
 
 
-def _perfect_matching_count(g, vs):
-    """Number of perfect matchings of G[vs], counted until it reaches 2."""
-    vs = sorted(vs)
-
-    def rec(free):
-        if not free:
-            return 1
-        v = free[0]
-        rest = free[1:]
-        total = 0
-        nbrs = set(g.adj[v])
-        for i, w in enumerate(rest):
-            if w in nbrs:
-                total += rec(rest[:i] + rest[i + 1:])
-                if total >= 2:
-                    return total
-        return total
-
-    return rec(vs)
+def _edge_masks(g):
+    return [(1 << u) | (1 << v) for u, v in g.sorted_edges()]
 
 
 def _bnb_matching(g, feasible, deadline):
-    """Max matching under a hereditary feasibility predicate, branch and bound."""
-    edges = g.sorted_edges()
+    """Max matching under a hereditary feasibility predicate, branch and bound.
+
+    feasible(used, k) gets the vertex mask of a k-edge matching."""
+    edges = _edge_masks(g)
+    n = g.n
     best = 0
 
     def rec(i, used, count):
@@ -113,17 +156,17 @@ def _bnb_matching(g, feasible, deadline):
         deadline.tick()
         if count > best:
             best = count
-        if count + (g.n - len(used)) // 2 <= best:
+        if count + (n - used.bit_count()) // 2 <= best:
             return
         for j in range(i, len(edges)):
-            u, v = edges[j]
-            if u in used or v in used:
+            e = edges[j]
+            if used & e:
                 continue
-            nxt = used | {u, v}
+            nxt = used | e
             if feasible(nxt, count + 1):
                 rec(j + 1, nxt, count + 1)
 
-    rec(0, frozenset(), 0)
+    rec(0, 0, 0)
     return best
 
 
@@ -135,7 +178,8 @@ def brute_nu_r(g, r, limits=None):
     if r < 0:
         raise ValueError("r must be non-negative")
     deadline = _Deadline(_check_limits(g, limits))
-    return _bnb_matching(g, lambda vs, k: _sub_degeneracy(g, vs) <= r, deadline)
+    adj = _adjacency(g)
+    return _bnb_matching(g, lambda vs, k: _peels(adj, vs, r), deadline)
 
 
 def brute_nu_variants(g, limits=None):
@@ -145,21 +189,22 @@ def brute_nu_variants(g, limits=None):
     branch-and-bound applies; uniquely restricted uses the definitional test
     that G[V(M)] has exactly one perfect matching."""
     deadline = _Deadline(_check_limits(g, limits))
+    adj = _adjacency(g)
     nu = _bnb_matching(g, lambda vs, k: True, deadline)
-    nu_s = _bnb_matching(g, lambda vs, k: _induced_edge_count(g, vs) == k, deadline)
-    nu_1 = _bnb_matching(g, lambda vs, k: not _induced_has_cycle(g, vs), deadline)
+    nu_s = _bnb_matching(g, lambda vs, k: _edge_count(adj, vs) == k, deadline)
+    nu_1 = _bnb_matching(g, lambda vs, k: not _has_cycle(adj, vs), deadline)
     nu_ur = _bnb_matching(
-        g, lambda vs, k: _perfect_matching_count(g, vs) == 1, deadline)
+        g, lambda vs, k: _perfect_matchings(adj, vs) == 1, deadline)
     return nu_s, nu_1, nu_ur, nu
 
 
 def _bnb_chromatic(g, class_feasible, cap, deadline):
-    edges = g.sorted_edges()
+    edges = _edge_masks(g)
     m = len(edges)
     if m == 0:
         return 0
     best = m
-    classes = []  # list of vertex sets
+    classes = []  # vertex masks, in the order the colors were opened
 
     def rec(i):
         nonlocal best
@@ -168,23 +213,24 @@ def _bnb_chromatic(g, class_feasible, cap, deadline):
             best = len(classes)
             return
         remaining = m - i
-        slack = sum(cap - len(cls) // 2 for cls in classes)
+        slack = sum(cap - cls.bit_count() // 2 for cls in classes)
         slack += (best - 1 - len(classes)) * cap
         if remaining > slack:
             return
-        u, v = edges[i]
-        for cls in classes:
-            if u in cls or v in cls:
+        e = edges[i]
+        for c, cls in enumerate(classes):
+            if cls & e:
                 continue
-            if not class_feasible(cls | {u, v}):
+            nxt = cls | e
+            if not class_feasible(nxt):
                 continue
-            cls.update((u, v))
+            classes[c] = nxt
             rec(i + 1)
-            cls.difference_update((u, v))
+            classes[c] = cls
             if len(classes) >= best:  # best improved below us; re-prune
                 return
         if len(classes) + 1 <= best - 1:
-            classes.append({u, v})
+            classes.append(e)
             rec(i + 1)
             classes.pop()
 
@@ -204,8 +250,8 @@ def brute_chromatic_index_r(g, r, limits=None):
     if g.m == 0:
         return 0
     cap = brute_nu_r(g, r, limits)
-    return _bnb_chromatic(g, lambda vs: _sub_degeneracy(g, vs) <= r,
-                          cap, deadline)
+    adj = _adjacency(g)
+    return _bnb_chromatic(g, lambda vs: _peels(adj, vs, r), cap, deadline)
 
 
 def brute_chromatic_index(g, limits=None):
@@ -224,33 +270,36 @@ def brute_degenerate_states(g, d, r, node, limits=None):
     Enumerates every matching of G_t avoiding edges inside the bag, then every
     S between V(M) cap X_t and X_t keeping G[V(M) u S] r-degenerate."""
     deadline = _Deadline(_check_limits(g, limits))
-    bag = set(d.nodes[node].bag)
-    vt = d.subtree_vertices(node)
-    allowed = sorted(e for e in g.edges
-                     if e[0] in vt and e[1] in vt
-                     and not (e[0] in bag and e[1] in bag))
+    adj = _adjacency(g)
+    bag = _mask(d.nodes[node].bag)
+    vt = _mask(d.subtree_vertices(node))
+    allowed = [e for e in _edge_masks(g)
+               if e & vt == e and e & bag != e]
     states = set()
 
     def emit(used, count):
-        n_set = tuple(sorted(used & bag))
-        outside = sorted(bag - used)
-        for extra in range(len(outside) + 1):
-            for combo in combinations(outside, extra):
-                deadline.tick()
-                s_set = tuple(sorted(n_set + combo))
-                if _sub_degeneracy(g, used | set(combo)) <= r:
-                    states.add((s_set, n_set, count))
+        matched = used & bag
+        n_set = _vertices(matched)
+        outside = bag & ~used
+        extra = outside
+        while True:  # every sub-mask of outside, from outside down to 0
+            deadline.tick()
+            if _peels(adj, used | extra, r):
+                states.add((_vertices(matched | extra), n_set, count))
+            if not extra:
+                break
+            extra = (extra - 1) & outside
 
     def rec(i, used, count):
         deadline.tick()
         emit(used, count)
         for j in range(i, len(allowed)):
-            u, v = allowed[j]
-            if u in used or v in used:
+            e = allowed[j]
+            if used & e:
                 continue
-            rec(j + 1, used | {u, v}, count + 1)
+            rec(j + 1, used | e, count + 1)
 
-    rec(0, frozenset(), 0)
+    rec(0, 0, 0)
     return states
 
 

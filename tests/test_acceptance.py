@@ -78,6 +78,17 @@ def test_criterion_01_dp_oracle_equivalence(chordal_corpus, dp_results):
     _passline(1, "dp-oracle-equivalence")
 
 
+def test_dp_oracle_equivalence_above_default_oracle_size():
+    # criterion 1 past the default 16-vertex oracle limit: one graph per
+    # family at each n, r = 1 at n 17-22 and r = 2 at n 17-20
+    limits = OracleLimits(max_vertices=22, max_edges=200)
+    for r, sizes in ((1, range(17, 23)), (2, range(17, 21))):
+        for n in sizes:
+            for g in (k_tree(2, n, n), k_tree(3, n, n), interval(n, n),
+                      random_chordal(n, n)):
+                assert brute_nu_r(g, r, limits) == nu_r(g, r)[0], (g, r)
+
+
 def test_criterion_02_witness_validity(chordal_corpus, dp_results):
     for i, g in enumerate(chordal_corpus):
         for r in (1, 2, 3):

@@ -1,4 +1,5 @@
 import io
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +14,128 @@ from degenmatch import (
     brute_nu_variants,
 )
 from degenmatch.chordal import build_nice_decomposition, mcs_order
-from degenmatch.oracles import write_survey_csv
+from degenmatch.oracles import (
+    _adjacency,
+    _edge_count,
+    _induced_has_cycle,
+    _mask,
+    _perfect_matchings,
+    _sub_degeneracy,
+    write_survey_csv,
+)
 from degenmatch.generate import complete, complete_bipartite, cycle, path, random_chordal
+
+from conftest import gnp
+
+
+# The set-based predicates the oracles ran before they moved to int vertex
+# masks, kept as the references the mask versions must equal.
+
+def _reference_sub_degeneracy(g, vs):
+    # peel the induced subgraph without remapping ids
+    alive = set(vs)
+    deg = {v: sum(1 for w in g.adj[v] if w in alive) for v in alive}
+    worst = 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        worst = max(worst, deg[v])
+        alive.remove(v)
+        for w in g.adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return worst
+
+
+def _reference_induced_edge_count(g, vs):
+    vs = set(vs)
+    return sum(1 for u, v in g.edges if u in vs and v in vs)
+
+
+def _reference_induced_has_cycle(g, vs):
+    vs = set(vs)
+    comps = 0
+    seen = set()
+    edges = 0
+    for s in vs:
+        if s in seen:
+            continue
+        comps += 1
+        stack = [s]
+        seen.add(s)
+        while stack:
+            x = stack.pop()
+            for w in g.adj[x]:
+                if w in vs:
+                    edges += 1
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return edges // 2 > len(vs) - comps
+
+
+def _reference_perfect_matching_count(g, vs):
+    """Number of perfect matchings of G[vs], counted until it reaches 2."""
+    vs = sorted(vs)
+
+    def rec(free):
+        if not free:
+            return 1
+        v = free[0]
+        rest = free[1:]
+        total = 0
+        nbrs = set(g.adj[v])
+        for i, w in enumerate(rest):
+            if w in nbrs:
+                total += rec(rest[:i] + rest[i + 1:])
+                if total >= 2:
+                    return total
+        return total
+
+    return rec(vs)
+
+
+def _predicate_corpus():
+    """Small graphs, half of them not chordal: G(n, p) at n <= 10, cycles
+    and K_{3,3}."""
+    graphs = [gnp(4 + seed % 7, 0.2 + 0.1 * (seed % 5), seed)
+              for seed in range(24)]
+    graphs += [cycle(n) for n in (3, 4, 5, 6, 9)]
+    graphs.append(complete_bipartite(3, 3))
+    return graphs
+
+
+def _every_subset(g):
+    for size in range(g.n + 1):
+        yield from combinations(range(g.n), size)
+
+
+def test_sub_degeneracy_equals_reference():
+    for g in _predicate_corpus():
+        for vs in _every_subset(g):
+            assert _sub_degeneracy(g, vs) == _reference_sub_degeneracy(g, vs), (g, vs)
+
+
+def test_induced_has_cycle_equals_reference():
+    for g in _predicate_corpus():
+        for vs in _every_subset(g):
+            assert _induced_has_cycle(g, vs) == \
+                _reference_induced_has_cycle(g, vs), (g, vs)
+
+
+def test_edge_count_equals_reference():
+    for g in _predicate_corpus():
+        adj = _adjacency(g)
+        for vs in _every_subset(g):
+            assert _edge_count(adj, _mask(vs)) == \
+                _reference_induced_edge_count(g, vs), (g, vs)
+
+
+def test_perfect_matchings_equals_reference():
+    for g in _predicate_corpus():
+        adj = _adjacency(g)
+        for vs in _every_subset(g):
+            assert _perfect_matchings(adj, _mask(vs)) == \
+                _reference_perfect_matching_count(g, vs), (g, vs)
 
 
 def test_nu_r_on_balanced_bipartite():
@@ -115,6 +236,30 @@ def test_degenerate_states_timeout():
     node = next(i for i, nd in enumerate(d.nodes) if len(nd.bag) == 14)
     with pytest.raises(LimitsExceededError):
         brute_degenerate_states(g, d, 1, node, OracleLimits(16, 200, timeout_ms=1))
+
+
+# With timeout_ms=1 each search below must stop on its deadline. The deadline
+# is read once every 2048 search nodes, so each input is sized well past that:
+# untimed, brute_nu_r on C26 at r = 1 visits 271,441 nodes, brute_nu_variants
+# on C24 visits 217,148 over its four searches, and the chromatic search of
+# brute_chromatic_index_r on gnp(12, 0.35, seed 2) at r = 2 visits 423,598
+# (its nu_r cap takes 2,151, fewer than one deadline read).
+TIMEOUT = OracleLimits(max_vertices=26, max_edges=48, timeout_ms=1)
+
+
+def test_nu_r_timeout():
+    with pytest.raises(LimitsExceededError, match="oracle timeout"):
+        brute_nu_r(cycle(26), 1, TIMEOUT)
+
+
+def test_variants_timeout():
+    with pytest.raises(LimitsExceededError, match="oracle timeout"):
+        brute_nu_variants(cycle(24), TIMEOUT)
+
+
+def test_chromatic_index_r_timeout():
+    with pytest.raises(LimitsExceededError, match="oracle timeout"):
+        brute_chromatic_index_r(gnp(12, 0.35, 2), 2, TIMEOUT)
 
 
 def test_survey_csv():
