@@ -116,6 +116,12 @@ def greedy_color(g, r, order=None, delta=None):
     return EdgeColoring(color, k, delta, r)
 
 
+def _is_r_degenerate(g, vertices, r):
+    """Whether the vertices induce an r-degenerate subgraph of g: the class
+    check of verify_coloring, which also certifies the DP's witness."""
+    return degeneracy(induced_subgraph(g, vertices)[0]) <= r
+
+
 def verify_coloring(g, coloring, r):
     """Check that each edge of g has one color, no non-edge has one, and
     every class is an r-degenerate matching; (ok, report)."""
@@ -139,6 +145,6 @@ def verify_coloring(g, coloring, r):
             m = Matching(classes[a])
         except ValueError:
             return False, "matching violation in class %d" % a
-        if degeneracy(induced_subgraph(g, m.vertices)[0]) > r:
+        if not _is_r_degenerate(g, m.vertices, r):
             return False, "degeneracy violation in class %d" % a
     return True, None

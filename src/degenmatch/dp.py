@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .chordal import build_nice_decomposition, mcs_order
-from .graphs import (
-    LimitsExceededError, Matching, _norm_edge, degeneracy, induced_subgraph)
+from .coloring import _is_r_degenerate
+from .graphs import LimitsExceededError, Matching, _norm_edge
 
 
 @dataclass(frozen=True)
@@ -263,14 +263,18 @@ def _state_bound(bag_size, r):
 def solve(g, r, weights=None, max_states=None):
     """Full pipeline: recognize, decompose, run the DP, reconstruct a witness.
 
-    Raises NotChordalError on non-chordal input, ValueError for r < 1,
-    LimitsExceededError, before any table is built, when the largest bag
-    admits more than max_states states, and DPInvariantError when the
+    Raises NotChordalError on non-chordal input, ValueError for r < 1 or
+    for weights built on another graph, LimitsExceededError, before any
+    table is built, when the largest bag admits more than max_states
+    states, and DPInvariantError when the
     witness is not an r-degenerate matching of g of the reported size (the
     size is not re-summed when weighted: the walk has already checked the
     forward pass's own additions exactly)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
+    if weights is not None and (
+            (weights.graph.n, weights.graph.edges) != (g.n, g.edges)):
+        raise ValueError("weights are given for another graph")
     peo = mcs_order(g)
     decomp = build_nice_decomposition(g, peo)
     if max_states is not None:
@@ -289,7 +293,7 @@ def solve(g, r, weights=None, max_states=None):
     if weights is None and len(matching) != value:
         raise DPInvariantError("witness has %d edges, value is %r"
                                % (len(matching), value))
-    if degeneracy(induced_subgraph(g, matching.vertices)[0]) > r:
+    if not _is_r_degenerate(g, matching.vertices, r):
         raise DPInvariantError(
             "witness induces a subgraph that is not %d-degenerate" % r)
     return DPResult(value, matching, len(decomp.nodes),

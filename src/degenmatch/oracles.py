@@ -1,7 +1,9 @@
 """Exhaustive ground truth for matching numbers and chromatic indices at desk scale.
 
 Everything here is coded independently of the DP and the greedy coloring so the
-two sides can be cross-verified against each other."""
+two sides can be cross-verified against each other. Each public call builds one
+_Search: one limit check, one deadline and one set of masks, shared by every
+search the call runs (the chromatic searches find their class cap inside it)."""
 
 import csv
 import time
@@ -20,25 +22,28 @@ class OracleLimits:
 DEFAULT_LIMITS = OracleLimits()
 
 
-def _check_limits(g, limits):
-    limits = limits or DEFAULT_LIMITS
-    _check_size(g.n, g.m, limits.max_vertices, limits.max_edges)
-    return time.monotonic() + limits.timeout_ms / 1000.0
+# The searches below keep vertex sets as int masks: bit v stands for vertex v,
+# and adj[v] is the mask of v's neighbours, built once per call.
 
 
-class _Deadline:
-    def __init__(self, deadline):
-        self.deadline = deadline
+class _Search:
+    """The bound on one oracle call: it checks the size limits, starts the
+    deadline (read every 2048 ticks) and builds adj and the sorted edge masks,
+    once for every search the call runs."""
+
+    def __init__(self, g, limits):
+        limits = limits or DEFAULT_LIMITS
+        _check_size(g.n, g.m, limits.max_vertices, limits.max_edges)
+        self.deadline = time.monotonic() + limits.timeout_ms / 1000.0
         self.ticks = 0
+        self.n = g.n
+        self.adj = _adjacency(g)
+        self.edges = [(1 << u) | (1 << v) for u, v in g.sorted_edges()]
 
     def tick(self):
         self.ticks += 1
         if self.ticks % 2048 == 0 and time.monotonic() > self.deadline:
             raise LimitsExceededError("oracle timeout")
-
-
-# The searches below keep vertex sets as int masks: bit v stands for vertex v,
-# and adj[v] is the mask of v's neighbours, built once per call.
 
 
 def _adjacency(g):
@@ -139,21 +144,17 @@ def _induced_has_cycle(g, vs):
     return _has_cycle(_adjacency(g), _mask(vs))
 
 
-def _edge_masks(g):
-    return [(1 << u) | (1 << v) for u, v in g.sorted_edges()]
-
-
-def _bnb_matching(g, feasible, deadline):
+def _bnb_matching(search, feasible):
     """Max matching under a hereditary feasibility predicate, branch and bound.
 
-    feasible(used, k) gets the vertex mask of a k-edge matching."""
-    edges = _edge_masks(g)
-    n = g.n
+    feasible(used) gets the vertex mask of a matching, which covers
+    used.bit_count() // 2 edges."""
+    edges, n = search.edges, search.n
     best = 0
 
     def rec(i, used, count):
         nonlocal best
-        deadline.tick()
+        search.tick()
         if count > best:
             best = count
         if count + (n - used.bit_count()) // 2 <= best:
@@ -163,7 +164,7 @@ def _bnb_matching(g, feasible, deadline):
             if used & e:
                 continue
             nxt = used | e
-            if feasible(nxt, count + 1):
+            if feasible(nxt):
                 rec(j + 1, nxt, count + 1)
 
     rec(0, 0, 0)
@@ -177,9 +178,8 @@ def brute_nu_r(g, r, limits=None):
     degeneracy is closed under induced subgraphs, so no superset recovers."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    deadline = _Deadline(_check_limits(g, limits))
-    adj = _adjacency(g)
-    return _bnb_matching(g, lambda vs, k: _peels(adj, vs, r), deadline)
+    search = _Search(g, limits)
+    return _bnb_matching(search, lambda vs: _peels(search.adj, vs, r))
 
 
 def brute_nu_variants(g, limits=None):
@@ -188,27 +188,31 @@ def brute_nu_variants(g, limits=None):
     Induced, acyclic, and uniquely restricted are all hereditary, so the same
     branch-and-bound applies; uniquely restricted uses the definitional test
     that G[V(M)] has exactly one perfect matching."""
-    deadline = _Deadline(_check_limits(g, limits))
-    adj = _adjacency(g)
-    nu = _bnb_matching(g, lambda vs, k: True, deadline)
-    nu_s = _bnb_matching(g, lambda vs, k: _edge_count(adj, vs) == k, deadline)
-    nu_1 = _bnb_matching(g, lambda vs, k: not _has_cycle(adj, vs), deadline)
-    nu_ur = _bnb_matching(
-        g, lambda vs, k: _perfect_matchings(adj, vs) == 1, deadline)
+    search = _Search(g, limits)
+    adj = search.adj
+    nu = _bnb_matching(search, lambda vs: True)
+    nu_s = _bnb_matching(
+        search, lambda vs: _edge_count(adj, vs) == vs.bit_count() // 2)
+    nu_1 = _bnb_matching(search, lambda vs: not _has_cycle(adj, vs))
+    nu_ur = _bnb_matching(search, lambda vs: _perfect_matchings(adj, vs) == 1)
     return nu_s, nu_1, nu_ur, nu
 
 
-def _bnb_chromatic(g, class_feasible, cap, deadline):
-    edges = _edge_masks(g)
+def _bnb_chromatic(search, class_feasible):
+    """Least number of feasible classes covering the edges, first-fit
+    backtracking; each class holds at most the cap of a maximum feasible
+    matching, which the same search finds first."""
+    edges = search.edges
     m = len(edges)
     if m == 0:
         return 0
+    cap = _bnb_matching(search, class_feasible)
     best = m
     classes = []  # vertex masks, in the order the colors were opened
 
     def rec(i):
         nonlocal best
-        deadline.tick()
+        search.tick()
         if i == m:
             best = len(classes)
             return
@@ -246,22 +250,14 @@ def brute_chromatic_index_r(g, r, limits=None):
     counts."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    deadline = _Deadline(_check_limits(g, limits))
-    if g.m == 0:
-        return 0
-    cap = brute_nu_r(g, r, limits)
-    adj = _adjacency(g)
-    return _bnb_chromatic(g, lambda vs: _peels(adj, vs, r), cap, deadline)
+    search = _Search(g, limits)
+    return _bnb_chromatic(search, lambda vs: _peels(search.adj, vs, r))
 
 
 def brute_chromatic_index(g, limits=None):
     """Classical chromatic index chi' by the same backtracking without
     degeneracy constraints."""
-    deadline = _Deadline(_check_limits(g, limits))
-    if g.m == 0:
-        return 0
-    cap = _bnb_matching(g, lambda vs, k: True, deadline)
-    return _bnb_chromatic(g, lambda vs: True, cap, deadline)
+    return _bnb_chromatic(_Search(g, limits), lambda vs: True)
 
 
 def brute_degenerate_states(g, d, r, node, limits=None):
@@ -269,12 +265,11 @@ def brute_degenerate_states(g, d, r, node, limits=None):
 
     Enumerates every matching of G_t avoiding edges inside the bag, then every
     S between V(M) cap X_t and X_t keeping G[V(M) u S] r-degenerate."""
-    deadline = _Deadline(_check_limits(g, limits))
-    adj = _adjacency(g)
+    search = _Search(g, limits)
+    adj = search.adj
     bag = _mask(d.nodes[node].bag)
     vt = _mask(d.subtree_vertices(node))
-    allowed = [e for e in _edge_masks(g)
-               if e & vt == e and e & bag != e]
+    allowed = [e for e in search.edges if e & vt == e and e & bag != e]
     states = set()
 
     def emit(used, count):
@@ -283,7 +278,7 @@ def brute_degenerate_states(g, d, r, node, limits=None):
         outside = bag & ~used
         extra = outside
         while True:  # every sub-mask of outside, from outside down to 0
-            deadline.tick()
+            search.tick()
             if _peels(adj, used | extra, r):
                 states.add((_vertices(matched | extra), n_set, count))
             if not extra:
@@ -291,7 +286,7 @@ def brute_degenerate_states(g, d, r, node, limits=None):
             extra = (extra - 1) & outside
 
     def rec(i, used, count):
-        deadline.tick()
+        search.tick()
         emit(used, count)
         for j in range(i, len(allowed)):
             e = allowed[j]

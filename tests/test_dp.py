@@ -349,6 +349,22 @@ def test_weighted_graph_requires_all_weights():
         WeightedGraph(path(3), {(0, 1): 1})
 
 
+@pytest.mark.parametrize("weighted", [
+    Graph(3, [(0, 1)]),                  # a subgraph: an edge of g has no weight
+    Graph(3, [(0, 1), (1, 2), (0, 2)]),  # a supergraph: a weight for a non-edge
+    Graph(4, [(0, 1), (1, 2)]),          # the same edges on more vertices
+], ids=["subgraph", "supergraph", "more-vertices"])
+def test_solve_rejects_weights_of_another_graph(weighted):
+    wg = WeightedGraph(weighted, {e: 5 for e in weighted.edges})
+    with pytest.raises(ValueError, match="another graph"):
+        solve(path(3), 1, weights=wg)
+
+
+def test_solve_accepts_weights_on_an_equal_graph():
+    wg = WeightedGraph(path(3), {(0, 1): 5, (1, 2): 7})
+    assert solve(path(3), 1, weights=wg).value == 7
+
+
 def test_solve_stats():
     res = solve(interval(8, seed=1), 2)
     assert res.nodes >= 1 and res.max_table >= 1

@@ -13,6 +13,7 @@ from degenmatch import (
     brute_nu_r,
     brute_nu_variants,
 )
+from degenmatch import oracles
 from degenmatch.chordal import build_nice_decomposition, mcs_order
 from degenmatch.oracles import (
     _adjacency,
@@ -226,6 +227,31 @@ def test_limits_enforced():
     tiny = OracleLimits(max_edges=2)
     with pytest.raises(LimitsExceededError):
         brute_nu_variants(path(5), limits=tiny)
+    with pytest.raises(LimitsExceededError):
+        brute_chromatic_index(path(5), limits=tiny)
+
+
+def test_one_search_per_call(monkeypatch):
+    # each public oracle checks its limits, starts its deadline and builds its
+    # masks once; the chromatic ones search their class cap inside that bound
+    searches = []
+
+    class Counted(oracles._Search):
+        def __init__(self, g, limits):
+            super().__init__(g, limits)
+            searches.append(self)
+
+    monkeypatch.setattr(oracles, "_Search", Counted)
+    g = random_chordal(7, 3)
+    d = build_nice_decomposition(g, mcs_order(g))
+    calls = [lambda: brute_nu_r(g, 1), lambda: brute_nu_variants(g),
+             lambda: brute_chromatic_index_r(g, 1),
+             lambda: brute_chromatic_index(g),
+             lambda: brute_degenerate_states(g, d, 1, d.root)]
+    for call in calls:
+        searches.clear()
+        call()
+        assert len(searches) == 1 and searches[0].ticks > 0
 
 
 def test_degenerate_states_timeout():
@@ -238,12 +264,12 @@ def test_degenerate_states_timeout():
         brute_degenerate_states(g, d, 1, node, OracleLimits(16, 200, timeout_ms=1))
 
 
-# With timeout_ms=1 each search below must stop on its deadline. The deadline
-# is read once every 2048 search nodes, so each input is sized well past that:
-# untimed, brute_nu_r on C26 at r = 1 visits 271,441 nodes, brute_nu_variants
-# on C24 visits 217,148 over its four searches, and the chromatic search of
-# brute_chromatic_index_r on gnp(12, 0.35, seed 2) at r = 2 visits 423,598
-# (its nu_r cap takes 2,151, fewer than one deadline read).
+# With timeout_ms=1 each call below must stop on its deadline. The deadline
+# is read once every 2048 ticks of the call's one node counter, so each input
+# is sized well past that: untimed, brute_nu_r on C26 at r = 1 visits 271,441
+# nodes, brute_nu_variants on C24 visits 217,148 over its four searches, and
+# on gnp(12, 0.35, seed 2) brute_chromatic_index_r at r = 2 visits 425,749 and
+# brute_chromatic_index 1,000,064, each counting the search for its class cap.
 TIMEOUT = OracleLimits(max_vertices=26, max_edges=48, timeout_ms=1)
 
 
@@ -257,9 +283,13 @@ def test_variants_timeout():
         brute_nu_variants(cycle(24), TIMEOUT)
 
 
-def test_chromatic_index_r_timeout():
+@pytest.mark.parametrize("chromatic_index, args", [
+    (brute_chromatic_index_r, (2,)),
+    (brute_chromatic_index, ()),
+], ids=["r2", "classical"])
+def test_chromatic_index_timeout(chromatic_index, args):
     with pytest.raises(LimitsExceededError, match="oracle timeout"):
-        brute_chromatic_index_r(gnp(12, 0.35, 2), 2, TIMEOUT)
+        chromatic_index(gnp(12, 0.35, 2), *args, TIMEOUT)
 
 
 def test_survey_csv():
