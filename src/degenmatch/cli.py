@@ -83,7 +83,8 @@ def cmd_nur(args, g):
     results = {
         "nu_r": res.value,
         "r": args.r,
-        "stats": {"nodes": res.nodes, "max_table": res.max_table},
+        "stats": {"nodes": res.nodes, "max_table": res.max_table,
+                  "path": res.path},
     }
     if args.emit_matching:
         results["matching"] = [list(e) for e in res.matching]

@@ -11,14 +11,18 @@ node takes the first child state (two at a join) whose value its recurrence
 turns into its own, a forget trying keep, drop, then match in N order, a join
 the splits of N in mask order. `solve` then certifies the witness with the
 class check of `verify_coloring`: a matching of g whose vertices induce an
-r-degenerate subgraph, of the reported size when unweighted."""
+r-degenerate subgraph, of the reported size when unweighted.
+
+The tables run only when they can matter: unweighted with r >= omega - 1,
+every matching of a chordal graph is r-degenerate, and `solve` returns
+`graphs.max_matching` under the same certificate instead."""
 
 import math
 from dataclasses import dataclass
 
 from .chordal import build_nice_decomposition, mcs_order
 from .coloring import _is_r_degenerate
-from .graphs import LimitsExceededError, Matching, _norm_edge
+from .graphs import LimitsExceededError, Matching, _norm_edge, max_matching
 
 
 @dataclass(frozen=True)
@@ -247,10 +251,14 @@ def _reconstruct(decomp, tables, weights=None):
 
 @dataclass(frozen=True)
 class DPResult:
+    """value and witness of a solve; path is "dp" when the tables ran and
+    "matching" when a maximum matching answered, with nodes and max_table 0."""
+
     value: object
     matching: Matching
     nodes: int
     max_table: int
+    path: str
 
 
 def _state_bound(bag_size, r):
@@ -261,43 +269,57 @@ def _state_bound(bag_size, r):
 
 
 def solve(g, r, weights=None, max_states=None):
-    """Full pipeline: recognize, decompose, run the DP, reconstruct a witness.
+    """Full pipeline: recognize, then answer, then certify the witness.
+
+    When unweighted and r >= omega - 1 (omega the clique number, read from
+    the checked elimination order), every matching is r-degenerate (a
+    chordal graph's degeneracy is omega - 1, and so is that of each induced
+    subgraph), so a maximum matching is the answer and no decomposition or
+    table is built. Otherwise the DP runs: decompose, fill the tables,
+    reconstruct a witness.
 
     Raises NotChordalError on non-chordal input, ValueError for r < 1 or
     for weights built on another graph, LimitsExceededError, before any
-    table is built, when the largest bag admits more than max_states
-    states, and DPInvariantError when the
-    witness is not an r-degenerate matching of g of the reported size (the
-    size is not re-summed when weighted: the walk has already checked the
-    forward pass's own additions exactly)."""
+    table is built, when the DP would run and the largest bag admits more
+    than max_states states (the cap bounds tables, so it applies to the DP
+    only), and DPInvariantError when the witness is not an r-degenerate
+    matching of g of the reported size (the size is not re-summed when
+    weighted: the walk has already checked the forward pass's own additions
+    exactly)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     if weights is not None and (
             (weights.graph.n, weights.graph.edges) != (g.n, g.edges)):
         raise ValueError("weights are given for another graph")
     peo = mcs_order(g)
-    decomp = build_nice_decomposition(g, peo)
-    if max_states is not None:
-        bag = decomp.max_bag_size()
-        bound = _state_bound(bag, r)
-        if bound > max_states:
-            raise LimitsExceededError(
-                "%d DP states (largest bag %d, r = %d) exceeds limit %d"
-                % (bound, bag, r, max_states))
-    tables = run_tables(decomp, r, weights)
-    value = tables[decomp.root][_EMPTY]
-    matching = _reconstruct(decomp, tables, weights)
+    omega = max(map(len, peo.later), default=-1) + 1
+    if weights is None and r >= omega - 1:
+        matching = max_matching(g)
+        res = DPResult(len(matching), matching, 0, 0, "matching")
+    else:
+        decomp = build_nice_decomposition(g, peo)
+        if max_states is not None:
+            bag = decomp.max_bag_size()
+            bound = _state_bound(bag, r)
+            if bound > max_states:
+                raise LimitsExceededError(
+                    "%d DP states (largest bag %d, r = %d) exceeds limit %d"
+                    % (bound, bag, r, max_states))
+        tables = run_tables(decomp, r, weights)
+        res = DPResult(tables[decomp.root][_EMPTY],
+                       _reconstruct(decomp, tables, weights), len(decomp.nodes),
+                       max(len(t) for t in tables.values()), "dp")
+    matching = res.matching
     if not matching.edges <= g.edges:
         raise DPInvariantError("witness edge %s is not an edge of the graph"
                                % (min(matching.edges - g.edges),))
-    if weights is None and len(matching) != value:
+    if weights is None and len(matching) != res.value:
         raise DPInvariantError("witness has %d edges, value is %r"
-                               % (len(matching), value))
+                               % (len(matching), res.value))
     if not _is_r_degenerate(g, matching.vertices, r):
         raise DPInvariantError(
             "witness induces a subgraph that is not %d-degenerate" % r)
-    return DPResult(value, matching, len(decomp.nodes),
-                    max(len(t) for t in tables.values()))
+    return res
 
 
 def nu_r(g, r):

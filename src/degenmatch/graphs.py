@@ -157,3 +157,106 @@ class Matching:
 
     def __repr__(self):
         return "Matching(%s)" % (sorted(self.edges),)
+
+
+def max_matching(g):
+    """A maximum matching of g (Edmonds, "Paths, trees, and flowers", 1965).
+
+    Greedy start: each vertex in ascending order takes its smallest free
+    neighbour. Then each exposed vertex with a neighbour roots one
+    breadth-first alternating-tree search, which contracts blossoms by
+    relabelling their vertices to the blossom's base and augments along the
+    first path it finds to an exposed vertex. A search resets only the
+    vertices it reached. A search that fails leaves a Hungarian tree: every
+    neighbour of its even vertices lies in the tree, and every tree vertex
+    but the root is matched inside it, so deleting the tree keeps every later
+    augmenting path and it is never entered again. Neighbours are scanned in
+    ascending order, so the result is deterministic."""
+    adj = g.adj
+    n = g.n
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] < 0:
+            for w in adj[v]:
+                if mate[w] < 0:
+                    mate[v], mate[w] = w, v
+                    break
+    base = list(range(n))
+    parent = [-1] * n
+    even = [False] * n
+    dead = [False] * n
+
+    def lca(a, b):
+        # the first base on b's path to the root that is also on a's path
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(v, b, child, blossom):
+        # point the path from v up to base b back toward child, and collect
+        # the bases it passes
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    def search(root):
+        # augment from root, or mark its Hungarian tree dead
+        tree = [root]
+        even[root] = True
+        queue = [root]
+        found = -1
+        for v in queue:
+            for w in adj[v]:
+                if dead[w] or base[v] == base[w] or mate[v] == w:
+                    continue
+                if even[w]:
+                    b = lca(v, w)
+                    blossom = set()
+                    mark_path(v, b, w, blossom)
+                    mark_path(w, b, v, blossom)
+                    for u in tree:
+                        if base[u] in blossom:
+                            base[u] = b
+                            if not even[u]:
+                                even[u] = True
+                                queue.append(u)
+                elif parent[w] < 0:
+                    parent[w] = v
+                    tree.append(w)
+                    if mate[w] < 0:
+                        found = w
+                        break
+                    u = mate[w]
+                    even[u] = True
+                    tree.append(u)
+                    queue.append(u)
+            if found >= 0:
+                break
+        augmented = found >= 0
+        while found >= 0:
+            p = parent[found]
+            nxt = mate[p]
+            mate[found], mate[p] = p, found
+            found = nxt
+        for u in tree:
+            base[u] = u
+            parent[u] = -1
+            even[u] = False
+            dead[u] = not augmented
+
+    for v in range(n):
+        if mate[v] < 0 and adj[v] and not dead[v]:
+            search(v)
+    return Matching((v, mate[v]) for v in range(n) if v < mate[v])

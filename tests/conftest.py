@@ -3,6 +3,7 @@
 from itertools import combinations
 
 from degenmatch import Graph, Matching, dp
+from degenmatch.chordal import build_nice_decomposition, mcs_order
 from degenmatch.generate import (
     Rng,
     cycle,
@@ -16,6 +17,13 @@ from degenmatch.generate import (
 def gnp(n, p, seed):
     """Erdos-Renyi-style graph from the package RNG (degree cap disabled)."""
     return random_bounded_degree(n, p, max_degree=max(n, 1), seed=seed)
+
+
+def dp_value(g, r):
+    """The DP's root value for nu_r, whichever path solve takes: solve answers
+    r >= omega - 1 with a maximum matching, and the DP is its reference."""
+    decomp = build_nice_decomposition(g, mcs_order(g))
+    return dp.run_tables(decomp, r)[decomp.root][dp._EMPTY]
 
 
 def random_matching(g, rng):
@@ -96,9 +104,11 @@ def order_corpus():
 
 
 # Wrong DP recurrences whose tables and witness walk still agree with each
-# other, so only a check of the witness itself can catch them.
+# other, so only a check of the witness itself can catch them. Both graphs
+# hold a triangle, so at r = 1 < omega - 1 solve runs the DP.
 DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-STAR = Graph(4, [(0, 1), (0, 2), (0, 3)])
+# the star K_{1,3} with an edge between two leaves
+PAW = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
 
 
 def introduce_one_too_many(child, x, r):
@@ -140,8 +150,8 @@ WRONG_RECURRENCES = {
     # diamond
     "introduce": (DIAMOND, {"dp_introduce": introduce_one_too_many},
                   "not 1-degenerate"),
-    # every leaf of STAR matched to the centre: the walk's pairs share it
-    "join": (STAR, {"dp_join": join_overlapping,
+    # leaves of PAW matched to the centre: the walk's pairs share it
+    "join": (PAW, {"dp_join": join_overlapping,
                     "_join_split": split_overlapping(dp._join_split)},
              "not a matching"),
 }

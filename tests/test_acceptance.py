@@ -35,6 +35,8 @@ from degenmatch.generate import (
 )
 from degenmatch.oracles import _sub_degeneracy
 
+from conftest import dp_value
+
 LIMITS = OracleLimits(max_vertices=14, max_edges=120, timeout_ms=300_000)
 
 
@@ -68,11 +70,14 @@ def dp_results(chordal_corpus):
 
 
 def test_criterion_01_dp_oracle_equivalence(chordal_corpus, dp_results):
+    # solve answers r >= omega - 1 with a maximum matching, so the DP's own
+    # root value is checked on every pair too
     started = time.monotonic()
     for i, g in enumerate(chordal_corpus):
         for r in (1, 2, 3):
             value, _ = dp_results[(i, r)]
-            assert value == brute_nu_r(g, r, LIMITS), (i, r)
+            want = brute_nu_r(g, r, LIMITS)
+            assert value == want and dp_value(g, r) == want, (i, r)
     elapsed = time.monotonic() - started
     assert elapsed < 60, "criterion 1 took %.1fs" % elapsed
     _passline(1, "dp-oracle-equivalence")
@@ -86,7 +91,8 @@ def test_dp_oracle_equivalence_above_default_oracle_size():
         for n in sizes:
             for g in (k_tree(2, n, n), k_tree(3, n, n), interval(n, n),
                       random_chordal(n, n)):
-                assert brute_nu_r(g, r, limits) == nu_r(g, r)[0], (g, r)
+                want = brute_nu_r(g, r, limits)
+                assert nu_r(g, r)[0] == want and dp_value(g, r) == want, (g, r)
 
 
 def test_criterion_02_witness_validity(chordal_corpus, dp_results):

@@ -40,6 +40,9 @@ def test_nur_p6(tmp_path, capsys):
     assert code == 0
     assert report["results"]["nu_r"] == 3
     assert len(report["results"]["matching"]) == 3
+    # a path has omega = 2, so r = 1 is answered by a maximum matching
+    assert report["results"]["stats"] == {"nodes": 0, "max_table": 0,
+                                          "path": "matching"}
     assert set(report) == {"command", "input_digest", "version", "results",
                            "elapsed_ms"}
 
@@ -54,7 +57,9 @@ def test_nur_inconsistent_tables_exit_internal(tmp_path, capsys, monkeypatch):
         return tables
 
     monkeypatch.setattr(dp, "run_tables", corrupted)
-    code = main(["nur", "--input", write_graph(tmp_path, path(6)), "--r", "1"])
+    # a 2-tree has omega = 3, so r = 1 runs the DP
+    g = k_tree(2, 8, seed=5)
+    code = main(["nur", "--input", write_graph(tmp_path, g), "--r", "1"])
     out, err = capsys.readouterr()
     assert code == 5 and out == ""
     assert err.startswith("internal invariant violation: ")
@@ -248,16 +253,17 @@ def test_bench_opens_out_before_any_instance(tmp_path, capsys, monkeypatch):
 
 
 def test_nur_max_states_exits_limits(tmp_path, capsys):
-    # interval(30, 2) has a bag of 16 vertices; at r = 15 every subset of a
-    # bag is a state, 3**16 pairs (S, N), so the default cap stops it at once
+    # interval(30, 2) has a bag of 16 vertices; at r = 14 every subset of up
+    # to 15 bag vertices is a state, 3**16 - 2**16 pairs (S, N), so the
+    # default cap stops it at once (r = 15 = omega - 1 needs no table)
     g = interval(30, 2)
     started = time.monotonic()
-    code = main(["nur", "--input", write_graph(tmp_path, g), "--r", "15"])
+    code = main(["nur", "--input", write_graph(tmp_path, g), "--r", "14"])
     assert time.monotonic() - started < 1
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
-    assert err == ("limits exceeded: 43046721 DP states (largest bag 16, "
-                   "r = 15) exceeds limit 1000000\n")
+    assert err == ("limits exceeded: 42981185 DP states (largest bag 16, "
+                   "r = 14) exceeds limit 1000000\n")
     # K5 at r = 2: 1 + 5*2 + 10*4 + 10*8 = 131 states over its one bag
     k5 = write_graph(tmp_path, complete(5), "k5.g6")
     code = main(["nur", "--input", k5, "--r", "2", "--max-states", "130"])
@@ -266,6 +272,29 @@ def test_nur_max_states_exits_limits(tmp_path, capsys):
     code, report = run(capsys, "nur", "--input", k5, "--r", "2",
                        "--max-states", "131")
     assert code == 0 and report["results"]["nu_r"] == 1
+    assert report["results"]["stats"]["path"] == "dp"
+    # r = 4 = omega - 1 builds no table, so no cap applies
+    code, report = run(capsys, "nur", "--input", k5, "--r", "4",
+                       "--max-states", "1")
+    assert code == 0 and report["results"]["nu_r"] == 2
+    assert report["results"]["stats"]["path"] == "matching"
+
+
+@pytest.mark.parametrize("text, value, limit_s", [
+    ("p edge 200000 0\n", 0, 3),
+    ("".join("1 %d\n" % v for v in range(2, 20002)), 1, 1),
+], ids=["edgeless-200000", "star-20000"])
+def test_nur_edgeless_and_star_stay_linear(tmp_path, capsys, text, value,
+                                           limit_s):
+    # r = 1 >= omega - 1 on both, so no decomposition is built (for the
+    # edgeless input it would hold about 4 nodes per vertex)
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    started = time.monotonic()
+    code, report = run(capsys, "nur", "--input", str(f), "--r", "1")
+    assert time.monotonic() - started < limit_s
+    assert code == 0 and report["results"]["nu_r"] == value
+    assert report["results"]["stats"]["path"] == "matching"
 
 
 def test_oracle_states(tmp_path, capsys):
@@ -437,12 +466,12 @@ def test_bench_rejects_bad_suite(tmp_path, capsys, suite, named):
 
 
 def test_bench_instance_over_state_cap(tmp_path, capsys):
-    # interval n=30 at r=15 admits far more than MAX_STATES states; without
+    # interval n=30 at r=14 admits far more than MAX_STATES states; without
     # the cap its tables grow past 5 GB
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"instances": [
         {"id": "wide", "family": "interval", "params": {"n": 30}, "seed": 2,
-         "r": [15]},
+         "r": [14]},
     ]}))
     started = time.monotonic()
     code = main(["bench", "--suite", str(suite)])

@@ -1,6 +1,6 @@
 import pytest
 
-from degenmatch.graphs import LimitsExceededError, _norm_edge
+from degenmatch.graphs import LimitsExceededError, _norm_edge, max_matching
 
 from degenmatch import chordal, dp
 from degenmatch import (
@@ -10,6 +10,7 @@ from degenmatch import (
     WeightedGraph,
     brute_degenerate_states,
     brute_nu_r,
+    degeneracy,
     nu_r,
     nu_r_weighted,
     solve,
@@ -37,7 +38,7 @@ from degenmatch.generate import (
 )
 from degenmatch.oracles import _sub_degeneracy
 
-from conftest import WRONG_RECURRENCES
+from conftest import PAW, WRONG_RECURRENCES, dp_value
 
 
 def test_dp_leaf():
@@ -286,6 +287,30 @@ def test_solve_max_states():
         solve(g, 2, max_states=130)
 
 
+def test_max_matching_equals_dp_at_omega_minus_one():
+    # the DP is the reference of solve's matching path: at r = omega - 1 (a
+    # chordal graph's degeneracy) its root value is the matching number
+    graphs = [k_tree(k, n, seed) for k, n, seed in
+              ((1, 300, 1), (2, 400, 2), (2, 600, 3), (3, 300, 4))]
+    graphs += [random_chordal(20 + 5 * s, s) for s in range(12)]
+    for g in graphs:
+        assert len(max_matching(g)) == dp_value(g, max(degeneracy(g), 1)), g
+
+
+def test_solve_takes_the_matching_path_exactly_when_r_reaches_omega_minus_one():
+    for g in (Graph(0), Graph(4), path(5), complete(5), k_tree(2, 30, seed=1),
+              interval(9, seed=3), random_chordal(15, seed=2)):
+        omega = degeneracy(g) + 1
+        unit = WeightedGraph(g, {e: 1 for e in g.edges})
+        for r in range(1, omega + 2):
+            res = solve(g, r)
+            if r >= omega - 1:
+                assert (res.path, res.nodes, res.max_table) == ("matching", 0, 0)
+            else:
+                assert res.path == "dp" and res.nodes > 0 and res.max_table > 0
+            assert solve(g, r, weights=unit).path == "dp"
+
+
 @pytest.mark.parametrize("where", ["root", "leaves"])
 def test_reconstruct_rejects_inconsistent_tables(where):
     g = interval(14, seed=3)
@@ -312,13 +337,13 @@ def test_solve_rejects_wrong_recurrence(monkeypatch, kind):
 
 
 def test_solve_certifies_witness_edges_and_size(monkeypatch):
-    # nu_1(P3) = 1: a walk that hands back a non-edge, or too few edges,
-    # is caught before the result leaves solve
-    for witness, problem in (([(0, 2)], "not an edge"), ([], "0 edges")):
+    # nu_1(PAW) = 1, on the DP (omega = 3): a walk that hands back a
+    # non-edge, or too few edges, is caught before the result leaves solve
+    for witness, problem in (([(1, 3)], "not an edge"), ([], "0 edges")):
         monkeypatch.setattr(dp, "_reconstruct",
                             lambda *args, w=witness: Matching(w))
         with pytest.raises(DPInvariantError, match=problem):
-            solve(path(3), 1)
+            solve(PAW, 1)
 
 
 def test_weighted_p4():

@@ -2,8 +2,8 @@ import pytest
 
 from degenmatch import Graph, Matching, degeneracy, induced_subgraph
 from degenmatch.generate import Rng, complete, complete_bipartite, cycle, path
-from degenmatch.graphs import _min_key_order
-from degenmatch.oracles import _induced_has_cycle
+from degenmatch.graphs import _min_key_order, max_matching
+from degenmatch.oracles import _induced_has_cycle, brute_nu_variants
 
 from conftest import gnp, order_corpus, random_matching
 
@@ -136,3 +136,26 @@ def test_max_degree():
     assert complete_bipartite(3, 3).max_degree() == 3
     assert path(4).max_degree() == 2
     assert Graph(1).max_degree() == 0
+
+
+PETERSEN = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+# The greedy start matches 1-0, 2-3 and 4-5 and leaves 6 and 7 exposed. The
+# only augmenting path, 6-1=0-2=3-4=5-7, reaches 5 as an odd vertex from 0,
+# so the search finds it only by contracting the 5-cycle 0-2-3-4-5.
+BLOSSOM_ON_THE_PATH = Graph(8, [(6, 1), (1, 0), (0, 2), (2, 3), (3, 4),
+                                (4, 5), (5, 0), (5, 7)])
+
+
+def test_max_matching_equals_oracle():
+    graphs = [Graph(0), Graph(3), cycle(5), cycle(7), PETERSEN,
+              BLOSSOM_ON_THE_PATH, complete(7), complete_bipartite(3, 5)]
+    graphs += [gnp(n, p, seed) for seed in range(25)
+               for n, p in ((8, 0.5), (12, 0.3), (14, 0.25), (16, 0.2))]
+    for g in graphs:
+        m = max_matching(g)
+        assert m.edges <= g.edges
+        assert len(m) == brute_nu_variants(g)[3], g.sorted_edges()

@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_matchings
+from conftest import all_matchings, dp_value
 
 from degenmatch import (
     Graph,
@@ -160,7 +160,8 @@ def test_nu_r_grows_with_r_up_to_the_degeneracy(g):
     rs = sorted({1, 2, 3, d, g.n})
     values = {r: nu_r(g, r)[0] for r in rs}
     assert [values[r] for r in rs] == sorted(values.values())
-    assert values[d] == values[g.n]
+    # r = d is omega - 1, where solve takes a maximum matching: the DP too
+    assert values[d] == values[g.n] == dp_value(g, d)
 
 
 @METAMORPHIC
