@@ -28,16 +28,18 @@ def elimination_order(g, order):
     order = tuple(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [set(g.adj[v]) for v in range(g.n)]
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     later = [[w for w in g.adj[v] if pos[w] > pos[v]] for v in range(g.n)]
     parent = [None] * g.n
+    edges = g.edges
     for v in order:
         if not later[v]:
             continue
-        u = parent[v] = min(later[v], key=lambda w: pos[w])
+        u = parent[v] = min(later[v], key=pos.__getitem__)
         for w in later[v]:
-            if w != u and w not in adj[u]:
+            if w != u and _norm_edge(u, w) not in edges:
                 raise ValueError("invalid perfect elimination order at vertex %d" % v)
     return EliminationOrder(order, later, parent)
 
@@ -229,7 +231,8 @@ def validate_decomposition(g, d):
 
     # one walk over the nodes: the bag pairs that are edges of g, the first
     # bag that is not a clique, and per vertex the holders whose parent lacks
-    # it (a connected subtree has exactly one such top)
+    # it (a connected subtree has exactly one such top; the shapes make its
+    # parent a forget of that vertex, so each vertex is forgotten once)
     adj = [set(g.adj[v]) for v in range(g.n)]
     bag_edges = set()
     not_clique = None
@@ -255,13 +258,6 @@ def validate_decomposition(g, d):
             return False, "connectivity: vertex %d" % v
     if not_clique is not None:
         return False, "clique-bag: node %d" % not_clique
-
-    forgets = {}
-    for nd in d.nodes:
-        if nd.kind == "forget":
-            forgets[nd.vertex] = forgets.get(nd.vertex, 0) + 1
-    if g.n and any(forgets.get(v, 0) != 1 for v in range(g.n)):
-        return False, "forget-uniqueness"
 
     bound = 6 * max(g.n, 1) * max(d.max_bag_size(), 1) + 3
     if n_nodes > bound:

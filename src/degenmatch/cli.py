@@ -1,6 +1,7 @@
 """Command-line front door: solver, coloring, oracles, generators, benchmarks."""
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
@@ -14,7 +15,7 @@ from contextlib import nullcontext
 from . import __version__
 from .chordal import NotChordalError, is_chordal
 from .coloring import ColoringInvariantError, greedy_color, verify_coloring
-from .dp import DPInvariantError, WeightedGraph, solve
+from .dp import MAX_STATES, DPInvariantError, WeightedGraph, solve
 from .formats import MAX_EDGES, MAX_VERTICES, ParseError, load_graph, serialize_graph6
 from .generate import FAMILIES, GeneratorSpec, Rng, generate
 from .graphs import _norm_edge
@@ -25,7 +26,6 @@ from .oracles import (
     brute_degenerate_states,
     brute_nu_r,
     brute_nu_variants,
-    write_survey_csv,
 )
 
 EXIT_OK = 0
@@ -33,7 +33,8 @@ EXIT_NOT_CHORDAL = 2
 EXIT_PARSE = 3
 EXIT_LIMITS = 4
 EXIT_INTERNAL = 5
-MAX_STATES = 10**6
+SURVEY_FIELDS = ("graph-id", "n", "m", "delta", "r",
+                 "nu_r", "chi_r", "nu_s", "nu_1", "nu_ur", "nu")
 
 
 def _read_input(path):
@@ -156,7 +157,7 @@ def _bench_task(task):
            "delta": g.max_degree(), "r": r}
     agree = {"dp_oracle": None, "palette": None}
     try:
-        row["nu_r"] = solve(g, r, max_states=MAX_STATES).value
+        row["nu_r"] = solve(g, r).value
     except NotChordalError:
         pass
     except LimitsExceededError as exc:
@@ -174,6 +175,14 @@ def _bench_task(task):
         ok, _ = verify_coloring(g, coloring, r)
         agree["palette"] = ok and coloring.max_color() <= coloring.k
     return row, agree
+
+
+def write_survey_csv(rows, fileobj):
+    """Emit the survey table; rows are dicts keyed by SURVEY_FIELDS."""
+    writer = csv.DictWriter(fileobj, fieldnames=SURVEY_FIELDS)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: row.get(k, "") for k in SURVEY_FIELDS})
 
 
 def cmd_bench(args, _):

@@ -261,6 +261,9 @@ class DPResult:
     path: str
 
 
+MAX_STATES = 10**6
+
+
 def _state_bound(bag_size, r):
     """The number of states (S, N) over a bag of bag_size vertices (N inside
     S inside the bag, |S| <= r+1): a bound on every table of a decomposition
@@ -268,7 +271,7 @@ def _state_bound(bag_size, r):
     return sum(math.comb(bag_size, k) << k for k in range(min(r + 1, bag_size) + 1))
 
 
-def solve(g, r, weights=None, max_states=None):
+def solve(g, r, weights=None, max_states=MAX_STATES):
     """Full pipeline: recognize, then answer, then certify the witness.
 
     When unweighted and r >= omega - 1 (omega the clique number, read from
@@ -279,13 +282,13 @@ def solve(g, r, weights=None, max_states=None):
     reconstruct a witness.
 
     Raises NotChordalError on non-chordal input, ValueError for r < 1 or
-    for weights built on another graph, LimitsExceededError, before any
-    table is built, when the DP would run and the largest bag admits more
-    than max_states states (the cap bounds tables, so it applies to the DP
-    only), and DPInvariantError when the witness is not an r-degenerate
-    matching of g of the reported size (the size is not re-summed when
-    weighted: the walk has already checked the forward pass's own additions
-    exactly)."""
+    for weights built on another graph, LimitsExceededError, before the
+    decomposition is built, when the DP would run and a bag of omega
+    vertices admits more than max_states states (default MAX_STATES; the
+    cap bounds tables, so it applies to the DP only), and DPInvariantError
+    when the witness is not an r-degenerate matching of g of the reported
+    size (the size is not re-summed when weighted: the walk has already
+    checked the forward pass's own additions exactly)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     if weights is not None and (
@@ -297,14 +300,13 @@ def solve(g, r, weights=None, max_states=None):
         matching = max_matching(g)
         res = DPResult(len(matching), matching, 0, 0, "matching")
     else:
+        # a nice decomposition's largest bag is a largest clique
+        bound = _state_bound(omega, r)
+        if bound > max_states:
+            raise LimitsExceededError(
+                "%d DP states (largest bag %d, r = %d) exceeds limit %d"
+                % (bound, omega, r, max_states))
         decomp = build_nice_decomposition(g, peo)
-        if max_states is not None:
-            bag = decomp.max_bag_size()
-            bound = _state_bound(bag, r)
-            if bound > max_states:
-                raise LimitsExceededError(
-                    "%d DP states (largest bag %d, r = %d) exceeds limit %d"
-                    % (bound, bag, r, max_states))
         tables = run_tables(decomp, r, weights)
         res = DPResult(tables[decomp.root][_EMPTY],
                        _reconstruct(decomp, tables, weights), len(decomp.nodes),
@@ -323,12 +325,14 @@ def solve(g, r, weights=None, max_states=None):
 
 
 def nu_r(g, r):
-    """Maximum size of an r-degenerate matching of a chordal graph, with witness."""
+    """Maximum size of an r-degenerate matching of a chordal graph, with
+    witness; raises LimitsExceededError when the DP would pass MAX_STATES."""
     res = solve(g, r)
     return res.value, res.matching
 
 
 def nu_r_weighted(wg, r):
-    """Maximum weight of an r-degenerate matching; unit weights reduce to nu_r."""
+    """Maximum weight of an r-degenerate matching; unit weights reduce to
+    nu_r. Raises LimitsExceededError when the DP would pass MAX_STATES."""
     res = solve(wg.graph, r, weights=wg)
     return res.value, res.matching

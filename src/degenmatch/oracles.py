@@ -5,7 +5,6 @@ two sides can be cross-verified against each other. Each public call builds one
 _Search: one limit check, one deadline and one set of masks, shared by every
 search the call runs (the chromatic searches find their class cap inside it)."""
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -296,15 +295,3 @@ def brute_degenerate_states(g, d, r, node, limits=None):
 
     rec(0, 0, 0)
     return states
-
-
-SURVEY_FIELDS = ("graph-id", "n", "m", "delta", "r",
-                 "nu_r", "chi_r", "nu_s", "nu_1", "nu_ur", "nu")
-
-
-def write_survey_csv(rows, fileobj):
-    """Emit the survey table; rows are dicts keyed by SURVEY_FIELDS."""
-    writer = csv.DictWriter(fileobj, fieldnames=SURVEY_FIELDS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in SURVEY_FIELDS})

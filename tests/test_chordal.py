@@ -209,6 +209,53 @@ def test_validator_reports_clique_bag():
     assert not ok and report.startswith("clique-bag")
 
 
+LEAF = DecompNode("leaf", ())
+
+
+@pytest.mark.parametrize("n, nodes, root, report", [
+    (0, [], 0, "tree-structure: root out of range"),
+    (0, [LEAF, DecompNode("join", (), (0, 0))], 1,
+     "tree-structure: not a tree"),
+    (0, [LEAF, LEAF], 1, "tree-structure: unreachable nodes"),
+    (0, [LEAF, LEAF, LEAF, DecompNode("join", (), (0, 1, 2))], 3,
+     "binary: node 3 has 3 children"),
+    (1, [LEAF, DecompNode("introduce", (0, 0), (0,), 0),
+         DecompNode("forget", (), (1,), 0)], 2,
+     "bag: duplicate vertices at node 1"),
+    (1, [LEAF, DecompNode("introduce", (1,), (0,), 1),
+         DecompNode("forget", (), (1,), 1)], 2,
+     "bag: unknown vertex at node 1"),
+    (1, [DecompNode("leaf", (0,)), DecompNode("forget", (), (0,), 0)], 1,
+     "leaf-shape: node 0"),
+    (0, [LEAF, DecompNode("join", (), (0,))], 1, "join-shape: node 1"),
+    (1, [LEAF, DecompNode("introduce", (0,), (0,), 0), LEAF,
+         DecompNode("join", (), (1, 2))], 3,
+     "join-shape: bag mismatch at node 3"),
+    (1, [LEAF, DecompNode("introduce", (0,), (0,))], 1,
+     "introduce-shape: node 1"),
+    (1, [LEAF, DecompNode("forget", (), (0,), 0)], 1, "forget-shape: node 1"),
+    (0, [DecompNode("root", ())], 0, "kind: unknown kind 'root' at node 0"),
+    (1, [LEAF, DecompNode("introduce", (0,), (0,), 0)], 1, "root-empty"),
+    (1, [LEAF], 0, "vertex-coverage"),
+    # four leaf-introduce(0) chains joined under (0,), then a forget of 0:
+    # valid shapes, but more nodes than 6 * n * omega + 3 = 9
+    (1, [LEAF, DecompNode("introduce", (0,), (0,), 0),
+         LEAF, DecompNode("introduce", (0,), (2,), 0),
+         LEAF, DecompNode("introduce", (0,), (4,), 0),
+         LEAF, DecompNode("introduce", (0,), (6,), 0),
+         DecompNode("join", (0,), (1, 3)), DecompNode("join", (0,), (8, 5)),
+         DecompNode("join", (0,), (9, 7)), DecompNode("forget", (), (10,), 0)],
+     11, "size-bound: 12 nodes > 9"),
+], ids=["root-range", "not-a-tree", "unreachable", "binary", "duplicate",
+        "unknown-vertex", "leaf-shape", "join-children", "join-bags",
+        "introduce-shape", "forget-shape", "kind", "root-empty",
+        "vertex-coverage", "size-bound"])
+def test_validator_reports(n, nodes, root, report):
+    from degenmatch import Graph
+    d = NiceTreeDecomposition(nodes, root)
+    assert validate_decomposition(Graph(n), d) == (False, report)
+
+
 def test_forget_uniqueness():
     for seed in range(30):
         g = random_chordal(10, seed)

@@ -280,11 +280,26 @@ def test_state_bound():
             assert max(len(t) for t in run_tables(decomp, r).values()) <= bound
 
 
-def test_solve_max_states():
+def test_solve_max_states(monkeypatch):
     g = complete(5)  # one bag of 5: 131 states at r = 2
     assert solve(g, 2, max_states=131).value == solve(g, 2).value == 1
     with pytest.raises(LimitsExceededError, match="^131 DP states"):
         solve(g, 2, max_states=130)
+    # every DP call runs under dp.MAX_STATES by default, and a refused call
+    # is refused from omega, before a decomposition is built
+    def no_decomposition(g, peo):
+        raise AssertionError("decomposition built past the state cap")
+
+    monkeypatch.setattr(dp, "build_nice_decomposition", no_decomposition)
+    g = interval(30, 2)  # a bag of 16
+    unit = WeightedGraph(g, dict.fromkeys(g.edges, 1))
+    message = ("42981185 DP states (largest bag 16, r = 14) exceeds limit %d"
+               % dp.MAX_STATES)
+    for call in (lambda: solve(g, 14), lambda: nu_r(g, 14),
+                 lambda: nu_r_weighted(unit, 14)):
+        with pytest.raises(LimitsExceededError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_max_matching_equals_dp_at_omega_minus_one():

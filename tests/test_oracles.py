@@ -22,8 +22,8 @@ from degenmatch.oracles import (
     _mask,
     _perfect_matchings,
     _sub_degeneracy,
-    write_survey_csv,
 )
+from degenmatch.cli import write_survey_csv
 from degenmatch.generate import complete, complete_bipartite, cycle, path, random_chordal
 
 from conftest import gnp
