@@ -52,26 +52,34 @@ class EdgeColoring:
 
 
 def _forbidden(g, colors_at, u, v, r):
-    """Forbidden color sets for an uncolored edge uv, given colors_at, which
-    maps each vertex to the colors on its incident edges.
+    """Forbidden colors (F1, F2) for an uncolored edge uv, as int masks.
 
+    colors_at holds one int per vertex whose bit a is set when color a is on
+    an edge at that vertex; bit a of F1 or F2 is set when a is forbidden.
     F1: colors on edges incident to u or v. F2: colors a outside F1 whose
     nearby coverage d_u + 2*d_uv + d_v reaches r+1, where d_u counts vertices
     of N(u)-N[v] touched by an a-colored edge (similarly for the v-side and
     the common neighborhood)."""
-    f1 = set()
-    f1.update(colors_at.get(u, ()))
-    f1.update(colors_at.get(v, ()))
+    f1 = colors_at[u] | colors_at[v]
+    adj_u = g.adj[u]
+    adj_v = g.adj[v]
     # every vertex of N(u)-v and of N(v)-u adds 1 to each color on its edges;
-    # a common neighbour is met from both sides, so the count is d_u + 2*d_uv + d_v
-    count = {}
-    for x, other in ((u, v), (v, u)):
-        for w in g.adj[x]:
-            if w != other:
-                for a in colors_at.get(w, ()):
-                    count[a] = count.get(a, 0) + 1
-    f2 = {a for a, c in count.items() if c >= r + 1} - f1
-    return f1, f2
+    # a common neighbour is met from both sides, so the count is d_u + 2*d_uv + d_v.
+    # No count exceeds the len(adj_u) + len(adj_v) - 2 masks read, so when
+    # that is at most r, F2 is empty and no counter is built.
+    if len(adj_u) + len(adj_v) - 2 <= r:
+        return f1, 0
+    # saturating bit-sliced counters: over[j] holds the colors met at least
+    # j+1 times
+    over = [0] * (r + 1)
+    for x, other in ((adj_u, v), (adj_v, u)):
+        for w in x:
+            m = colors_at[w]
+            if m and w != other:
+                for j in range(r, 0, -1):
+                    over[j] |= over[j - 1] & m
+                over[0] |= m
+    return f1, over[r] & ~f1
 
 
 def greedy_color(g, r, order=None, delta=None):
@@ -95,24 +103,24 @@ def greedy_color(g, r, order=None, delta=None):
     if not edges:
         return EdgeColoring({}, 0, delta, r)
     k = palette_size(delta, r)
+    f1_cap = 2 * (delta - 1)
     f2_cap = (2 * (delta - 1) ** 2) // (r + 1)
     color = {}
-    colors_at = {}
+    colors_at = [0] * g.n
     for uv in edges:
-        f1, f2 = _forbidden(g, colors_at, uv[0], uv[1], r)
-        if len(f1) > 2 * (delta - 1) or len(f2) > f2_cap:
+        u, v = uv
+        f1, f2 = _forbidden(g, colors_at, u, v, r)
+        if f1.bit_count() > f1_cap or f2.bit_count() > f2_cap:
             raise ColoringInvariantError(
                 "forbidden-set bound violated at edge %s" % (uv,))
-        chosen = None
-        for a in range(1, k + 1):
-            if a not in f1 and a not in f2:
-                chosen = a
-                break
-        if chosen is None:
+        # the lowest zero bit above bit 0 is the least allowed color
+        taken = f1 | f2 | 1
+        chosen = (~taken & (taken + 1)).bit_length() - 1
+        if chosen > k:
             raise ColoringInvariantError("no available color for edge %s" % (uv,))
         color[uv] = chosen
-        colors_at.setdefault(uv[0], set()).add(chosen)
-        colors_at.setdefault(uv[1], set()).add(chosen)
+        colors_at[u] |= 1 << chosen
+        colors_at[v] |= 1 << chosen
     return EdgeColoring(color, k, delta, r)
 
 

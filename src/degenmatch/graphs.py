@@ -95,24 +95,46 @@ def _min_key_order(adj, key):
 
     Returns [(key when visited, v), ...] in visit order. Min-degree peeling
     starts from the degrees; maximum cardinality search starts every key at
-    0, so minus the key counts visited neighbours. A lazy-deletion heap
-    finds each next vertex in O((n+m) log n): keys only fall, so a vertex's
-    newest entry pops before its stale ones, which are skipped as visited."""
+    0, so minus the key counts visited neighbours. A bucket queue (Matula and
+    Beck, J. ACM 30(3), 1983) keeps one min-heap of vertex ids per key value.
+    A visit at the current key lowers its neighbours' keys to no less than
+    one below it, so the current key drops by exactly 1 after each visit and
+    climbs past empty buckets; an entry whose vertex has since moved to a
+    lower key, or been visited, is stale and skipped. That is
+    O(n + m + max key - min key) bucket steps, each with one heap operation
+    of O(log n)."""
+    n = len(adj)
+    if not n:
+        return []
     key = list(key)
-    visited = [False] * len(adj)
-    heap = [(k, v) for v, k in enumerate(key)]
-    heapq.heapify(heap)
+    # no key falls below its start minus its degree; key[v] holds v's bucket
+    # index from here on, and -1 once v is visited
+    lo = min(k - len(a) for k, a in zip(key, adj))
+    key = [k - lo for k in key]
+    buckets = [[] for _ in range(max(key) + 1)]
+    for v, k in enumerate(key):
+        # ascending ids: each bucket list is already a heap
+        buckets[k].append(v)
+    cur = min(key)
     visits = []
-    while heap:
-        k, v = heapq.heappop(heap)
-        if visited[v]:
-            continue
-        visited[v] = True
-        visits.append((k, v))
+    for _ in range(n):
+        while True:
+            bucket = buckets[cur]
+            if not bucket:
+                cur += 1
+                continue
+            v = heapq.heappop(bucket)
+            if key[v] == cur:
+                break
+        key[v] = -1
+        visits.append((cur + lo, v))
         for w in adj[v]:
-            if not visited[w]:
-                key[w] -= 1
-                heapq.heappush(heap, (key[w], w))
+            k = key[w]
+            if k >= 0:
+                key[w] = k - 1
+                heapq.heappush(buckets[k - 1], w)
+        if cur:
+            cur -= 1
     return visits
 
 

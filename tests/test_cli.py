@@ -1,7 +1,11 @@
 import json
 import os
 import re
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,34 @@ def test_color_k2_and_random_order(tmp_path, capsys):
     assert code == 0
     assert report["results"]["colors_used"] <= 4
     assert report["results"]["verified"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("flags, k", [
+    (["--r", "1000000000", "--verify"], 7),
+    (["--r", "1", "--delta-override", "100000"], 99999 ** 2 + 2 * 99999 + 1),
+], ids=["r-1e9", "palette-1e10"])
+def test_color_huge_r_and_palette_stay_small(tmp_path, flags, k):
+    # nothing may be sized by r or by the palette K: the child runs under a
+    # 512 MB address-space limit, so a list of r counters exits 4
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "degenmatch.cli", "color", "--input",
+         write_graph(tmp_path, complete(5))] + flags,
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=30)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 0, proc.stderr
+    cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    assert cpu_s < 1
+    res = json.loads(proc.stdout)["results"]
+    assert res["K"] == k and res.get("verified", True)
 
 
 def test_oracle_variants_and_chi(tmp_path, capsys):

@@ -11,8 +11,10 @@ from degenmatch import (
 from degenmatch.coloring import _forbidden
 from degenmatch.generate import (
     Rng,
+    complete,
     complete_bipartite,
     cycle,
+    k_tree,
     path,
     random_bounded_degree,
 )
@@ -27,12 +29,46 @@ def test_palette_size_examples():
 
 
 def forbidden_sets(g, color, uv, r):
-    """(F1, F2) for the uncolored edge uv under the partial coloring color."""
-    colors_at = {}
+    """(F1, F2) as sets for the uncolored edge uv under the partial coloring
+    color: builds the per-vertex color masks and decodes the returned masks."""
+    colors_at = [0] * g.n
     for e, a in color.items():
         for x in e:
-            colors_at.setdefault(x, set()).add(a)
-    return _forbidden(g, colors_at, uv[0], uv[1], r)
+            colors_at[x] |= 1 << a
+    return tuple({a for a in range(mask.bit_length()) if mask >> a & 1}
+                 for mask in _forbidden(g, colors_at, uv[0], uv[1], r))
+
+
+def _reference_forbidden(g, colors_at, u, v, r):
+    """Set-based (F1, F2) for uv; colors_at maps a vertex to its color set."""
+    f1 = set()
+    f1.update(colors_at.get(u, ()))
+    f1.update(colors_at.get(v, ()))
+    count = {}
+    for x, other in ((u, v), (v, u)):
+        for w in g.adj[x]:
+            if w != other:
+                for a in colors_at.get(w, ()):
+                    count[a] = count.get(a, 0) + 1
+    f2 = {a for a, c in count.items() if c >= r + 1} - f1
+    return f1, f2
+
+
+def _reference_greedy(g, r, order=None, delta=None):
+    """First-fit over the palette with set-based forbidden colors: the
+    reference greedy_color's masks must reproduce."""
+    delta = g.max_degree() if delta is None else delta
+    edges = g.sorted_edges() if order is None else [tuple(sorted(e)) for e in order]
+    k = palette_size(delta, r)
+    color = {}
+    colors_at = {}
+    for uv in edges:
+        f1, f2 = _reference_forbidden(g, colors_at, uv[0], uv[1], r)
+        chosen = next(a for a in range(1, k + 1) if a not in f1 and a not in f2)
+        color[uv] = chosen
+        colors_at.setdefault(uv[0], set()).add(chosen)
+        colors_at.setdefault(uv[1], set()).add(chosen)
+    return color
 
 
 def test_forbidden_sets_first_edge():
@@ -68,6 +104,36 @@ def test_f2_detects_degeneracy_pressure():
     color = {(2, 3): 1}
     assert forbidden_sets(g, color, (0, 1), 1) == (set(), {1})
     assert forbidden_sets(g, color, (0, 1), 2) == (set(), set())
+
+
+def _reference_cases():
+    for seed in range(120):
+        g = random_bounded_degree(8 + seed % 30, 0.25, 3 + seed % 6, seed)
+        if g.m:
+            yield "rbd-%d" % seed, g
+    for k, n in ((2, 12), (3, 14), (4, 16)):
+        yield "ktree-%d-%d" % (k, n), k_tree(k, n, seed=n)
+    for n in (3, 5, 8):
+        yield "K%d" % n, complete(n)
+
+
+def test_greedy_equals_reference_first_fit():
+    # first fit passes color 2(delta-1)+1 only where F2 is non-empty; some
+    # case must, or the counters went untested
+    nonempty_f2 = 0
+    for i, (name, g) in enumerate(_reference_cases()):
+        delta = g.max_degree()
+        for r in sorted({1, 2, 3, delta, 2 * delta, 10 ** 6}):
+            expected = _reference_greedy(g, r)
+            assert greedy_color(g, r).color == expected, (name, r)
+            nonempty_f2 += max(expected.values()) > 2 * delta - 1
+        order = g.sorted_edges()
+        Rng(i).shuffle(order)
+        for r in (1, 2):
+            for over in (None, delta + 2):
+                assert greedy_color(g, r, order=order, delta=over).color == (
+                    _reference_greedy(g, r, order=order, delta=over)), (name, r, over)
+    assert nonempty_f2 > 0
 
 
 def test_greedy_k22():

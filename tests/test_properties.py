@@ -1,10 +1,12 @@
 """Property tests over drawn graphs: the DP against brute force, the
+bucket-queue vertex order against a lazy heap, the
 greedy colorer's validity and palette bound under any edge order,
 metamorphic relations of the DP above the oracles' size limit (relabelling,
 growth in r, disjoint unions, vertex deletion, weight scaling), the graph6,
 edge-list and DIMACS round trips, and the CLI's exit codes on arbitrary
 input bytes."""
 
+import heapq
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -33,6 +35,7 @@ from degenmatch import (
 from degenmatch.cli import main
 from degenmatch.formats import parse_dimacs, parse_edge_list
 from degenmatch.generate import interval, k_tree, random_chordal
+from degenmatch.graphs import _min_key_order
 from degenmatch.oracles import DEFAULT_LIMITS, _sub_degeneracy
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -89,6 +92,41 @@ def test_weighted_dp_equals_brute_force(g, r, data):
     assert value == brute_max_weight(g, weights, r)
     assert sum(weights[e] for e in m) == value
     assert m.edges <= g.edges and _sub_degeneracy(g, m.vertices) <= r
+
+
+def _lazy_heap_order(adj, key):
+    """The reference for _min_key_order: one heap of (key, id) entries, a
+    new entry pushed each time a key falls. Keys only fall, so a vertex's
+    newest entry pops before its stale ones, which are skipped as visited."""
+    key = list(key)
+    visited = [False] * len(adj)
+    heap = [(k, v) for v, k in enumerate(key)]
+    heapq.heapify(heap)
+    visits = []
+    while heap:
+        k, v = heapq.heappop(heap)
+        if visited[v]:
+            continue
+        visited[v] = True
+        visits.append((k, v))
+        for w in adj[v]:
+            if not visited[w]:
+                key[w] -= 1
+                heapq.heappush(heap, (key[w], w))
+    return visits
+
+
+@SETTINGS
+@given(graphs(max_n=14), st.data())
+def test_min_key_order_equals_lazy_heap(g, data):
+    # a narrow range gives many ties, a wide one negative keys far apart; the
+    # bucket queue takes O(n + m + max key - min key) bucket steps
+    keys = st.one_of(st.integers(-3, 3), st.integers(-10 ** 4, 10 ** 4))
+    key = data.draw(st.lists(keys, min_size=g.n, max_size=g.n))
+    assert _min_key_order(g.adj, key) == _lazy_heap_order(g.adj, key)
+    degrees = [len(a) for a in g.adj]
+    assert _min_key_order(g.adj, degrees) == _lazy_heap_order(g.adj, degrees)
+    assert _min_key_order(g.adj, [0] * g.n) == _lazy_heap_order(g.adj, [0] * g.n)
 
 
 @SETTINGS
