@@ -1,17 +1,19 @@
 """Bottom-up dynamic program for maximum r-degenerate matchings in chordal graphs.
 
 Tables map a state (S, N) -- N inside S inside the current bag, |S| <= r+1 --
-to the best matching size (or weight) achievable below the node; the
-recursions are monotone in the value, so keeping only the maximum is exact.
+to (value, witness): the best matching size (or weight) achievable below the
+node, and a matching that reaches it, from the first candidate to reach it
+(the recursions are monotone in the value, so keeping the maximum is exact).
 Each handler copies the states it keeps with `dict(child)`, which carries
 their stored hashes, and rehashes only the states that change: the ones an
 introduce adds, and at a forget the ones holding the forgotten vertex.
-The witness is re-derived from these values by a walk down from the root: a
-node takes the first child state (two at a join) whose value its recurrence
-turns into its own, a forget trying keep, drop, then match in N order, a join
-the splits of N in mask order. `solve` then certifies the witness with the
+A witness is a linked structure shared between states: None, (x, y, rest)
+where a forget matches x to y, or (left, right) at a join of two that are
+not None. Introduce, keep and drop reuse the child's (value, witness), and
+no table is read once its parent is built. `solve` re-adds the witness as the
+forward pass did and requires the value exactly, then certifies it with the
 class check of `verify_coloring`: a matching of g whose vertices induce an
-r-degenerate subgraph, of the reported size when unweighted.
+r-degenerate subgraph.
 
 The tables run only when they can matter: unweighted with r >= omega - 1,
 every matching of a chordal graph is r-degenerate, and `solve` returns
@@ -51,13 +53,12 @@ _EMPTY = ((), ())
 
 
 class DPInvariantError(RuntimeError):
-    """The value tables admit no witness, or the witness is not an
-    r-degenerate matching of the reported value; signals an implementation
-    bug."""
+    """The witness is not an r-degenerate matching of g whose weights add up
+    to the reported value; signals an implementation bug."""
 
 
 def dp_leaf():
-    return {_EMPTY: 0}
+    return {_EMPTY: (0, None)}
 
 
 def dp_introduce(child, x, r):
@@ -80,8 +81,9 @@ def dp_forget(child, x, weights=None):
 
     A state avoiding x is kept; a state with x matched (x in N) drops x;
     otherwise x is matched to each y in S' outside N (the bag is a clique, so xy
-    is an edge), adding 1 or weight(xy). Each state keeps its best value; the
-    witness walk tries the cases as keep, drop, then match in N order."""
+    is an edge), adding 1 or weight(xy) and the witness node (x, y, rest).
+    Each state keeps the first case, in that order, that reaches its best
+    value."""
     # the kept states are copied with their stored hashes; only the states
     # holding x are popped, and their cases folded back in by maximum (a
     # folded key never holds x, so it is never one still waiting to be popped)
@@ -100,32 +102,34 @@ def dp_forget(child, x, weights=None):
             i = n.index(x)
             new = (s_minus, n[:i] + n[i + 1:])
             cur = table.get(new)
-            if cur is None or value > cur:
+            if cur is None or value[0] > cur[0]:
                 table[new] = value
             continue
+        v, witness = value
         for y in s_minus:
             if y in n:
                 continue
             new = (s_minus, tuple(sorted(n + (y,))))
-            gained = value + (1 if weights is None else weights.weight(x, y))
+            gained = v + (1 if weights is None else weights.weight(x, y))
             cur = table.get(new)
-            if cur is None or gained > cur:
-                table[new] = gained
+            if cur is None or gained > cur[0]:
+                table[new] = (gained, (x, y, witness))
     return table
 
 
 def dp_join(left, right):
-    """Join node: combine same-S states with disjoint matched sets."""
+    """Join node: combine same-S states with disjoint matched sets; the
+    witness is (left, right), or the one side that is not None."""
     by_s = {}
     for (s, rn), rvalue in right.items():
         by_s.setdefault(s, []).append((rn, rvalue))
     table = {}
-    for (s, ln), lvalue in left.items():
+    for (s, ln), (lvalue, lwitness) in left.items():
         rights = by_s.get(s)
         if rights is None:
             continue
         lset = set(ln) if ln else None
-        for rn, rvalue in rights:
+        for rn, (rvalue, rwitness) in rights:
             # an empty side merges to the other one, with no set and no sort
             if lset is None:
                 n = rn
@@ -138,120 +142,58 @@ def dp_join(left, right):
             key = (s, n)
             value = lvalue + rvalue
             cur = table.get(key)
-            if cur is None or value > cur:
-                table[key] = value
+            if cur is None or value > cur[0]:
+                table[key] = (value, rwitness if lwitness is None else lwitness
+                              if rwitness is None else (lwitness, rwitness))
     return table
 
 
 def run_tables(decomp, r, weights=None):
-    """Compute the table at every decomposition node, children first."""
+    """The root table and the size of the largest table. Nodes run children
+    first, and each child table is dropped once its parent is built, so only
+    the tables whose parents are still to come are held."""
     tables = {}
+    largest = 0
     for t, nd in enumerate(decomp.nodes):
         if nd.kind == "leaf":
-            tables[t] = dp_leaf()
+            table = dp_leaf()
         elif nd.kind == "introduce":
-            tables[t] = dp_introduce(tables[nd.children[0]], nd.vertex, r)
+            table = dp_introduce(tables.pop(nd.children[0]), nd.vertex, r)
         elif nd.kind == "forget":
-            tables[t] = dp_forget(tables[nd.children[0]], nd.vertex, weights)
+            table = dp_forget(tables.pop(nd.children[0]), nd.vertex, weights)
         elif nd.kind == "join":
-            tables[t] = dp_join(tables[nd.children[0]], tables[nd.children[1]])
+            table = dp_join(tables.pop(nd.children[0]), tables.pop(nd.children[1]))
         else:
             raise ValueError("unknown node kind %r" % nd.kind)
-    return tables
+        tables[t] = table
+        largest = max(largest, len(table))
+    return tables[decomp.root], largest
 
 
-def _forget_source(child, key, x, value, weights, pairs):
-    """The child state a forget of x turns into key at value, trying keep,
-    drop, then match with each y in N in N order (a match appends xy to
-    pairs); None if there is none."""
-    if child.get(key) == value:
-        return key
-    s, n = key
-    s_x = tuple(sorted(s + (x,)))
-    ckey = (s_x, tuple(sorted(n + (x,))))
-    if child.get(ckey) == value:
-        return ckey
-    for i, y in enumerate(n):
-        ckey = (s_x, n[:i] + n[i + 1:])
-        cvalue = child.get(ckey)
-        if cvalue is not None and cvalue + (
-                1 if weights is None else weights.weight(x, y)) == value:
-            pairs.append(_norm_edge(x, y))
-            return ckey
-    return None
-
-
-def _join_split(left, right, key, value):
-    """The first split (ln, rn) of key's N, in mask order (bit i of the mask
-    puts N[i] on the left), whose child values add up to value; None if
-    there is none."""
-    s, n = key
-    for mask in range(1 << len(n)):
-        ln = rn = ()
-        bit = 1
-        for v in n:
-            if mask & bit:
-                ln += (v,)
-            else:
-                rn += (v,)
-            bit <<= 1
-        lvalue = left.get((s, ln))
-        if lvalue is not None:
-            rvalue = right.get((s, rn))
-            if rvalue is not None and lvalue + rvalue == value:
-                return ln, rn
-    return None
-
-
-def _reconstruct(decomp, tables, weights=None):
-    """Witness for the root state: each node takes the first candidate whose
-    child values plus gain equal its value (the same additions as the forward
-    pass, so float weights compare exactly), else raises DPInvariantError.
-    Each node's candidates are checked in place, with no per-node generator."""
-    pairs = []
-    stack = [(decomp.root, _EMPTY)]
-    nodes = decomp.nodes
+def _witness_edges(witness, weights=None):
+    """The edges of a witness and its total, re-added as the forward pass
+    added them: a match node adds 1 or weight(x, y) to the total of its rest,
+    a join adds its two sides. Iterative, since the nesting grows with n."""
+    nodes, stack = [], [witness]
     while stack:
-        t, key = stack.pop()
-        nd = nodes[t]
-        value = tables[t][key]
-        if nd.kind == "leaf":
-            if value == 0:
-                continue
-        elif nd.kind == "introduce":
-            c, x = nd.children[0], nd.vertex
-            s, n = key
-            ckey = key
-            if x in s:
-                i = s.index(x)
-                ckey = (s[:i] + s[i + 1:], n)
-            if tables[c].get(ckey) == value:
-                stack.append((c, ckey))
-                continue
-        elif nd.kind == "forget":
-            c = nd.children[0]
-            ckey = _forget_source(tables[c], key, nd.vertex, value, weights, pairs)
-            if ckey is not None:
-                stack.append((c, ckey))
-                continue
-        else:
-            lc, rc = nd.children
-            split = _join_split(tables[lc], tables[rc], key, value)
-            if split is not None:
-                stack.append((lc, (key[0], split[0])))
-                stack.append((rc, (key[0], split[1])))
-                continue
-        raise DPInvariantError("no child state of %s node %r gives %r = %r"
-                               % (nd.kind, t, key, value))
-    try:
-        return Matching(pairs)
-    except ValueError as exc:
-        raise DPInvariantError("witness is not a matching: %s" % exc) from None
+        node = stack.pop()
+        if node is not None:
+            nodes.append(node)
+            stack += node[2:] if len(node) == 3 else node
+    total = {id(None): 0}
+    for node in reversed(nodes):  # each node after the nodes it holds
+        if len(node) == 2:
+            total[id(node)] = total[id(node[0])] + total[id(node[1])]
+        else:  # a pair that is no edge has no weight, and nan fails the check
+            total[id(node)] = total[id(node[2])] + (1 if weights is None else
+                weights.weights.get(_norm_edge(node[0], node[1]), math.nan))
+    return [node[:2] for node in nodes if len(node) == 3], total[id(witness)]
 
 
 @dataclass(frozen=True)
 class DPResult:
-    """value and witness of a solve; path is "dp" when the tables ran and
+    """value and witness of a solve; path is "dp" when the tables ran, with
+    nodes the decomposition's size and max_table its largest table, and
     "matching" when a maximum matching answered, with nodes and max_table 0."""
 
     value: object
@@ -278,19 +220,20 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
     the checked elimination order), every matching is r-degenerate (a
     chordal graph's degeneracy is omega - 1, and so is that of each induced
     subgraph), so a maximum matching is the answer and no decomposition or
-    table is built. Otherwise the DP runs: decompose, fill the tables,
-    reconstruct a witness.
+    table is built. Otherwise the DP runs: decompose, fill the tables, and
+    read the witness carried with the root value.
 
-    Raises NotChordalError on non-chordal input, ValueError for r < 1 or
-    for weights built on another graph, LimitsExceededError, before the
-    decomposition is built, when the DP would run and a bag of omega
-    vertices admits more than max_states states (default MAX_STATES; the
-    cap bounds tables, so it applies to the DP only), and DPInvariantError
-    when the witness is not an r-degenerate matching of g of the reported
-    size (the size is not re-summed when weighted: the walk has already
-    checked the forward pass's own additions exactly)."""
+    Raises NotChordalError on non-chordal input, ValueError for r < 1,
+    max_states < 1 or weights built on another graph, LimitsExceededError,
+    before the decomposition is built, when the DP would run and a bag of
+    omega vertices admits more than max_states states (default MAX_STATES;
+    the cap bounds tables, so it applies to the DP only), and
+    DPInvariantError when the witness is not an r-degenerate matching of g
+    whose total, re-added as the forward pass added it, is the value."""
     if r < 1:
         raise ValueError("r must be a positive integer")
+    if max_states < 1:
+        raise ValueError("max_states must be a positive integer")
     if weights is not None and (
             (weights.graph.n, weights.graph.edges) != (g.n, g.edges)):
         raise ValueError("weights are given for another graph")
@@ -307,17 +250,21 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
                 "%d DP states (largest bag %d, r = %d) exceeds limit %d"
                 % (bound, omega, r, max_states))
         decomp = build_nice_decomposition(g, peo)
-        tables = run_tables(decomp, r, weights)
-        res = DPResult(tables[decomp.root][_EMPTY],
-                       _reconstruct(decomp, tables, weights), len(decomp.nodes),
-                       max(len(t) for t in tables.values()), "dp")
+        root, largest = run_tables(decomp, r, weights)
+        value, witness = root[_EMPTY]
+        edges, total = _witness_edges(witness, weights)
+        try:
+            matching = Matching(edges)
+        except ValueError as exc:
+            raise DPInvariantError("witness is not a matching: %s" % exc) from None
+        if total != value:
+            raise DPInvariantError("witness adds up to %r, value is %r"
+                                   % (total, value))
+        res = DPResult(value, matching, len(decomp.nodes), largest, "dp")
     matching = res.matching
     if not matching.edges <= g.edges:
         raise DPInvariantError("witness edge %s is not an edge of the graph"
                                % (min(matching.edges - g.edges),))
-    if weights is None and len(matching) != res.value:
-        raise DPInvariantError("witness has %d edges, value is %r"
-                               % (len(matching), res.value))
     if not _is_r_degenerate(g, matching.vertices, r):
         raise DPInvariantError(
             "witness induces a subgraph that is not %d-degenerate" % r)

@@ -105,10 +105,11 @@ def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("line %d: expected 'u v'" % lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("line %d: non-integer vertex id" % lineno) from None
+        # int() alone also reads '1_0' as 10, signs and non-ASCII digits
+        u, v = parts
+        if not (line.isascii() and u.isdigit() and v.isdigit()):
+            raise ParseError("line %d: non-integer vertex id" % lineno)
+        u, v = int(u), int(v)
         if u < 1 or v < 1:
             raise ParseError("line %d: vertex ids are 1-based" % lineno)
         if u == v:
@@ -135,12 +136,10 @@ def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
             continue
         parts = line.split()
         if parts[0] == "p":
-            if n is not None or len(parts) != 4 or parts[1] not in ("edge", "col"):
+            if (n is not None or len(parts) != 4 or parts[1] not in ("edge", "col")
+                    or not (line.isascii() and (parts[2] + parts[3]).isdigit())):
                 raise ParseError("line %d: bad problem line" % lineno)
-            try:
-                n, declared_m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("line %d: bad problem line" % lineno) from None
+            n, declared_m = int(parts[2]), int(parts[3])
             _check_size(n, declared_m, max_vertices, max_edges)
         elif parts[0] == "e":
             if n is None:
@@ -150,10 +149,10 @@ def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
             if len(edges) == declared_m:
                 raise ParseError("line %d: more edges than the %d the header declares"
                                  % (lineno, declared_m))
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("line %d: non-integer vertex id" % lineno) from None
+            u, v = parts[1:]
+            if not (line.isascii() and u.isdigit() and v.isdigit()):
+                raise ParseError("line %d: non-integer vertex id" % lineno)
+            u, v = int(u), int(v)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError("line %d: vertex id out of range" % lineno)
             if u == v:

@@ -23,7 +23,28 @@ def dp_value(g, r):
     """The DP's root value for nu_r, whichever path solve takes: solve answers
     r >= omega - 1 with a maximum matching, and the DP is its reference."""
     decomp = build_nice_decomposition(g, mcs_order(g))
-    return dp.run_tables(decomp, r)[decomp.root][dp._EMPTY]
+    return dp.run_tables(decomp, r)[0][dp._EMPTY][0]
+
+
+def node_table(nd, kids, r, weights=None):
+    """The table of decomposition node nd, built from its children's tables."""
+    if nd.kind == "leaf":
+        return dp.dp_leaf()
+    if nd.kind == "introduce":
+        return dp.dp_introduce(kids[0], nd.vertex, r)
+    if nd.kind == "forget":
+        return dp.dp_forget(kids[0], nd.vertex, weights)
+    return dp.dp_join(*kids)
+
+
+def all_tables(decomp, r, weights=None):
+    """Every node's table, children first. run_tables keeps only the tables
+    whose parents are still to come; the tests that read inner tables keep
+    them all here."""
+    tables = {}
+    for t, nd in enumerate(decomp.nodes):
+        tables[t] = node_table(nd, [tables[c] for c in nd.children], r, weights)
+    return tables
 
 
 def random_matching(g, rng):
@@ -103,9 +124,9 @@ def order_corpus():
 
 
 
-# Wrong DP recurrences whose tables and witness walk still agree with each
-# other, so only a check of the witness itself can catch them. Both graphs
-# hold a triangle, so at r = 1 < omega - 1 solve runs the DP.
+# Wrong DP recurrences that still fill consistent tables and carry a witness
+# with each value, so only a check of the witness itself can catch them. Both
+# graphs hold a triangle, so at r = 1 < omega - 1 solve runs the DP.
 DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 # the star K_{1,3} with an edge between two leaves
 PAW = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
@@ -123,24 +144,31 @@ def introduce_one_too_many(child, x, r):
 def join_overlapping(left, right):
     """dp_join that lets both sides match the same bag vertex."""
     table = {}
-    for (s, ln), lvalue in left.items():
-        for (rs, rn), rvalue in right.items():
+    for (s, ln), (lvalue, lwitness) in left.items():
+        for (rs, rn), (rvalue, rwitness) in right.items():
             key = (s, tuple(sorted(set(ln) | set(rn))))
             cur = table.get(key)
-            if rs == s and (cur is None or lvalue + rvalue > cur):
-                table[key] = lvalue + rvalue
+            if rs == s and (cur is None or lvalue + rvalue > cur[0]):
+                table[key] = (lvalue + rvalue, (lwitness, rwitness))
     return table
 
 
-def split_overlapping(join_split):
-    """The witness walk's join split to go with join_overlapping: a state
-    goes to both children whole when their values add up."""
-    def split(left, right, key, value):
-        lvalue, rvalue = left.get(key), right.get(key)
-        if lvalue is not None and rvalue is not None and lvalue + rvalue == value:
-            return key[1], key[1]
-        return join_split(left, right, key, value)
-    return split
+def forget_unrecorded_match(child, x, weights=None):
+    """dp_forget whose match case adds the gain but keeps the child's witness."""
+    table = {}
+    for (s, n), (value, witness) in child.items():
+        s_minus = tuple(v for v in s if v != x)
+        if x not in s or x in n:
+            cases = [((s_minus, tuple(v for v in n if v != x)), value)]
+        else:
+            cases = [((s_minus, tuple(sorted(n + (y,)))),
+                      value + (1 if weights is None else weights.weight(x, y)))
+                     for y in s_minus if y not in n]
+        for key, gained in cases:
+            cur = table.get(key)
+            if cur is None or gained > cur[0]:
+                table[key] = (gained, witness)
+    return table
 
 
 # name -> (graph, dp attributes to replace, DPInvariantError message); each
@@ -150,8 +178,9 @@ WRONG_RECURRENCES = {
     # diamond
     "introduce": (DIAMOND, {"dp_introduce": introduce_one_too_many},
                   "not 1-degenerate"),
-    # leaves of PAW matched to the centre: the walk's pairs share it
-    "join": (PAW, {"dp_join": join_overlapping,
-                    "_join_split": split_overlapping(dp._join_split)},
-             "not a matching"),
+    # leaves of PAW matched to the centre: the two sides' edges share it
+    "join": (PAW, {"dp_join": join_overlapping}, "not a matching"),
+    # the value counts an edge the witness does not hold
+    "forget": (PAW, {"dp_forget": forget_unrecorded_match},
+               "witness adds up to 0, value is 1"),
 }

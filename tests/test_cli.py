@@ -52,13 +52,14 @@ def test_nur_p6(tmp_path, capsys):
 
 
 def test_nur_inconsistent_tables_exit_internal(tmp_path, capsys, monkeypatch):
-    # a DP table whose root value no child state explains is an internal error
+    # a root value that its witness does not add up to is an internal error
     run_tables = dp.run_tables
 
     def corrupted(decomp, r, weights=None):
-        tables = run_tables(decomp, r, weights)
-        tables[decomp.root][((), ())] += 1
-        return tables
+        root, largest = run_tables(decomp, r, weights)
+        value, witness = root[((), ())]
+        root[((), ())] = (value + 1, witness)
+        return root, largest
 
     monkeypatch.setattr(dp, "run_tables", corrupted)
     # a 2-tree has omega = 3, so r = 1 runs the DP
@@ -239,8 +240,9 @@ def test_size_cap_exits_limits(tmp_path, capsys, text, flags, message):
      3, "parse error: line 3: more edges than the 1 the header declares\n"),
     ("p edge x 1\n", [], 3, "parse error: line 1: bad problem line\n"),
     ("p edge 2 1\ne 1 y\n", [], 3, "parse error: line 2: non-integer vertex id\n"),
+    ("1 2\n1_0 2\n", [], 3, "parse error: line 2: non-integer vertex id\n"),
 ], ids=["edgelist-edges", "edgelist-id", "dimacs-extra-edge", "dimacs-n-not-int",
-        "dimacs-id-not-int"])
+        "dimacs-id-not-int", "edgelist-id-underscore"])
 def test_parsers_stop_at_the_first_bad_line(tmp_path, capsys, text, flags, code,
                                             err):
     # an edge list or DIMACS file is rejected at the first line that passes a
@@ -310,6 +312,37 @@ def test_nur_max_states_exits_limits(tmp_path, capsys):
                        "--max-states", "1")
     assert code == 0 and report["results"]["nu_r"] == 2
     assert report["results"]["stats"]["path"] == "matching"
+
+
+@pytest.mark.parametrize("r", ["2", "4"], ids=["dp", "matching"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nur_max_states_below_one_is_invalid(tmp_path, capsys, r, cap):
+    # solve checks the cap before choosing a path, so both paths refuse it
+    code = main(["nur", "--input", write_graph(tmp_path, complete(5)), "--r", r,
+                 "--max-states", cap])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "invalid input: max_states must be a positive integer\n")
+
+
+def test_nur_dp_memory_is_bounded_by_the_live_tables(tmp_path):
+    # only the tables whose parents are still to come are held: at r = 2 on
+    # interval(80, 1) the child runs under a 192 MB address-space limit,
+    # which keeping every table overran (exit 4, out of memory)
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (192 << 20, 192 << 20))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "degenmatch.cli", "nur", "--input",
+         write_graph(tmp_path, interval(80, seed=1)), "--r", "2",
+         "--emit-matching"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)["results"]
+    assert res["nu_r"] == 9 and len(res["matching"]) == 9
+    assert res["stats"]["path"] == "dp"
 
 
 @pytest.mark.parametrize("text, value, limit_s", [

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from degenmatch.graphs import LimitsExceededError, _norm_edge, max_matching
+from degenmatch.graphs import LimitsExceededError, max_matching
 
 from degenmatch import chordal, dp
 from degenmatch import (
@@ -19,7 +21,6 @@ from degenmatch.chordal import build_nice_decomposition, mcs_order
 from degenmatch.dp import (
     DPInvariantError,
     _EMPTY,
-    _reconstruct,
     _state_bound,
     dp_forget,
     dp_introduce,
@@ -38,24 +39,34 @@ from degenmatch.generate import (
 )
 from degenmatch.oracles import _sub_degeneracy
 
-from conftest import PAW, WRONG_RECURRENCES, dp_value
+from conftest import PAW, WRONG_RECURRENCES, all_tables, dp_value, node_table
+
+
+def _values(table):
+    """A table's values without their witnesses."""
+    return {key: value for key, (value, _) in table.items()}
+
+
+def _table(values):
+    """A table holding values, each with the empty witness."""
+    return {key: (value, None) for key, value in values.items()}
 
 
 def test_dp_leaf():
     t = dp_leaf()
-    assert t == {((), ()): 0}
+    assert _values(t) == {((), ()): 0}
     assert dp_leaf() == t  # recomputation identical
 
 
 def test_dp_introduce_both_cases():
     child = dp_leaf()
-    t = dp_introduce(child, 5, 2)
+    t = _values(dp_introduce(child, 5, 2))
     assert set(t) == {((), ()), ((5,), ())}
     assert t[((5,), ())] == 0
 
 
 def test_dp_introduce_size_guard():
-    child = {((1, 2), ()): 0}
+    child = _table({((1, 2), ()): 0})
     t = dp_introduce(child, 3, 1)
     # |S'| = 2 > r = 1, so no augmented copy
     assert set(t) == {((1, 2), ())}
@@ -63,35 +74,54 @@ def test_dp_introduce_size_guard():
 
 def test_dp_forget_cases():
     # downward-closed child table over bag {x=1, y=2}
-    child = {((), ()): 0, ((1,), ()): 0, ((2,), ()): 0, ((1, 2), ()): 0}
-    t = dp_forget(child, 1)
+    child = _table({((), ()): 0, ((1,), ()): 0, ((2,), ()): 0, ((1, 2), ()): 0})
+    t = _values(dp_forget(child, 1))
     assert t[((), ())] == 0
     assert t[((2,), ())] == 0
     assert t[((2,), (2,))] == 1
 
 
 def test_dp_forget_drop_case():
-    child = {((1,), (1,)): 3}
-    t = dp_forget(child, 1)
+    child = _table({((1,), (1,)): 3})
+    t = _values(dp_forget(child, 1))
     assert t == {((), ()): 3}
 
 
 def test_dp_forget_weighted():
     w = WeightedGraph(Graph(3, [(1, 2)]), {(1, 2): 5})
-    child = {((1, 2), ()): 0}
-    t = dp_forget(child, 1, weights=w)
+    child = _table({((1, 2), ()): 0})
+    t = _values(dp_forget(child, 1, weights=w))
     assert t[((2,), (2,))] == 5
 
 
 def test_dp_join():
-    assert dp_join(dp_leaf(), dp_leaf()) == {((), ()): 0}
-    left = {((7,), (7,)): 1}
-    right = {((7,), (7,)): 1}
+    assert _values(dp_join(dp_leaf(), dp_leaf())) == {((), ()): 0}
+    left = _table({((7,), (7,)): 1})
+    right = _table({((7,), (7,)): 1})
     assert dp_join(left, right) == {}  # N sets overlap
-    left = {((7, 8), (7,)): 1}
-    right = {((7, 8), (8,)): 2}
-    t = dp_join(left, right)
+    left = _table({((7, 8), (7,)): 1})
+    right = _table({((7, 8), (8,)): 2})
+    t = _values(dp_join(left, right))
     assert t[((7, 8), (7, 8))] == 3
+
+
+def test_witness_is_carried_forward():
+    # a match node records its pair over the child's witness, introduce and
+    # keep reuse the child's (value, witness) object, and a join pairs two
+    # witnesses or passes the one that is not None
+    child = {((1, 2), ()): (0, None), ((2,), (2,)): (4, ("a",))}
+    t = dp_forget(child, 1)
+    assert t[((2,), (2,))] == (4, ("a",))  # the kept state beats the match
+    child[((2,), (2,))] = (0, None)
+    t = dp_forget(child, 1)
+    assert t[((2,), (2,))] == (1, (1, 2, None))
+    assert dp_introduce(t, 3, 2)[((2, 3), (2,))] is t[((2,), (2,))]
+    left = {((7, 8), (7,)): (1, ("l",)), ((7, 8), ()): (0, None)}
+    right = {((7, 8), (8,)): (2, ("r",)), ((7, 8), ()): (0, None)}
+    t = dp_join(left, right)
+    assert t[((7, 8), (7, 8))] == (3, (("l",), ("r",)))
+    assert t[((7, 8), (7,))] == (1, ("l",))
+    assert t[((7, 8), (8,))] == (2, ("r",))
 
 
 def test_nu_r_examples():
@@ -126,17 +156,17 @@ def test_state_bound_and_downward_closure():
         g = random_chordal(10, seed)
         decomp = build_nice_decomposition(g, mcs_order(g))
         for r in (1, 2):
-            tables = run_tables(decomp, r)
+            tables = all_tables(decomp, r)
             for t, table in tables.items():
                 bag = set(decomp.nodes[t].bag)
-                for (s, n), value in table.items():
+                for (s, n), (value, _) in table.items():
                     assert set(n) <= set(s) <= bag
                     assert len(s) <= r + 1
                     # shrinking S outside N keeps a state with >= value
                     for drop in set(s) - set(n):
                         smaller = tuple(x for x in s if x != drop)
                         assert (smaller, n) in table
-                        assert table[(smaller, n)] >= value
+                        assert table[(smaller, n)][0] >= value
             assert set(tables[decomp.root]) == {((), ())}
 
 
@@ -147,13 +177,13 @@ def test_tables_match_full_state_enumeration():
         g = random_chordal(6, seed)
         decomp = build_nice_decomposition(g, mcs_order(g))
         for r in (1, 2):
-            tables = run_tables(decomp, r)
+            tables = all_tables(decomp, r)
             for t in range(len(decomp.nodes)):
                 literal = brute_degenerate_states(g, decomp, r, t)
                 best = {}
                 for s, n, k in literal:
                     best[(s, n)] = max(best.get((s, n), -1), k)
-                assert tables[t] == best
+                assert _values(tables[t]) == best
 
 
 def test_monotone_in_r_and_delta_collapse():
@@ -188,63 +218,10 @@ def test_witness_valid_over_wide_bags():
                 assert _sub_degeneracy(g, m.vertices) <= r
 
 
-def _reference_candidates(nd, key, weights):
-    """(child keys, gain, witness edges) for each way the recurrence of node
-    nd can produce state key, in the order the witness walk tries them."""
-    s, n = key
-    if nd.kind == "leaf":
-        yield (), 0, ()
-    elif nd.kind == "introduce":
-        yield ((tuple(v for v in s if v != nd.vertex), n),), 0, ()
-    elif nd.kind == "forget":
-        x = nd.vertex
-        s_x = tuple(sorted(s + (x,)))
-        yield (key,), 0, ()
-        yield ((s_x, tuple(sorted(n + (x,)))),), 0, ()
-        for y in n:
-            gain = 1 if weights is None else weights.weight(x, y)
-            yield ((s_x, tuple(v for v in n if v != y)),), gain, (_norm_edge(x, y),)
-    else:
-        for mask in range(1 << len(n)):
-            ln = tuple(v for i, v in enumerate(n) if mask >> i & 1)
-            yield ((s, ln), (s, tuple(v for v in n if v not in ln))), 0, ()
-
-
-def _reference_reconstruct(decomp, tables, weights=None):
-    """The witness walk written from the candidate lists: the reference that
-    dp._reconstruct, which checks each node's candidates in place, must match."""
-    pairs = []
-    stack = [(decomp.root, _EMPTY)]
-    while stack:
-        t, key = stack.pop()
-        nd = decomp.nodes[t]
-        for ckeys, gain, edges in _reference_candidates(nd, key, weights):
-            values = [tables[c].get(k) for c, k in zip(nd.children, ckeys)]
-            if None not in values and sum(values) + gain == tables[t][key]:
-                break
-        else:
-            raise DPInvariantError("no child state of %s node %r gives %r = %r"
-                                   % (nd.kind, t, key, tables[t][key]))
-        pairs.extend(edges)
-        stack.extend(zip(nd.children, ckeys))
-    return Matching(pairs)
-
-
-def test_witness_equals_reference_walk():
-    for g, rs, s in _witness_corpus():
-        rng = Rng(s)
-        wg = WeightedGraph(g, {e: rng.randbelow(9) - 2 for e in g.sorted_edges()})
-        decomp = build_nice_decomposition(g, mcs_order(g))
-        for r in rs:
-            for weights in (None, wg):
-                tables = run_tables(decomp, r, weights)
-                assert (_reconstruct(decomp, tables, weights)
-                        == _reference_reconstruct(decomp, tables, weights))
-
-
 def test_handlers_leave_child_tables_unchanged():
-    # a handler copies its child table and must not edit the child itself;
-    # its parent, or the witness walk, reads the child again
+    # a handler copies its child table and must not edit the child itself:
+    # the tables of all_tables, and the tests reading them, must be the ones
+    # each node's handler built
     for s in range(12):
         g = interval(12 + s, s)
         wg = WeightedGraph(g, {e: 1 + e[0] % 3 for e in g.sorted_edges()})
@@ -254,16 +231,11 @@ def test_handlers_leave_child_tables_unchanged():
             for t, nd in enumerate(decomp.nodes):
                 kids = [tables[c] for c in nd.children]
                 before = [list(k.items()) for k in kids]
-                if nd.kind == "leaf":
-                    tables[t] = dp_leaf()
-                elif nd.kind == "introduce":
-                    tables[t] = dp_introduce(kids[0], nd.vertex, r)
-                elif nd.kind == "forget":
-                    tables[t] = dp_forget(kids[0], nd.vertex, weights)
-                else:
-                    tables[t] = dp_join(*kids)
+                tables[t] = node_table(nd, kids, r, weights)
                 assert [list(k.items()) for k in kids] == before
-            assert tables == run_tables(decomp, r, weights)
+            assert tables == all_tables(decomp, r, weights)
+            largest = max(map(len, tables.values()))
+            assert run_tables(decomp, r, weights) == (tables[decomp.root], largest)
 
 
 def test_state_bound():
@@ -277,7 +249,7 @@ def test_state_bound():
         decomp = build_nice_decomposition(g, mcs_order(g))
         for r in (1, 2):
             bound = _state_bound(decomp.max_bag_size(), r)
-            assert max(len(t) for t in run_tables(decomp, r).values()) <= bound
+            assert max(len(t) for t in all_tables(decomp, r).values()) <= bound
 
 
 def test_solve_max_states(monkeypatch):
@@ -300,6 +272,14 @@ def test_solve_max_states(monkeypatch):
         with pytest.raises(LimitsExceededError) as exc:
             call()
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_solve_rejects_max_states_below_one(cap):
+    # on the DP path (r = 2 < omega - 1 = 4) and the matching path alike
+    for r in (2, 4):
+        with pytest.raises(ValueError, match="max_states must be a positive"):
+            solve(complete(5), r, max_states=cap)
 
 
 def test_max_matching_equals_dp_at_omega_minus_one():
@@ -326,19 +306,33 @@ def test_solve_takes_the_matching_path_exactly_when_r_reaches_omega_minus_one():
             assert solve(g, r, weights=unit).path == "dp"
 
 
-@pytest.mark.parametrize("where", ["root", "leaves"])
-def test_reconstruct_rejects_inconsistent_tables(where):
+@pytest.mark.parametrize("where", ["root", "weighted-root", "leaves"])
+def test_certificate_rejects_inconsistent_values(monkeypatch, where):
+    # the certificate re-adds the witness exactly, so a root value off by the
+    # smallest step a float allows is caught, and so are leaves that start
+    # above 0 (every value then counts more than its witness holds)
     g = interval(14, seed=3)
-    decomp = build_nice_decomposition(g, mcs_order(g))
-    tables = run_tables(decomp, 2)
-    if where == "root":
-        tables[decomp.root][((), ())] += 1
-    else:  # every leaf lies on the walk
-        for t, nd in enumerate(decomp.nodes):
-            if nd.kind == "leaf":
-                tables[t][((), ())] = 1
-    with pytest.raises(DPInvariantError):
-        _reconstruct(decomp, tables)
+    rng = Rng(3)
+    weights = None
+    if where == "weighted-root":
+        weights = WeightedGraph(g, {e: rng.randbelow(10 ** 6) / 997
+                                    for e in g.sorted_edges()})
+    solve(g, 2, weights=weights)
+    if where == "leaves":
+        monkeypatch.setattr(dp, "dp_leaf", lambda: {_EMPTY: (1, None)})
+    else:
+        run = dp.run_tables
+
+        def corrupted(decomp, r, weights=None):
+            root, largest = run(decomp, r, weights)
+            v, witness = root[_EMPTY]
+            root[_EMPTY] = (math.nextafter(v, math.inf) if weights else v + 1,
+                            witness)
+            return root, largest
+
+        monkeypatch.setattr(dp, "run_tables", corrupted)
+    with pytest.raises(DPInvariantError, match="^witness adds up to "):
+        solve(g, 2, weights=weights)
 
 
 @pytest.mark.parametrize("kind", sorted(WRONG_RECURRENCES))
@@ -352,13 +346,46 @@ def test_solve_rejects_wrong_recurrence(monkeypatch, kind):
 
 
 def test_solve_certifies_witness_edges_and_size(monkeypatch):
-    # nu_1(PAW) = 1, on the DP (omega = 3): a walk that hands back a
+    # nu_1(PAW) = 1, on the DP (omega = 3): a root witness that holds a
     # non-edge, or too few edges, is caught before the result leaves solve
-    for witness, problem in (([(1, 3)], "not an edge"), ([], "0 edges")):
-        monkeypatch.setattr(dp, "_reconstruct",
-                            lambda *args, w=witness: Matching(w))
+    for witness, problem in (((1, 3, None), "not an edge"),
+                             (None, "adds up to 0, value is 1")):
+        monkeypatch.setattr(dp, "run_tables",
+                            lambda *args, w=witness: ({_EMPTY: (1, w)}, 1))
         with pytest.raises(DPInvariantError, match=problem):
             solve(PAW, 1)
+    # a weighted non-edge has no weight to re-add, and is still reported
+    monkeypatch.setattr(dp, "run_tables", lambda *args: ({_EMPTY: (1, (1, 3, None))}, 1))
+    with pytest.raises(DPInvariantError, match="adds up to nan"):
+        solve(PAW, 1, weights=WeightedGraph(PAW, dict.fromkeys(PAW.edges, 1)))
+
+
+def test_weighted_solve_rejects_unrecorded_match(monkeypatch):
+    # the forget mutant's value counts a weight its witness does not hold
+    g = interval(14, seed=3)
+    wg = WeightedGraph(g, {e: 1 + e[0] % 3 for e in g.sorted_edges()})
+    assert solve(g, 2, weights=wg).value > 0
+    monkeypatch.setattr(dp, "dp_forget", WRONG_RECURRENCES["forget"][1]["dp_forget"])
+    with pytest.raises(DPInvariantError, match="witness adds up to 0, value is"):
+        solve(g, 2, weights=wg)
+
+
+def test_float_weights_certify_exactly():
+    # solve re-adds the witness in the forward pass's own order and requires
+    # the DP value exactly; a flat sum over the edges differs in its last
+    # bits on some of these graphs
+    flat_differs = 0
+    for s in range(40):
+        g = interval(12 + s % 20, s)
+        rng = Rng(s)
+        wg = WeightedGraph(g, {e: rng.randbelow(10 ** 6) / 997
+                               for e in g.sorted_edges()})
+        for r in (1, 2):
+            res = solve(g, r, weights=wg)
+            flat = sum(wg.weights[e] for e in res.matching)
+            assert math.isclose(flat, res.value)
+            flat_differs += flat != res.value
+    assert flat_differs > 0
 
 
 def test_weighted_p4():

@@ -144,6 +144,19 @@ def test_edge_list():
         parse_edge_list("0 2\n")
 
 
+@pytest.mark.parametrize("ids", ["1_0 2", "\u0661 \u0662", "+1 2", "1 \uff12"],
+                         ids=["underscore", "arabic-indic", "sign", "fullwidth"])
+def test_vertex_ids_are_ascii_decimal_digits(ids):
+    # int() reads all of these ('1_0' as 10); a parser must not
+    with pytest.raises(ParseError, match="^line 2: non-integer vertex id$"):
+        parse_edge_list("3 4\n%s\n" % ids)
+    with pytest.raises(ParseError, match="^line 2: non-integer vertex id$"):
+        parse_dimacs("p edge 12 1\ne %s\n" % ids)
+    # the problem line's counts follow the same rule
+    with pytest.raises(ParseError, match="^line 1: bad problem line$"):
+        parse_dimacs("p edge %s\n" % ids)
+
+
 def test_dimacs():
     assert parse_dimacs("p edge 2 1\ne 1 2\n") == Graph(2, [(0, 1)])
     with pytest.raises(ParseError):
