@@ -17,7 +17,7 @@ from .chordal import (
     mcs_order,
     validate_decomposition,
 )
-from .dp import WeightedGraph, nu_r, nu_r_weighted, solve
+from .dp import solve
 from .coloring import (
     ColoringInvariantError,
     EdgeColoring,
@@ -42,7 +42,7 @@ __all__ = [
     "EliminationOrder", "NiceTreeDecomposition", "NotChordalError",
     "build_nice_decomposition", "is_chordal", "mcs_order",
     "validate_decomposition",
-    "WeightedGraph", "nu_r", "nu_r_weighted", "solve",
+    "solve",
     "ColoringInvariantError", "EdgeColoring", "greedy_color",
     "palette_size", "verify_coloring",
     "LimitsExceededError", "OracleLimits", "brute_chromatic_index",

@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from . import __version__
 from .chordal import NotChordalError, is_chordal
 from .coloring import ColoringInvariantError, greedy_color, verify_coloring
-from .dp import MAX_STATES, DPInvariantError, WeightedGraph, solve
+from .dp import MAX_STATES, DPInvariantError, solve
 from .formats import MAX_EDGES, MAX_VERTICES, ParseError, load_graph, serialize_graph6
 from .generate import FAMILIES, GeneratorSpec, Rng, generate
 from .graphs import _norm_edge
@@ -59,7 +59,7 @@ def _emit_report(command, input_text, results, started):
     sys.stdout.write(json.dumps(report) + "\n")
 
 
-def _load_weights(path, g):
+def _load_weights(path):
     with open(path) as fh:
         entries = json.load(fh)
     # type(...) is int: JSON true/false load as bools, which are ints too
@@ -73,13 +73,13 @@ def _load_weights(path, g):
         if e in weights:
             raise ValueError("edge %s listed twice in the weights file" % (e,))
         weights[e] = w
-    return WeightedGraph(g, weights)
+    return weights
 
 
 # Each handler gets the parsed arguments and the input graph (None for the
 # commands without --input) and returns the report's results.
 def cmd_nur(args, g):
-    weights = _load_weights(args.weights, g) if args.weights else None
+    weights = _load_weights(args.weights) if args.weights else None
     res = solve(g, args.r, weights=weights, max_states=args.max_states)
     results = {
         "nu_r": res.value,
@@ -145,36 +145,41 @@ def cmd_check_chordal(args, g):
     return {"chordal": is_chordal(g)}
 
 
-def _bench_task(task):
-    inst, r = task
+def _bench_task(inst):
+    """One (row, agreement) pair per r of an instance; the graph is built and
+    the variants, which take no r, are searched once for all of them."""
+    name = inst.get("id")
     spec = GeneratorSpec(inst.get("family"), inst.get("params", {}),
                          inst.get("seed", 0))
     try:
         g = generate(spec)
     except ValueError as exc:
-        raise ValueError("instance %r: %s" % (inst.get("id"), exc)) from None
-    row = {"graph-id": inst.get("id", inst["family"]), "n": g.n, "m": g.m,
-           "delta": g.max_degree(), "r": r}
-    agree = {"dp_oracle": None, "palette": None}
-    try:
-        row["nu_r"] = solve(g, r).value
-    except NotChordalError:
-        pass
-    except LimitsExceededError as exc:
-        raise LimitsExceededError("instance %r: %s" % (inst.get("id"), exc)) from None
-    else:
-        if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= DEFAULT_LIMITS.max_edges:
-            agree["dp_oracle"] = brute_nu_r(g, r) == row["nu_r"]
-    if g.m <= 12:
-        row["chi_r"] = brute_chromatic_index_r(g, r)
+        raise ValueError("instance %r: %s" % (name, exc)) from None
+    base = {"graph-id": inst.get("id", inst["family"]), "n": g.n, "m": g.m,
+            "delta": g.max_degree()}
     if g.n <= 10 and g.m <= DEFAULT_LIMITS.max_edges:
-        nu_s, nu_1, nu_ur, nu = brute_nu_variants(g)
-        row.update({"nu_s": nu_s, "nu_1": nu_1, "nu_ur": nu_ur, "nu": nu})
-    if g.m:
-        coloring = greedy_color(g, r)
-        ok, _ = verify_coloring(g, coloring, r)
-        agree["palette"] = ok and coloring.max_color() <= coloring.k
-    return row, agree
+        base.update(zip(("nu_s", "nu_1", "nu_ur", "nu"), brute_nu_variants(g)))
+    outcomes = []
+    for r in inst.get("r", [1]):
+        row = dict(base, r=r)
+        agree = {"dp_oracle": None, "palette": None}
+        try:
+            row["nu_r"] = solve(g, r).value
+        except NotChordalError:
+            pass
+        except LimitsExceededError as exc:
+            raise LimitsExceededError("instance %r: %s" % (name, exc)) from None
+        else:
+            if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= DEFAULT_LIMITS.max_edges:
+                agree["dp_oracle"] = brute_nu_r(g, r) == row["nu_r"]
+        if g.m <= 12:
+            row["chi_r"] = brute_chromatic_index_r(g, r)
+        if g.m:
+            coloring = greedy_color(g, r)
+            ok, _ = verify_coloring(g, coloring, r)
+            agree["palette"] = ok and coloring.max_color() <= coloring.k
+        outcomes.append((row, agree))
+    return outcomes
 
 
 def write_survey_csv(rows, fileobj):
@@ -194,7 +199,6 @@ def cmd_bench(args, _):
     if not (isinstance(suite, dict) and isinstance(suite.get("instances"), list)
             and all(isinstance(inst, dict) for inst in suite["instances"])):
         raise ValueError("suite needs an 'instances' list of JSON objects")
-    tasks = []
     for inst in suite["instances"]:
         rs, params = inst.get("r", [1]), inst.get("params", {})
         checks = (
@@ -210,17 +214,17 @@ def cmd_bench(args, _):
         for ok, message in checks:
             if not ok:
                 raise ValueError("instance %r: %s" % (inst.get("id"), message))
-        tasks.extend((inst, r) for r in rs)
     # the output is opened before any instance runs, so a path that cannot
     # be written fails at once instead of after the whole suite
     with open(args.out, "w", newline="") if args.out else nullcontext() as out:
         # the pool forks all its workers at once, so start no more than can run
-        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        workers = min(args.jobs, len(suite["instances"]), os.cpu_count() or 1)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_bench_task, tasks))
+                per_instance = list(pool.map(_bench_task, suite["instances"]))
         else:
-            outcomes = [_bench_task(t) for t in tasks]
+            per_instance = map(_bench_task, suite["instances"])
+        outcomes = [o for rows in per_instance for o in rows]
         rows = [row for row, _ in outcomes]
         if out is not None:
             write_survey_csv(rows, out)

@@ -27,28 +27,6 @@ from .coloring import _is_r_degenerate
 from .graphs import LimitsExceededError, Matching, _norm_edge, max_matching
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    graph: object
-    weights: dict  # edge (u, v) with u < v -> number
-
-    def __post_init__(self):
-        missing = self.graph.edges - set(self.weights)
-        if missing:
-            raise ValueError("missing weight for edges %s" % sorted(missing))
-        extra = set(self.weights) - self.graph.edges
-        if extra:
-            raise ValueError("weight given for non-edges %s" % sorted(extra))
-        # abs(w) < inf rejects NaN and infinities; math.isfinite overflows on big ints
-        for e, w in sorted(self.weights.items()):
-            if (isinstance(w, bool) or not isinstance(w, (int, float))
-                    or not abs(w) < math.inf):
-                raise ValueError("weight %r of edge %s is not a finite number" % (w, e))
-
-    def weight(self, u, v):
-        return self.weights[_norm_edge(u, v)]
-
-
 _EMPTY = ((), ())
 
 
@@ -81,7 +59,7 @@ def dp_forget(child, x, weights=None):
 
     A state avoiding x is kept; a state with x matched (x in N) drops x;
     otherwise x is matched to each y in S' outside N (the bag is a clique, so xy
-    is an edge), adding 1 or weight(xy) and the witness node (x, y, rest).
+    is an edge), adding 1 or the weight of xy and the witness node (x, y, rest).
     Each state keeps the first case, in that order, that reaches its best
     value."""
     # the kept states are copied with their stored hashes; only the states
@@ -110,7 +88,7 @@ def dp_forget(child, x, weights=None):
             if y in n:
                 continue
             new = (s_minus, tuple(sorted(n + (y,))))
-            gained = v + (1 if weights is None else weights.weight(x, y))
+            gained = v + (1 if weights is None else weights[_norm_edge(x, y)])
             cur = table.get(new)
             if cur is None or gained > cur[0]:
                 table[new] = (gained, (x, y, witness))
@@ -172,7 +150,7 @@ def run_tables(decomp, r, weights=None):
 
 def _witness_edges(witness, weights=None):
     """The edges of a witness and its total, re-added as the forward pass
-    added them: a match node adds 1 or weight(x, y) to the total of its rest,
+    added them: a match node adds 1 or the weight of xy to the total of its rest,
     a join adds its two sides. Iterative, since the nesting grows with n."""
     nodes, stack = [], [witness]
     while stack:
@@ -186,7 +164,7 @@ def _witness_edges(witness, weights=None):
             total[id(node)] = total[id(node[0])] + total[id(node[1])]
         else:  # a pair that is no edge has no weight, and nan fails the check
             total[id(node)] = total[id(node[2])] + (1 if weights is None else
-                weights.weights.get(_norm_edge(node[0], node[1]), math.nan))
+                weights.get(_norm_edge(node[0], node[1]), math.nan))
     return [node[:2] for node in nodes if len(node) == 3], total[id(witness)]
 
 
@@ -214,7 +192,9 @@ def _state_bound(bag_size, r):
 
 
 def solve(g, r, weights=None, max_states=MAX_STATES):
-    """Full pipeline: recognize, then answer, then certify the witness.
+    """nu_r of a chordal graph g with a witness, or with weights (a dict from
+    each edge (u, v), u < v, of g to a finite int or float) the maximum
+    weight: check the input, recognize, answer, then certify the witness.
 
     When unweighted and r >= omega - 1 (omega the clique number, read from
     the checked elimination order), every matching is r-degenerate (a
@@ -223,20 +203,32 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
     table is built. Otherwise the DP runs: decompose, fill the tables, and
     read the witness carried with the root value.
 
-    Raises NotChordalError on non-chordal input, ValueError for r < 1,
-    max_states < 1 or weights built on another graph, LimitsExceededError,
+    Raises ValueError, before anything else, for a weight missing, given
+    for a non-edge or not a finite number, then for r < 1 or max_states < 1,
+    NotChordalError on non-chordal input, LimitsExceededError,
     before the decomposition is built, when the DP would run and a bag of
     omega vertices admits more than max_states states (default MAX_STATES;
     the cap bounds tables, so it applies to the DP only), and
     DPInvariantError when the witness is not an r-degenerate matching of g
     whose total, re-added as the forward pass added it, is the value."""
+    if weights is not None:
+        # the caller's dict may change between calls, so each call checks it
+        if not weights.keys() >= g.edges:
+            raise ValueError("missing weight for edges %s"
+                             % sorted(g.edges - set(weights)))
+        if len(weights) > g.m:
+            raise ValueError("weight given for non-edges %s"
+                             % sorted(set(weights) - g.edges))
+        # abs(w) < inf rejects NaN and infinities; math.isfinite overflows on big ints
+        bad = [e for e, w in weights.items() if isinstance(w, bool)
+               or not isinstance(w, (int, float)) or not abs(w) < math.inf]
+        if bad:
+            raise ValueError("weight %r of edge %s is not a finite number"
+                             % (weights[min(bad)], min(bad)))
     if r < 1:
         raise ValueError("r must be a positive integer")
     if max_states < 1:
         raise ValueError("max_states must be a positive integer")
-    if weights is not None and (
-            (weights.graph.n, weights.graph.edges) != (g.n, g.edges)):
-        raise ValueError("weights are given for another graph")
     peo = mcs_order(g)
     omega = max(map(len, peo.later), default=-1) + 1
     if weights is None and r >= omega - 1:
@@ -269,17 +261,3 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
         raise DPInvariantError(
             "witness induces a subgraph that is not %d-degenerate" % r)
     return res
-
-
-def nu_r(g, r):
-    """Maximum size of an r-degenerate matching of a chordal graph, with
-    witness; raises LimitsExceededError when the DP would pass MAX_STATES."""
-    res = solve(g, r)
-    return res.value, res.matching
-
-
-def nu_r_weighted(wg, r):
-    """Maximum weight of an r-degenerate matching; unit weights reduce to
-    nu_r. Raises LimitsExceededError when the DP would pass MAX_STATES."""
-    res = solve(wg.graph, r, weights=wg)
-    return res.value, res.matching

@@ -94,6 +94,24 @@ def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     return Graph(n, edges)
 
 
+def _graph(n, edges, text):
+    """Graph(n, edges) for a parsed edge list or DIMACS text, whose only fault
+    left is an edge listed twice. Only then is the text read again, so a valid
+    file pays nothing per line, for the 'u v' or 'e u v' line repeating one."""
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        seen = set()
+        for lineno, line in enumerate(text.splitlines(), 1):
+            parts = line.split()
+            if parts[:-2] in ([], ["e"]) and "".join(parts[-2:]).isdigit():
+                e = frozenset(map(int, parts[-2:]))
+                if e in seen:
+                    raise ParseError("line %d: duplicate edge" % lineno)
+                seen.add(e)
+        raise ParseError(str(exc)) from None
+
+
 def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """Plain 'u v' lines with 1-based vertex ids; n is the largest id seen."""
     edges = []
@@ -119,10 +137,7 @@ def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
         # reading stops at the first line past a cap
         if max_id > max_vertices or len(edges) > max_edges:
             _check_size(max_id, len(edges), max_vertices, max_edges)
-    try:
-        return Graph(max_id, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _graph(max_id, edges, text)
 
 
 def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
@@ -165,17 +180,17 @@ def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     if declared_m is not None and declared_m != len(edges):
         raise ParseError("header declares %d edges, found %d"
                          % (declared_m, len(edges)))
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _graph(n, edges, text)
 
 
 def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """Parse text in the given format, or the one its first line suggests.
 
-    Raises ParseError on malformed text and LimitsExceededError when the
-    graph has more than max_vertices vertices or max_edges edges."""
+    Raises ParseError on malformed text, LimitsExceededError when the
+    graph has more than max_vertices vertices or max_edges edges, and
+    ValueError for a negative cap."""
+    if min(max_vertices, max_edges) < 0:
+        raise ValueError("max_vertices and max_edges must be non-negative")
     if fmt == "auto":
         # the line list is dropped before the parser makes its own
         first = next((line for line in map(str.strip, text.splitlines())

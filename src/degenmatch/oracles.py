@@ -264,6 +264,8 @@ def brute_degenerate_states(g, d, r, node, limits=None):
 
     Enumerates every matching of G_t avoiding edges inside the bag, then every
     S between V(M) cap X_t and X_t keeping G[V(M) u S] r-degenerate."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
     search = _Search(g, limits)
     adj = search.adj
     bag = _mask(d.nodes[node].bag)

@@ -12,6 +12,7 @@ from degenmatch.generate import (
     random_bounded_degree,
     random_chordal,
 )
+from degenmatch.graphs import _norm_edge
 
 
 def gnp(n, p, seed):
@@ -162,7 +163,7 @@ def forget_unrecorded_match(child, x, weights=None):
             cases = [((s_minus, tuple(v for v in n if v != x)), value)]
         else:
             cases = [((s_minus, tuple(sorted(n + (y,)))),
-                      value + (1 if weights is None else weights.weight(x, y)))
+                      value + (1 if weights is None else weights[_norm_edge(x, y)]))
                      for y in s_minus if y not in n]
         for key, gained in cases:
             cur = table.get(key)

@@ -17,12 +17,10 @@ from degenmatch import (
     greedy_color,
     is_chordal,
     mcs_order,
-    nu_r,
-    nu_r_weighted,
     palette_size,
+    solve,
     validate_decomposition,
     verify_coloring,
-    WeightedGraph,
 )
 from degenmatch.generate import (
     complete_bipartite,
@@ -65,7 +63,8 @@ def dp_results(chordal_corpus):
     out = {}
     for i, g in enumerate(chordal_corpus):
         for r in (1, 2, 3):
-            out[(i, r)] = nu_r(g, r)
+            res = solve(g, r)
+            out[(i, r)] = res.value, res.matching
     return out
 
 
@@ -92,7 +91,7 @@ def test_dp_oracle_equivalence_above_default_oracle_size():
             for g in (k_tree(2, n, n), k_tree(3, n, n), interval(n, n),
                       random_chordal(n, n)):
                 want = brute_nu_r(g, r, limits)
-                assert nu_r(g, r)[0] == want and dp_value(g, r) == want, (g, r)
+                assert solve(g, r).value == want and dp_value(g, r) == want, (g, r)
 
 
 def test_criterion_02_witness_validity(chordal_corpus, dp_results):
@@ -170,7 +169,7 @@ def test_criterion_07_hierarchy_chain():
 def test_criterion_08_large_r_collapse(chordal_corpus, dp_results):
     for g in chordal_corpus:
         r = max(g.max_degree(), 1)
-        assert nu_r(g, r)[0] == brute_nu_variants(g, LIMITS)[3]
+        assert solve(g, r).value == brute_nu_variants(g, LIMITS)[3]
     for g in chordal_corpus:
         if 0 < g.m <= 12:
             r = g.max_degree()
@@ -200,11 +199,11 @@ def test_criterion_09_decomposition_validity(chordal_corpus):
 
 def test_criterion_10_weighted_consistency(chordal_corpus, dp_results):
     for i, g in enumerate(chordal_corpus):
-        w = WeightedGraph(g, {e: 1 for e in g.edges})
+        w = {e: 1 for e in g.edges}
         for r in (1, 2, 3):
-            assert nu_r_weighted(w, r)[0] == dp_results[(i, r)][0]
-    w = WeightedGraph(path(4), {(0, 1): 5, (1, 2): 9, (2, 3): 5})
-    assert nu_r_weighted(w, 1)[0] == 10
+            assert solve(g, r, weights=w).value == dp_results[(i, r)][0]
+    w = {(0, 1): 5, (1, 2): 9, (2, 3): 5}
+    assert solve(path(4), 1, weights=w).value == 10
     _passline(10, "weighted-consistency")
 
 

@@ -129,8 +129,15 @@ def test_nur_weighted(tmp_path, capsys):
     ("1 2\n", "[[0, 1, 1], [1, 0, 9]]"),
     ("1 2\n2 3\n", '[["a", 1, 5]]'),
     ("1 2\n2 3\n", "[5]"),
-], ids=["nan", "string", "non-edge", "duplicate", "string-vertex", "not-a-triple"])
+    ("1 2\n2 3\n", "[[0, 1, 1]]"),
+    ("1 2\n2 3\n", "[[0, 1, Infinity], [1, 2, 1]]"),
+    ("1 2\n2 3\n", "[[0, 1, true], [1, 2, 1]]"),
+    ("1 2\n2 3\n3 4\n4 1\n", "[[0, 1, NaN], [1, 2, 1], [2, 3, 1], [0, 3, 1]]"),
+], ids=["nan", "string", "non-edge", "duplicate", "string-vertex", "not-a-triple",
+        "missing", "infinite", "boolean", "not-chordal"])
 def test_nur_rejects_bad_weights(tmp_path, capsys, graph, weights):
+    # solve checks the weights before it recognizes the graph, so a chordless
+    # 4-cycle with a NaN weight exits 3, not 2
     g = tmp_path / "g.txt"
     g.write_text(graph)
     w = tmp_path / "w.json"
@@ -231,6 +238,21 @@ def test_size_cap_exits_limits(tmp_path, capsys, text, flags, message):
         assert err == "limits exceeded: %s\n" % message
 
 
+@pytest.mark.parametrize("flag", ["--max-vertices", "--max-edges"])
+def test_negative_caps_are_usage_errors(tmp_path, capsys, flag):
+    # a negative cap is invalid input (exit 3), not a limit every graph
+    # exceeds (exit 4); a cap of 0 still admits the empty graph
+    p = tmp_path / "g.txt"
+    p.write_text("1 2\n")
+    assert main(["check-chordal", "--input", str(p), flag, "-1"]) == 3
+    assert capsys.readouterr() == (
+        "", "invalid input: max_vertices and max_edges must be non-negative\n")
+    p.write_text("?\n")  # graph6: no vertices
+    code, report = run(capsys, "check-chordal", "--input", str(p),
+                       "--max-vertices", "0", "--max-edges", "0")
+    assert code == 0 and report["results"]["chordal"] is True
+
+
 @pytest.mark.parametrize("text, flags, code, err", [
     ("".join("%d %d\n" % (i, i + 1) for i in range(1, 5001)), ["--max-edges", "1000"],
      4, "limits exceeded: 1001 edges exceeds limit 1000\n"),
@@ -241,12 +263,18 @@ def test_size_cap_exits_limits(tmp_path, capsys, text, flags, message):
     ("p edge x 1\n", [], 3, "parse error: line 1: bad problem line\n"),
     ("p edge 2 1\ne 1 y\n", [], 3, "parse error: line 2: non-integer vertex id\n"),
     ("1 2\n1_0 2\n", [], 3, "parse error: line 2: non-integer vertex id\n"),
+    ("# c\n1 2\n\n2 3\n3 2\n1 3\n", [], 3, "parse error: line 5: duplicate edge\n"),
+    ("c x\np edge 3 3\ne 1 2\nc y\ne 2 1\ne 2 3\n", [], 3,
+     "parse error: line 5: duplicate edge\n"),
 ], ids=["edgelist-edges", "edgelist-id", "dimacs-extra-edge", "dimacs-n-not-int",
-        "dimacs-id-not-int", "edgelist-id-underscore"])
+        "dimacs-id-not-int", "edgelist-id-underscore", "edgelist-duplicate",
+        "dimacs-duplicate"])
 def test_parsers_stop_at_the_first_bad_line(tmp_path, capsys, text, flags, code,
                                             err):
     # an edge list or DIMACS file is rejected at the first line that passes a
-    # cap or holds a non-integer, before the lines after it are read
+    # cap or holds a non-integer, before the lines after it are read; a
+    # duplicate edge is named by the line, in the file's own numbering, that
+    # repeats an earlier one
     p = tmp_path / "g.txt"
     p.write_text(text)
     assert main(["check-chordal", "--input", str(p)] + flags) == code
@@ -370,6 +398,14 @@ def test_oracle_states(tmp_path, capsys):
     assert [[], [], 1] in report["results"]["states"]
 
 
+@pytest.mark.parametrize("what", ["nur", "states"])
+def test_oracle_rejects_negative_r(tmp_path, capsys, what):
+    code = main(["oracle", "--input", write_graph(tmp_path, path(3)),
+                 "--what", what, "--r", "-3"])
+    assert code == 3
+    assert capsys.readouterr() == ("", "invalid input: r must be non-negative\n")
+
+
 def test_gen_round_trip(tmp_path, capsys):
     out = tmp_path / "k33.g6"
     code, report = run(capsys, "gen", "--family", "complete-bipartite",
@@ -456,6 +492,27 @@ def test_bench(tmp_path, capsys, monkeypatch, jobs):
     assert out.read_bytes() == BENCH_CSV.encode()
 
 
+def test_bench_searches_the_variants_once_per_instance(tmp_path, capsys,
+                                                     monkeypatch):
+    # brute_nu_variants takes no r: kt2 has two values of r, p5 one, and each
+    # instance is generated and searched once, for the same CSV
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return brute_nu_variants(g)
+
+    brute_nu_variants = cli.brute_nu_variants
+    monkeypatch.setattr(cli, "brute_nu_variants", counted)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(BENCH_SUITE))
+    out = tmp_path / "survey.csv"
+    code, report = run(capsys, "bench", "--suite", str(suite), "--out", str(out))
+    assert code == 0 and report["results"]["rows"] == 3
+    assert [(g.n, g.m) for g in calls] == [(8, 13), (5, 4)]
+    assert out.read_bytes() == BENCH_CSV.encode()
+
+
 class InProcessPool:
     """Runs the tasks in this process, so a large --jobs starts nothing."""
 
@@ -474,7 +531,7 @@ class InProcessPool:
 
 @pytest.mark.parametrize("jobs, cpus, instances, workers", [
     (2, 8, 2, [2]),
-    (1000, 8, 2, [3]),      # three tasks: kt2 at r 1 and 2, p5 at r 1
+    (1000, 8, 2, [2]),      # one task per instance: kt2 (r 1 and 2) and p5
     (1000, 8, 1, []),       # one task
     (1000, 2, 2, [2]),
     (1000, None, 2, []),    # cpu_count unknown
@@ -482,7 +539,7 @@ class InProcessPool:
 def test_bench_workers_capped(tmp_path, capsys, monkeypatch, jobs, cpus,
                               instances, workers):
     # the pool forks every worker at once, so --jobs is capped by the number
-    # of tasks and of CPUs; the answers do not depend on the pool
+    # of instances and of CPUs; the answers do not depend on the pool
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     made = record_pools(monkeypatch, InProcessPool)
     suite = tmp_path / "suite.json"

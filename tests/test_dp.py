@@ -9,12 +9,9 @@ from degenmatch import (
     Graph,
     Matching,
     NotChordalError,
-    WeightedGraph,
     brute_degenerate_states,
     brute_nu_r,
     degeneracy,
-    nu_r,
-    nu_r_weighted,
     solve,
 )
 from degenmatch.chordal import build_nice_decomposition, mcs_order
@@ -88,9 +85,8 @@ def test_dp_forget_drop_case():
 
 
 def test_dp_forget_weighted():
-    w = WeightedGraph(Graph(3, [(1, 2)]), {(1, 2): 5})
     child = _table({((1, 2), ()): 0})
-    t = _values(dp_forget(child, 1, weights=w))
+    t = _values(dp_forget(child, 1, weights={(1, 2): 5}))
     assert t[((2,), (2,))] == 5
 
 
@@ -125,29 +121,31 @@ def test_witness_is_carried_forward():
 
 
 def test_nu_r_examples():
-    value, m = nu_r(path(6), 1)
-    assert value == 3
+    res = solve(path(6), 1)
+    m = res.matching
+    assert res.value == 3
     assert m.edges <= path(6).edges and _sub_degeneracy(path(6), m.vertices) <= 1
-    assert nu_r(complete(4), 1)[0] == 1
-    assert nu_r(complete(4), 3)[0] == 2
-    value, m = nu_r(Graph(5), 2)
-    assert value == 0 and len(m) == 0
+    assert solve(complete(4), 1).value == 1
+    assert solve(complete(4), 3).value == 2
+    res = solve(Graph(5), 2)
+    assert res.value == 0 and len(res.matching) == 0
 
 
 def test_nu_r_rejects_bad_inputs():
     with pytest.raises(NotChordalError):
-        nu_r(cycle(5), 1)
+        solve(cycle(5), 1)
     with pytest.raises(ValueError):
-        nu_r(path(3), 0)
+        solve(path(3), 0)
 
 
 def test_oracle_equivalence_small():
     for seed in range(25):
         g = random_chordal(4 + seed % 8, seed)
         for r in (1, 2, 3):
-            value, m = nu_r(g, r)
-            assert value == brute_nu_r(g, r)
-            assert m.edges <= g.edges and len(m) == value
+            res = solve(g, r)
+            m = res.matching
+            assert res.value == brute_nu_r(g, r)
+            assert m.edges <= g.edges and len(m) == res.value
             assert _sub_degeneracy(g, m.vertices) <= r
 
 
@@ -190,7 +188,7 @@ def test_monotone_in_r_and_delta_collapse():
     for seed in range(15):
         g = random_chordal(9, seed)
         delta = max(g.max_degree(), 1)
-        values = [nu_r(g, r)[0] for r in range(1, delta + 1)]
+        values = [solve(g, r).value for r in range(1, delta + 1)]
         assert values == sorted(values)
         # any matching is Delta-degenerate
         assert values[-1] == brute_nu_r(g, g.n + 1)
@@ -207,13 +205,13 @@ def test_witness_valid_over_wide_bags():
     # r = 3 on interval graphs gives joins over states with a nonempty N
     for g, rs, s in _witness_corpus():
         rng = Rng(s)
-        wg = WeightedGraph(g, {e: rng.randbelow(9) - 2 for e in g.sorted_edges()})
+        wg = {e: rng.randbelow(9) - 2 for e in g.sorted_edges()}
         for r in rs:
             for weights in (None, wg):
                 res = solve(g, r, weights=weights)
                 m = res.matching  # Matching() rejects edges sharing an endpoint
                 assert m.edges <= g.edges
-                worth = len(m) if weights is None else sum(wg.weights[e] for e in m)
+                worth = len(m) if weights is None else sum(wg[e] for e in m)
                 assert worth == res.value
                 assert _sub_degeneracy(g, m.vertices) <= r
 
@@ -224,7 +222,7 @@ def test_handlers_leave_child_tables_unchanged():
     # each node's handler built
     for s in range(12):
         g = interval(12 + s, s)
-        wg = WeightedGraph(g, {e: 1 + e[0] % 3 for e in g.sorted_edges()})
+        wg = {e: 1 + e[0] % 3 for e in g.sorted_edges()}
         decomp = build_nice_decomposition(g, mcs_order(g))
         for r, weights in ((1, None), (2, wg)):
             tables = {}
@@ -264,13 +262,11 @@ def test_solve_max_states(monkeypatch):
 
     monkeypatch.setattr(dp, "build_nice_decomposition", no_decomposition)
     g = interval(30, 2)  # a bag of 16
-    unit = WeightedGraph(g, dict.fromkeys(g.edges, 1))
     message = ("42981185 DP states (largest bag 16, r = 14) exceeds limit %d"
                % dp.MAX_STATES)
-    for call in (lambda: solve(g, 14), lambda: nu_r(g, 14),
-                 lambda: nu_r_weighted(unit, 14)):
+    for weights in (None, dict.fromkeys(g.edges, 1)):
         with pytest.raises(LimitsExceededError) as exc:
-            call()
+            solve(g, 14, weights=weights)
         assert str(exc.value) == message
 
 
@@ -296,7 +292,7 @@ def test_solve_takes_the_matching_path_exactly_when_r_reaches_omega_minus_one():
     for g in (Graph(0), Graph(4), path(5), complete(5), k_tree(2, 30, seed=1),
               interval(9, seed=3), random_chordal(15, seed=2)):
         omega = degeneracy(g) + 1
-        unit = WeightedGraph(g, {e: 1 for e in g.edges})
+        unit = {e: 1 for e in g.edges}
         for r in range(1, omega + 2):
             res = solve(g, r)
             if r >= omega - 1:
@@ -315,8 +311,7 @@ def test_certificate_rejects_inconsistent_values(monkeypatch, where):
     rng = Rng(3)
     weights = None
     if where == "weighted-root":
-        weights = WeightedGraph(g, {e: rng.randbelow(10 ** 6) / 997
-                                    for e in g.sorted_edges()})
+        weights = {e: rng.randbelow(10 ** 6) / 997 for e in g.sorted_edges()}
     solve(g, 2, weights=weights)
     if where == "leaves":
         monkeypatch.setattr(dp, "dp_leaf", lambda: {_EMPTY: (1, None)})
@@ -357,13 +352,13 @@ def test_solve_certifies_witness_edges_and_size(monkeypatch):
     # a weighted non-edge has no weight to re-add, and is still reported
     monkeypatch.setattr(dp, "run_tables", lambda *args: ({_EMPTY: (1, (1, 3, None))}, 1))
     with pytest.raises(DPInvariantError, match="adds up to nan"):
-        solve(PAW, 1, weights=WeightedGraph(PAW, dict.fromkeys(PAW.edges, 1)))
+        solve(PAW, 1, weights=dict.fromkeys(PAW.edges, 1))
 
 
 def test_weighted_solve_rejects_unrecorded_match(monkeypatch):
     # the forget mutant's value counts a weight its witness does not hold
     g = interval(14, seed=3)
-    wg = WeightedGraph(g, {e: 1 + e[0] % 3 for e in g.sorted_edges()})
+    wg = {e: 1 + e[0] % 3 for e in g.sorted_edges()}
     assert solve(g, 2, weights=wg).value > 0
     monkeypatch.setattr(dp, "dp_forget", WRONG_RECURRENCES["forget"][1]["dp_forget"])
     with pytest.raises(DPInvariantError, match="witness adds up to 0, value is"):
@@ -378,58 +373,90 @@ def test_float_weights_certify_exactly():
     for s in range(40):
         g = interval(12 + s % 20, s)
         rng = Rng(s)
-        wg = WeightedGraph(g, {e: rng.randbelow(10 ** 6) / 997
-                               for e in g.sorted_edges()})
+        wg = {e: rng.randbelow(10 ** 6) / 997 for e in g.sorted_edges()}
         for r in (1, 2):
             res = solve(g, r, weights=wg)
-            flat = sum(wg.weights[e] for e in res.matching)
+            flat = sum(wg[e] for e in res.matching)
             assert math.isclose(flat, res.value)
             flat_differs += flat != res.value
     assert flat_differs > 0
 
 
 def test_weighted_p4():
-    w = WeightedGraph(path(4), {(0, 1): 5, (1, 2): 9, (2, 3): 5})
-    value, m = nu_r_weighted(w, 1)
-    assert value == 10
-    assert m == Matching([(0, 1), (2, 3)])
+    res = solve(path(4), 1, weights={(0, 1): 5, (1, 2): 9, (2, 3): 5})
+    assert res.value == 10
+    assert res.matching == Matching([(0, 1), (2, 3)])
 
 
 def test_unit_weights_collapse_to_nu_r():
     for seed in range(50):
         g = random_chordal(4 + seed % 9, seed)
-        w = WeightedGraph(g, {e: 1 for e in g.edges})
+        w = {e: 1 for e in g.edges}
         for r in (1, 2):
-            assert nu_r_weighted(w, r)[0] == nu_r(g, r)[0]
+            assert solve(g, r, weights=w).value == solve(g, r).value
 
 
 def test_weighted_single_edge_and_negative_weights():
-    w = WeightedGraph(Graph(2, [(0, 1)]), {(0, 1): 7})
-    assert nu_r_weighted(w, 1)[0] == 7
-    w = WeightedGraph(path(3), {(0, 1): -2, (1, 2): -4})
-    value, m = nu_r_weighted(w, 1)
-    assert value == 0 and len(m) == 0
+    assert solve(Graph(2, [(0, 1)]), 1, weights={(0, 1): 7}).value == 7
+    res = solve(path(3), 1, weights={(0, 1): -2, (1, 2): -4})
+    assert res.value == 0 and len(res.matching) == 0
 
 
 def test_weighted_graph_requires_all_weights():
-    with pytest.raises(ValueError):
-        WeightedGraph(path(3), {(0, 1): 1})
+    with pytest.raises(ValueError, match="missing weight"):
+        solve(path(3), 1, weights={(0, 1): 1})
 
 
-@pytest.mark.parametrize("weighted", [
-    Graph(3, [(0, 1)]),                  # a subgraph: an edge of g has no weight
-    Graph(3, [(0, 1), (1, 2), (0, 2)]),  # a supergraph: a weight for a non-edge
-    Graph(4, [(0, 1), (1, 2)]),          # the same edges on more vertices
-], ids=["subgraph", "supergraph", "more-vertices"])
-def test_solve_rejects_weights_of_another_graph(weighted):
-    wg = WeightedGraph(weighted, {e: 5 for e in weighted.edges})
-    with pytest.raises(ValueError, match="another graph"):
-        solve(path(3), 1, weights=wg)
+@pytest.mark.parametrize("weights, message", [
+    ({(0, 1): 1}, "missing weight for edges [(1, 2)]"),
+    ({(0, 1): 1, (1, 2): 1, (0, 2): 7}, "weight given for non-edges [(0, 2)]"),
+    ({(0, 1): math.nan, (1, 2): 1}, "weight nan of edge (0, 1) is not a finite number"),
+    ({(0, 1): 1, (1, 2): -math.inf},
+     "weight -inf of edge (1, 2) is not a finite number"),
+    # the smallest bad edge is named, whatever the dict's order
+    ({(1, 2): math.nan, (0, 1): "5"},
+     "weight '5' of edge (0, 1) is not a finite number"),
+    ({(0, 1): True, (1, 2): 1}, "weight True of edge (0, 1) is not a finite number"),
+], ids=["missing", "non-edge", "nan", "infinite", "string", "boolean"])
+def test_solve_rejects_bad_weights(weights, message):
+    # the weights are checked first, before r, max_states and recognition:
+    # on a chordless 4-cycle 0-1-2-3 with its other two edges weighted, the
+    # same map is refused with the same message
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for g, w, r, cap in ((path(3), weights, 1, dp.MAX_STATES),
+                         (path(3), weights, 0, 0),
+                         (c4, weights | {(2, 3): 1, (0, 3): 1}, 1, 1)):
+        with pytest.raises(ValueError) as exc:
+            solve(g, r, weights=w, max_states=cap)
+        assert str(exc.value) == message
+
+
+def test_solve_checks_the_weights_on_every_call():
+    # the caller's dict may change after a solve: a weight made NaN or a
+    # string, or deleted, is refused by the next call, not summed or looked up
+    g = interval(12, 1)
+    weights = dict.fromkeys(g.edges, 1)
+    e = min(g.edges)
+    for bad, message in (
+            (math.nan, "weight nan of edge %s is not a finite number" % (e,)),
+            ("1", "weight '1' of edge %s is not a finite number" % (e,)),
+            (None, "missing weight for edges [%s]" % (e,))):
+        assert solve(g, 1, weights=weights).value == 2
+        if bad is None:
+            del weights[e]
+        else:
+            weights[e] = bad
+        with pytest.raises(ValueError) as exc:
+            solve(g, 1, weights=weights)
+        assert str(exc.value) == message
+        weights[e] = 1
 
 
 def test_solve_accepts_weights_on_an_equal_graph():
-    wg = WeightedGraph(path(3), {(0, 1): 5, (1, 2): 7})
-    assert solve(path(3), 1, weights=wg).value == 7
+    # the weights name edges only, so an isolated vertex needs none
+    weights = {(0, 1): 5, (1, 2): 7}
+    assert solve(path(3), 1, weights=weights).value == 7
+    assert solve(Graph(4, [(0, 1), (1, 2)]), 1, weights=weights).value == 7
 
 
 def test_solve_stats():

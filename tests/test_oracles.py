@@ -209,6 +209,19 @@ def test_states_leaf_and_root():
     assert all(s == () and n == () for s, n, _ in root_states)
 
 
+def test_negative_r_is_rejected():
+    # the oracles that take r and allow r = 0 (where only the empty matching
+    # is 0-degenerate) refuse a negative r alike
+    g = path(3)
+    d = build_nice_decomposition(g, mcs_order(g))
+    for call in (lambda r: brute_nu_r(g, r),
+                 lambda r: brute_degenerate_states(g, d, r, d.root)):
+        with pytest.raises(ValueError, match="^r must be non-negative$"):
+            call(-3)
+    assert brute_nu_r(g, 0) == 0
+    assert brute_degenerate_states(g, d, 0, d.root) == {((), (), 0)}
+
+
 def test_states_exclude_bag_internal_edges():
     # at the node where both endpoints of the only edge are in the bag, no
     # matching may use that edge

@@ -21,15 +21,13 @@ from conftest import all_matchings, dp_value
 
 from degenmatch import (
     Graph,
-    WeightedGraph,
     degeneracy,
     greedy_color,
     induced_subgraph,
-    nu_r,
-    nu_r_weighted,
     palette_size,
     parse_graph6,
     serialize_graph6,
+    solve,
     verify_coloring,
 )
 from degenmatch.cli import main
@@ -88,9 +86,10 @@ def test_weighted_dp_equals_brute_force(g, r, data):
     ws = data.draw(st.lists(st.integers(-5, 9), min_size=len(edges),
                             max_size=len(edges)))
     weights = dict(zip(edges, ws))
-    value, m = nu_r_weighted(WeightedGraph(g, weights), r)
-    assert value == brute_max_weight(g, weights, r)
-    assert sum(weights[e] for e in m) == value
+    res = solve(g, r, weights=weights)
+    m = res.matching
+    assert res.value == brute_max_weight(g, weights, r)
+    assert sum(weights[e] for e in m) == res.value
     assert m.edges <= g.edges and _sub_degeneracy(g, m.vertices) <= r
 
 
@@ -165,14 +164,14 @@ def test_relabelling_keeps_the_values(g, r, data):
     # another labelling gives another MCS order, decomposition and tables
     perm = data.draw(st.permutations(range(g.n)))
     h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    assert nu_r(h, r)[0] == nu_r(g, r)[0]
+    assert solve(h, r).value == solve(g, r).value
     edges = g.sorted_edges()
     ws = data.draw(st.lists(st.integers(-2, 6), min_size=len(edges),
                             max_size=len(edges)))
     weights = dict(zip(edges, ws))
     moved = {tuple(sorted((perm[u], perm[v]))): w for (u, v), w in weights.items()}
-    assert (nu_r_weighted(WeightedGraph(h, moved), r)[0]
-            == nu_r_weighted(WeightedGraph(g, weights), r)[0])
+    assert (solve(h, r, weights=moved).value
+            == solve(g, r, weights=weights).value)
 
 
 @METAMORPHIC
@@ -182,7 +181,7 @@ def test_greedy_classes_are_at_most_nu_r(g, r, data):
     order = data.draw(st.permutations(g.sorted_edges()))
     coloring = greedy_color(g, r, order=order)
     largest = max((len(es) for es in coloring.classes().values()), default=0)
-    assert largest <= nu_r(g, r)[0]
+    assert largest <= solve(g, r).value
 
 
 # At an interval graph's degeneracy (7 to 23 here) every subset of a bag is
@@ -196,7 +195,7 @@ def test_nu_r_grows_with_r_up_to_the_degeneracy(g):
     # G[V(M)] is a subgraph of G, so every matching is degeneracy(G)-degenerate
     d = degeneracy(g)
     rs = sorted({1, 2, 3, d, g.n})
-    values = {r: nu_r(g, r)[0] for r in rs}
+    values = {r: solve(g, r).value for r in rs}
     assert [values[r] for r in rs] == sorted(values.values())
     # r = d is omega - 1, where solve takes a maximum matching: the DP too
     assert values[d] == values[g.n] == dp_value(g, d)
@@ -207,7 +206,7 @@ def test_nu_r_grows_with_r_up_to_the_degeneracy(g):
 def test_nu_r_adds_over_a_disjoint_union(g, h, r):
     union = Graph(g.n + h.n, list(g.edges)
                   + [(u + g.n, v + g.n) for u, v in h.edges])
-    assert nu_r(union, r)[0] == nu_r(g, r)[0] + nu_r(h, r)[0]
+    assert solve(union, r).value == solve(g, r).value + solve(h, r).value
 
 
 @METAMORPHIC
@@ -216,21 +215,21 @@ def test_deleting_a_vertex_lowers_nu_r_by_at_most_one(g, r, data):
     # an induced subgraph of a chordal graph is chordal
     v = data.draw(st.integers(0, g.n - 1))
     sub, _ = induced_subgraph(g, set(range(g.n)) - {v})
-    assert nu_r(g, r)[0] - nu_r(sub, r)[0] in (0, 1)
+    assert solve(g, r).value - solve(sub, r).value in (0, 1)
 
 
 @METAMORPHIC
 @given(large_chordal_graphs(), st.integers(1, 2), st.integers(2, 5), st.data())
 def test_unit_weights_give_nu_r_and_scaling_scales_the_value(g, r, c, data):
     edges = g.sorted_edges()
-    unit = WeightedGraph(g, dict.fromkeys(edges, 1))
-    assert nu_r_weighted(unit, r)[0] == nu_r(g, r)[0]
+    unit = dict.fromkeys(edges, 1)
+    assert solve(g, r, weights=unit).value == solve(g, r).value
     ws = data.draw(st.lists(st.integers(-2, 6), min_size=len(edges),
                             max_size=len(edges)))
     weights = dict(zip(edges, ws))
     scaled = {e: c * w for e, w in weights.items()}
-    assert (nu_r_weighted(WeightedGraph(g, scaled), r)[0]
-            == c * nu_r_weighted(WeightedGraph(g, weights), r)[0])
+    assert (solve(g, r, weights=scaled).value
+            == c * solve(g, r, weights=weights).value)
 
 
 @st.composite
