@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import __version__
-from .chordal import NotChordalError, is_chordal
+from .chordal import NotChordalError, build_nice_decomposition, is_chordal, mcs_order
 from .coloring import ColoringInvariantError, greedy_color, verify_coloring
 from .dp import MAX_STATES, DPInvariantError, solve
 from .formats import MAX_EDGES, MAX_VERTICES, ParseError, load_graph, serialize_graph6
@@ -116,8 +116,9 @@ def cmd_oracle(args, g):
     if args.what == "variants":
         nu_s, nu_1, nu_ur, nu = brute_nu_variants(g)
         return {"nu_s": nu_s, "nu_1": nu_1, "nu_ur": nu_ur, "nu": nu}
-    # states, at the decomposition root
-    from .chordal import build_nice_decomposition, mcs_order
+    # states, at the decomposition root; r first, as a non-chordal g fails there
+    if args.r < 0:
+        raise ValueError("r must be non-negative")
     decomp = build_nice_decomposition(g, mcs_order(g))
     states = brute_degenerate_states(g, decomp, args.r, decomp.root)
     return {
@@ -145,41 +146,36 @@ def cmd_check_chordal(args, g):
     return {"chordal": is_chordal(g)}
 
 
-def _bench_task(inst):
-    """One (row, agreement) pair per r of an instance; the graph is built and
-    the variants, which take no r, are searched once for all of them."""
-    name = inst.get("id")
+def _bench_task(task):
+    inst, r = task
     spec = GeneratorSpec(inst.get("family"), inst.get("params", {}),
                          inst.get("seed", 0))
     try:
         g = generate(spec)
     except ValueError as exc:
-        raise ValueError("instance %r: %s" % (name, exc)) from None
-    base = {"graph-id": inst.get("id", inst["family"]), "n": g.n, "m": g.m,
-            "delta": g.max_degree()}
+        raise ValueError("instance %r: %s" % (inst.get("id"), exc)) from None
+    row = {"graph-id": inst.get("id", inst["family"]), "n": g.n, "m": g.m,
+           "delta": g.max_degree(), "r": r}
+    agree = {"dp_oracle": None, "palette": None}
+    try:
+        row["nu_r"] = solve(g, r).value
+    except NotChordalError:
+        pass
+    except LimitsExceededError as exc:
+        raise LimitsExceededError("instance %r: %s" % (inst.get("id"), exc)) from None
+    else:
+        if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= DEFAULT_LIMITS.max_edges:
+            agree["dp_oracle"] = brute_nu_r(g, r) == row["nu_r"]
+    if g.m <= 12:
+        row["chi_r"] = brute_chromatic_index_r(g, r)
     if g.n <= 10 and g.m <= DEFAULT_LIMITS.max_edges:
-        base.update(zip(("nu_s", "nu_1", "nu_ur", "nu"), brute_nu_variants(g)))
-    outcomes = []
-    for r in inst.get("r", [1]):
-        row = dict(base, r=r)
-        agree = {"dp_oracle": None, "palette": None}
-        try:
-            row["nu_r"] = solve(g, r).value
-        except NotChordalError:
-            pass
-        except LimitsExceededError as exc:
-            raise LimitsExceededError("instance %r: %s" % (name, exc)) from None
-        else:
-            if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= DEFAULT_LIMITS.max_edges:
-                agree["dp_oracle"] = brute_nu_r(g, r) == row["nu_r"]
-        if g.m <= 12:
-            row["chi_r"] = brute_chromatic_index_r(g, r)
-        if g.m:
-            coloring = greedy_color(g, r)
-            ok, _ = verify_coloring(g, coloring, r)
-            agree["palette"] = ok and coloring.max_color() <= coloring.k
-        outcomes.append((row, agree))
-    return outcomes
+        nu_s, nu_1, nu_ur, nu = brute_nu_variants(g)
+        row.update({"nu_s": nu_s, "nu_1": nu_1, "nu_ur": nu_ur, "nu": nu})
+    if g.m:
+        coloring = greedy_color(g, r)
+        ok, _ = verify_coloring(g, coloring, r)
+        agree["palette"] = ok and coloring.max_color() <= coloring.k
+    return row, agree
 
 
 def write_survey_csv(rows, fileobj):
@@ -199,6 +195,7 @@ def cmd_bench(args, _):
     if not (isinstance(suite, dict) and isinstance(suite.get("instances"), list)
             and all(isinstance(inst, dict) for inst in suite["instances"])):
         raise ValueError("suite needs an 'instances' list of JSON objects")
+    tasks = []
     for inst in suite["instances"]:
         rs, params = inst.get("r", [1]), inst.get("params", {})
         checks = (
@@ -214,17 +211,17 @@ def cmd_bench(args, _):
         for ok, message in checks:
             if not ok:
                 raise ValueError("instance %r: %s" % (inst.get("id"), message))
+        tasks.extend((inst, r) for r in rs)
     # the output is opened before any instance runs, so a path that cannot
     # be written fails at once instead of after the whole suite
     with open(args.out, "w", newline="") if args.out else nullcontext() as out:
         # the pool forks all its workers at once, so start no more than can run
-        workers = min(args.jobs, len(suite["instances"]), os.cpu_count() or 1)
+        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                per_instance = list(pool.map(_bench_task, suite["instances"]))
+                outcomes = list(pool.map(_bench_task, tasks))
         else:
-            per_instance = map(_bench_task, suite["instances"])
-        outcomes = [o for rows in per_instance for o in rows]
+            outcomes = [_bench_task(t) for t in tasks]
         rows = [row for row, _ in outcomes]
         if out is not None:
             write_survey_csv(rows, out)

@@ -217,8 +217,11 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
             raise ValueError("missing weight for edges %s"
                              % sorted(g.edges - set(weights)))
         if len(weights) > g.m:
-            raise ValueError("weight given for non-edges %s"
-                             % sorted(set(weights) - g.edges))
+            try:
+                extra = sorted(set(weights) - g.edges)
+            except TypeError:  # keys of mixed types have no order
+                extra = sorted(set(weights) - g.edges, key=repr)
+            raise ValueError("weight given for non-edges %s" % extra)
         # abs(w) < inf rejects NaN and infinities; math.isfinite overflows on big ints
         bad = [e for e, w in weights.items() if isinstance(w, bool)
                or not isinstance(w, (int, float)) or not abs(w) < math.inf]

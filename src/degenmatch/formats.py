@@ -94,21 +94,27 @@ def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     return Graph(n, edges)
 
 
-def _graph(n, edges, text):
+def _content_lines(text, comment):
+    """(line number, stripped line) for each line neither blank nor a comment."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line
+
+
+def _graph(n, edges, text, comment, header_lines):
     """Graph(n, edges) for a parsed edge list or DIMACS text, whose only fault
-    left is an edge listed twice. Only then is the text read again, so a valid
-    file pays nothing per line, for the 'u v' or 'e u v' line repeating one."""
+    left is an edge listed twice. In such a text, edge k is on content line
+    header_lines + k, so only a refused file is read again to name the line."""
     try:
         return Graph(n, edges)
     except ValueError as exc:
         seen = set()
-        for lineno, line in enumerate(text.splitlines(), 1):
-            parts = line.split()
-            if parts[:-2] in ([], ["e"]) and "".join(parts[-2:]).isdigit():
-                e = frozenset(map(int, parts[-2:]))
-                if e in seen:
-                    raise ParseError("line %d: duplicate edge" % lineno)
-                seen.add(e)
+        for k, e in enumerate(map(frozenset, edges)):
+            if e in seen:
+                lineno, _ = list(_content_lines(text, comment))[header_lines + k]
+                raise ParseError("line %d: duplicate edge" % lineno) from None
+            seen.add(e)
         raise ParseError(str(exc)) from None
 
 
@@ -116,10 +122,7 @@ def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """Plain 'u v' lines with 1-based vertex ids; n is the largest id seen."""
     edges = []
     max_id = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text, "#"):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("line %d: expected 'u v'" % lineno)
@@ -137,7 +140,7 @@ def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
         # reading stops at the first line past a cap
         if max_id > max_vertices or len(edges) > max_edges:
             _check_size(max_id, len(edges), max_vertices, max_edges)
-    return _graph(max_id, edges, text)
+    return _graph(max_id, edges, text, "#", 0)
 
 
 def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
@@ -145,10 +148,7 @@ def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     n = None
     declared_m = None
     edges = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in _content_lines(text, "c"):
         parts = line.split()
         if parts[0] == "p":
             if (n is not None or len(parts) != 4 or parts[1] not in ("edge", "col")
@@ -180,7 +180,8 @@ def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     if declared_m is not None and declared_m != len(edges):
         raise ParseError("header declares %d edges, found %d"
                          % (declared_m, len(edges)))
-    return _graph(n, edges, text)
+    # the one problem line comes before every edge line
+    return _graph(n, edges, text, "c", 1)
 
 
 def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
@@ -193,8 +194,7 @@ def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES)
         raise ValueError("max_vertices and max_edges must be non-negative")
     if fmt == "auto":
         # the line list is dropped before the parser makes its own
-        first = next((line for line in map(str.strip, text.splitlines())
-                      if line and not line.startswith("#")), "")
+        _, first = next(_content_lines(text, "#"), (0, ""))
         if first == "c" or first[:2] in ("c ", "p ", "e "):
             fmt = "dimacs"
         elif len(first.split()) == 2:

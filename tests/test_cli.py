@@ -399,8 +399,10 @@ def test_oracle_states(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("what", ["nur", "states"])
-def test_oracle_rejects_negative_r(tmp_path, capsys, what):
-    code = main(["oracle", "--input", write_graph(tmp_path, path(3)),
+@pytest.mark.parametrize("graph", [path(3), cycle(4)], ids=["path", "not-chordal"])
+def test_oracle_rejects_negative_r(tmp_path, capsys, what, graph):
+    # a negative r is a usage error on any input, a chordless 4-cycle too
+    code = main(["oracle", "--input", write_graph(tmp_path, graph),
                  "--what", what, "--r", "-3"])
     assert code == 3
     assert capsys.readouterr() == ("", "invalid input: r must be non-negative\n")
@@ -492,27 +494,6 @@ def test_bench(tmp_path, capsys, monkeypatch, jobs):
     assert out.read_bytes() == BENCH_CSV.encode()
 
 
-def test_bench_searches_the_variants_once_per_instance(tmp_path, capsys,
-                                                     monkeypatch):
-    # brute_nu_variants takes no r: kt2 has two values of r, p5 one, and each
-    # instance is generated and searched once, for the same CSV
-    calls = []
-
-    def counted(g):
-        calls.append(g)
-        return brute_nu_variants(g)
-
-    brute_nu_variants = cli.brute_nu_variants
-    monkeypatch.setattr(cli, "brute_nu_variants", counted)
-    suite = tmp_path / "suite.json"
-    suite.write_text(json.dumps(BENCH_SUITE))
-    out = tmp_path / "survey.csv"
-    code, report = run(capsys, "bench", "--suite", str(suite), "--out", str(out))
-    assert code == 0 and report["results"]["rows"] == 3
-    assert [(g.n, g.m) for g in calls] == [(8, 13), (5, 4)]
-    assert out.read_bytes() == BENCH_CSV.encode()
-
-
 class InProcessPool:
     """Runs the tasks in this process, so a large --jobs starts nothing."""
 
@@ -531,7 +512,7 @@ class InProcessPool:
 
 @pytest.mark.parametrize("jobs, cpus, instances, workers", [
     (2, 8, 2, [2]),
-    (1000, 8, 2, [2]),      # one task per instance: kt2 (r 1 and 2) and p5
+    (1000, 8, 2, [3]),      # three tasks: kt2 at r 1 and 2, p5 at r 1
     (1000, 8, 1, []),       # one task
     (1000, 2, 2, [2]),
     (1000, None, 2, []),    # cpu_count unknown
@@ -539,7 +520,7 @@ class InProcessPool:
 def test_bench_workers_capped(tmp_path, capsys, monkeypatch, jobs, cpus,
                               instances, workers):
     # the pool forks every worker at once, so --jobs is capped by the number
-    # of instances and of CPUs; the answers do not depend on the pool
+    # of tasks and of CPUs; the answers do not depend on the pool
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     made = record_pools(monkeypatch, InProcessPool)
     suite = tmp_path / "suite.json"

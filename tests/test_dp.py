@@ -417,7 +417,11 @@ def test_weighted_graph_requires_all_weights():
     ({(1, 2): math.nan, (0, 1): "5"},
      "weight '5' of edge (0, 1) is not a finite number"),
     ({(0, 1): True, (1, 2): 1}, "weight True of edge (0, 1) is not a finite number"),
-], ids=["missing", "non-edge", "nan", "infinite", "string", "boolean"])
+    # keys of mixed types, which cannot be sorted together, are listed by repr
+    ({(0, 1): 1, (1, 2): 1, (0, 2): 1, "a": 1},
+     "weight given for non-edges ['a', (0, 2)]"),
+], ids=["missing", "non-edge", "nan", "infinite", "string", "boolean",
+        "mixed-key-types"])
 def test_solve_rejects_bad_weights(weights, message):
     # the weights are checked first, before r, max_states and recognition:
     # on a chordless 4-cycle 0-1-2-3 with its other two edges weighted, the
