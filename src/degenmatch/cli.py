@@ -166,7 +166,7 @@ def _bench_task(task):
     else:
         if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= DEFAULT_LIMITS.max_edges:
             agree["dp_oracle"] = brute_nu_r(g, r) == row["nu_r"]
-    if g.m <= 12:
+    if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= 12:
         row["chi_r"] = brute_chromatic_index_r(g, r)
     if g.n <= 10 and g.m <= DEFAULT_LIMITS.max_edges:
         nu_s, nu_1, nu_ur, nu = brute_nu_variants(g)

@@ -35,7 +35,6 @@ class _Search:
         _check_size(g.n, g.m, limits.max_vertices, limits.max_edges)
         self.deadline = time.monotonic() + limits.timeout_ms / 1000.0
         self.ticks = 0
-        self.n = g.n
         self.adj = _adjacency(g)
         self.edges = [(1 << u) | (1 << v) for u, v in g.sorted_edges()]
 
@@ -147,8 +146,19 @@ def _bnb_matching(search, feasible):
     """Max matching under a hereditary feasibility predicate, branch and bound.
 
     feasible(used) gets the vertex mask of a matching, which covers
-    used.bit_count() // 2 edges."""
-    edges, n = search.edges, search.n
+    used.bit_count() // 2 edges. cover[j] is the set of vertices that
+    edges[j:] touch, so a node at edge j can add at most
+    (cover[j] & ~used).bit_count() // 2 more edges. The loop stops once that
+    bound cannot beat best (cover only shrinks as j grows), and an edge whose
+    child could not beat best is skipped before feasible runs. Each pruned
+    subtree holds no matching larger than best, so best rises at the same
+    nodes as under the plain bound by every unused vertex,
+    (n - used.bit_count()) // 2, which cover[j] & ~used never exceeds: the
+    tree searched is a subtree of the plain one and the value is the same."""
+    edges = search.edges
+    cover = [0] * (len(edges) + 1)
+    for j in range(len(edges) - 1, -1, -1):
+        cover[j] = cover[j + 1] | edges[j]
     best = 0
 
     def rec(i, used, count):
@@ -156,13 +166,15 @@ def _bnb_matching(search, feasible):
         search.tick()
         if count > best:
             best = count
-        if count + (n - used.bit_count()) // 2 <= best:
-            return
         for j in range(i, len(edges)):
+            if count + (cover[j] & ~used).bit_count() // 2 <= best:
+                return
             e = edges[j]
             if used & e:
                 continue
             nxt = used | e
+            if count + 1 + (cover[j + 1] & ~nxt).bit_count() // 2 <= best:
+                continue
             if feasible(nxt):
                 rec(j + 1, nxt, count + 1)
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -584,6 +586,24 @@ def test_bench_instance_over_state_cap(tmp_path, capsys):
     assert err.startswith("limits exceeded: instance 'wide': ")
     assert "exceeds limit %d" % cli.MAX_STATES in err
     assert elapsed < 1
+
+
+def test_bench_sparse_instance_over_oracle_vertices(tmp_path, capsys):
+    # 30 vertices and 4 edges: few enough edges for the chromatic oracle, but
+    # more vertices than its limit, so the row leaves chi_r empty
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [
+        {"id": "sparse30", "family": "random-bounded-degree",
+         "params": {"n": 30, "p": 0.02, "max_degree": 3}, "seed": 1, "r": [1]},
+    ]}))
+    out = tmp_path / "survey.csv"
+    code, report = run(capsys, "bench", "--suite", str(suite), "--out", str(out))
+    assert code == 0
+    assert report["results"]["rows"] == 1
+    assert report["results"]["dp_oracle_checked"] == 0
+    row = next(csv.DictReader(io.StringIO(out.read_text())))
+    assert (row["graph-id"], row["n"], row["m"]) == ("sparse30", "30", "4")
+    assert row["nu_r"] != "" and row["chi_r"] == ""
 
 
 def test_bench_missing_parameter(tmp_path, capsys):

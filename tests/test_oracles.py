@@ -17,9 +17,12 @@ from degenmatch import oracles
 from degenmatch.chordal import build_nice_decomposition, mcs_order
 from degenmatch.oracles import (
     _adjacency,
+    _bnb_matching,
     _edge_count,
+    _has_cycle,
     _induced_has_cycle,
     _mask,
+    _peels,
     _perfect_matchings,
     _sub_degeneracy,
 )
@@ -95,6 +98,31 @@ def _reference_perfect_matching_count(g, vs):
     return rec(vs)
 
 
+def _reference_bnb_matching(search, feasible):
+    """The matching search before the suffix-cover bound: a node is bounded
+    by every unused vertex, whether or not a remaining edge reaches it."""
+    edges, n = search.edges, len(search.adj)
+    best = 0
+
+    def rec(i, used, count):
+        nonlocal best
+        search.tick()
+        if count > best:
+            best = count
+        if count + (n - used.bit_count()) // 2 <= best:
+            return
+        for j in range(i, len(edges)):
+            e = edges[j]
+            if used & e:
+                continue
+            nxt = used | e
+            if feasible(nxt):
+                rec(j + 1, nxt, count + 1)
+
+    rec(0, 0, 0)
+    return best
+
+
 def _predicate_corpus():
     """Small graphs, half of them not chordal: G(n, p) at n <= 10, cycles
     and K_{3,3}."""
@@ -137,6 +165,50 @@ def test_perfect_matchings_equals_reference():
         for vs in _every_subset(g):
             assert _perfect_matchings(adj, _mask(vs)) == \
                 _reference_perfect_matching_count(g, vs), (g, vs)
+
+
+def _search_corpus():
+    """Non-chordal graphs (odd cycles, K_{3,3}, Petersen, G(n, p) at n 8-14)
+    and chordal ones."""
+    petersen = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                          (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+                          (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
+    graphs = [cycle(5), cycle(7), complete_bipartite(3, 3), petersen]
+    graphs += [gnp(8 + seed % 7, 0.2 + 0.05 * (seed % 4), seed)
+               for seed in range(14)]
+    graphs += [random_chordal(7 + seed % 6, seed) for seed in range(10)]
+    return graphs
+
+
+def _matching_predicates(adj):
+    """ν, the three variant classes and the r-peel at r 0-3, by name."""
+    preds = {
+        "nu": lambda vs: True,
+        "nu_s": lambda vs: _edge_count(adj, vs) == vs.bit_count() // 2,
+        "nu_1": lambda vs: not _has_cycle(adj, vs),
+        "nu_ur": lambda vs: _perfect_matchings(adj, vs) == 1,
+    }
+    for r in range(4):
+        preds["nu_%d-peel" % r] = lambda vs, r=r: _peels(adj, vs, r)
+    return preds
+
+
+def test_bnb_matching_equals_reference_in_fewer_ticks():
+    unlimited = OracleLimits(max_vertices=16, max_edges=48, timeout_ms=600_000)
+    for g in _search_corpus():
+        for name, feasible in _matching_predicates(_adjacency(g)).items():
+            ref, new = oracles._Search(g, unlimited), oracles._Search(g, unlimited)
+            want = _reference_bnb_matching(ref, feasible)
+            assert _bnb_matching(new, feasible) == want, (g, name)
+            assert new.ticks <= ref.ticks, (g, name, new.ticks, ref.ticks)
+
+
+def test_bnb_matching_bound_prunes_long_cycle():
+    # the plain bound visits 271,441 nodes here; the cover bound stops once
+    # the edges left cannot reach enough unused vertices
+    search = oracles._Search(cycle(26), OracleLimits(26, 48, 600_000))
+    assert _bnb_matching(search, lambda vs: _peels(search.adj, vs, 1)) == 12
+    assert search.ticks <= 100
 
 
 def test_nu_r_on_balanced_bipartite():
@@ -279,21 +351,22 @@ def test_degenerate_states_timeout():
 
 # With timeout_ms=1 each call below must stop on its deadline. The deadline
 # is read once every 2048 ticks of the call's one node counter, so each input
-# is sized well past that: untimed, brute_nu_r on C26 at r = 1 visits 271,441
-# nodes, brute_nu_variants on C24 visits 217,148 over its four searches, and
-# on gnp(12, 0.35, seed 2) brute_chromatic_index_r at r = 2 visits 425,749 and
-# brute_chromatic_index 1,000,064, each counting the search for its class cap.
+# is sized well past that. Untimed, on gnp(24, 0.17, seed 0) (24 vertices, 40
+# edges) brute_nu_r at r = 1 visits 7,478 nodes and brute_nu_variants 20,191
+# over its four searches; on gnp(12, 0.35, seed 2) brute_chromatic_index_r at
+# r = 2 visits 423,716 and brute_chromatic_index 999,998, each counting the
+# search for its class cap.
 TIMEOUT = OracleLimits(max_vertices=26, max_edges=48, timeout_ms=1)
 
 
 def test_nu_r_timeout():
     with pytest.raises(LimitsExceededError, match="oracle timeout"):
-        brute_nu_r(cycle(26), 1, TIMEOUT)
+        brute_nu_r(gnp(24, 0.17, 0), 1, TIMEOUT)
 
 
 def test_variants_timeout():
     with pytest.raises(LimitsExceededError, match="oracle timeout"):
-        brute_nu_variants(cycle(24), TIMEOUT)
+        brute_nu_variants(gnp(24, 0.17, 0), TIMEOUT)
 
 
 @pytest.mark.parametrize("chromatic_index, args", [
