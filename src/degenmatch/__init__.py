@@ -35,7 +35,7 @@ from .oracles import (
     brute_nu_variants,
 )
 from .formats import ParseError, load_graph, parse_graph6, serialize_graph6
-from .generate import GeneratorSpec, Rng, generate
+from .generate import Rng, generate
 
 __all__ = [
     "Graph", "Matching", "degeneracy", "induced_subgraph",
@@ -49,5 +49,5 @@ __all__ = [
     "brute_chromatic_index_r", "brute_degenerate_states", "brute_nu_r",
     "brute_nu_variants",
     "ParseError", "load_graph", "parse_graph6", "serialize_graph6",
-    "GeneratorSpec", "Rng", "generate",
+    "Rng", "generate",
 ]

@@ -5,7 +5,6 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -17,7 +16,7 @@ from .chordal import NotChordalError, build_nice_decomposition, is_chordal, mcs_
 from .coloring import ColoringInvariantError, greedy_color, verify_coloring
 from .dp import MAX_STATES, DPInvariantError, solve
 from .formats import MAX_EDGES, MAX_VERTICES, ParseError, load_graph, serialize_graph6
-from .generate import FAMILIES, GeneratorSpec, Rng, generate
+from .generate import FAMILIES, PARAMS, Rng, check_params, generate
 from .graphs import _norm_edge
 from .oracles import (
     DEFAULT_LIMITS,
@@ -129,12 +128,9 @@ def cmd_oracle(args, g):
 
 
 def cmd_gen(args, _):
-    params = {}
-    for name in ("n", "k", "a", "b", "p", "max_degree"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    g = generate(GeneratorSpec(args.family, params, args.seed))
+    params = {name: getattr(args, name) for name in PARAMS
+              if getattr(args, name) is not None}
+    g = generate(args.family, params, args.seed)
     line = serialize_graph6(g)
     if args.out:
         with open(args.out, "w") as fh:
@@ -148,10 +144,8 @@ def cmd_check_chordal(args, g):
 
 def _bench_task(task):
     inst, r = task
-    spec = GeneratorSpec(inst.get("family"), inst.get("params", {}),
-                         inst.get("seed", 0))
     try:
-        g = generate(spec)
+        g = generate(inst["family"], inst.get("params", {}), inst.get("seed", 0))
     except ValueError as exc:
         raise ValueError("instance %r: %s" % (inst.get("id"), exc)) from None
     row = {"graph-id": inst.get("id", inst["family"]), "n": g.n, "m": g.m,
@@ -197,20 +191,14 @@ def cmd_bench(args, _):
         raise ValueError("suite needs an 'instances' list of JSON objects")
     tasks = []
     for inst in suite["instances"]:
-        rs, params = inst.get("r", [1]), inst.get("params", {})
-        checks = (
-            (isinstance(rs, list) and all(type(r) is int and r >= 1 for r in rs),
-             "r must be a list of positive integers"),
-            (isinstance(params, dict) and all(
-                type(v) is int
-                or (name == "p" and type(v) is float and abs(v) < math.inf)
-                for name, v in params.items()),
-             "params must be an object of integers (p may be a finite number)"),
-            (type(inst.get("seed", 0)) is int, "seed must be an integer"),
-        )
-        for ok, message in checks:
-            if not ok:
-                raise ValueError("instance %r: %s" % (inst.get("id"), message))
+        rs = inst.get("r", [1])
+        try:
+            if not (isinstance(rs, list) and all(type(r) is int and r >= 1 for r in rs)):
+                raise ValueError("r must be a list of positive integers")
+            check_params(inst.get("family"), inst.get("params", {}),
+                         inst.get("seed", 0))
+        except ValueError as exc:
+            raise ValueError("instance %r: %s" % (inst.get("id"), exc)) from None
         tasks.extend((inst, r) for r in rs)
     # the output is opened before any instance runs, so a path that cannot
     # be written fails at once instead of after the whole suite
@@ -296,12 +284,8 @@ def _build_parser():
 
     p = sub.add_parser("gen", help="deterministic instance generators")
     p.add_argument("--family", required=True, choices=list(FAMILIES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--max-degree", type=int, dest="max_degree")
+    for name, kind in PARAMS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write graph6 to this file")
     p.set_defaults(func=cmd_gen)

@@ -3,12 +3,15 @@
 import math
 import re
 
-from .graphs import Graph, _check_size
+from .graphs import Graph, LimitsExceededError, _check_size
 
 # Default caps on the size of a parsed graph, checked before Graph allocates
 # its adjacency lists.
 MAX_VERTICES = 10 ** 6
 MAX_EDGES = 10 ** 7
+# serialize_graph6 refuses a body over 2^28 bytes (n > 56756) before it
+# allocates one.
+MAX_GRAPH6_BYTES = 1 << 28
 
 
 # a graph6 byte is 63..126 ('?'..'~'); '?' is a group of six zero bits
@@ -28,22 +31,22 @@ class ParseError(ValueError):
 
 
 def _g6_encode_n(n):
-    if n < 0:
-        raise ValueError("negative vertex count")
+    # MAX_GRAPH6_BYTES keeps n far below 2^36, past which graph6 has no form
     if n <= 62:
         return [n + 63]
     if n <= 258047:
         return [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    if n <= 68719476735:
-        return [126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)]
-    raise ValueError("vertex count too large for graph6")
+    return [126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)]
 
 
 def serialize_graph6(g):
     """Encode in time linear in the output: edge (i, j), i < j, sets bit
     j(j-1)/2 + i of the body, six bits a byte, most significant first."""
-    nbits = g.n * (g.n - 1) // 2
-    body = bytearray((nbits + 5) // 6)
+    size = (g.n * (g.n - 1) // 2 + 5) // 6
+    if size > MAX_GRAPH6_BYTES:
+        raise LimitsExceededError("graph6 body of %d bytes exceeds limit %d"
+                                  % (size, MAX_GRAPH6_BYTES))
+    body = bytearray(size)
     for i, j in g.edges:
         k = j * (j - 1) // 2 + i
         body[k // 6] |= 32 >> k % 6

@@ -1,6 +1,6 @@
 """Deterministic instance generators over a portable xorshift RNG."""
 
-from dataclasses import dataclass, field
+import math
 
 from .graphs import Graph
 
@@ -130,8 +130,6 @@ def random_bounded_degree(n, p, max_degree, seed=0):
 
 def interval(n, seed=0):
     """Intersection graph of n integer intervals with endpoints in [0, 2n]."""
-    if n < 0:
-        raise ValueError("need a non-negative vertex count")
     rng = Rng(seed)
     spans = []
     for _ in range(n):
@@ -143,40 +141,47 @@ def interval(n, seed=0):
     return Graph(n, edges)
 
 
-FAMILIES = ("path", "cycle", "complete", "complete-bipartite", "k-tree",
-            "random-chordal", "random-bounded-degree", "interval")
+# family -> (builder, its parameters in call order, whether it takes a seed)
+FAMILIES = {
+    "path": (path, ("n",), False),
+    "cycle": (cycle, ("n",), False),
+    "complete": (complete, ("n",), False),
+    "complete-bipartite": (complete_bipartite, ("a", "b"), False),
+    "k-tree": (k_tree, ("k", "n"), True),
+    "random-chordal": (random_chordal, ("n",), True),
+    "random-bounded-degree": (random_bounded_degree, ("n", "p", "max_degree"), True),
+    "interval": (interval, ("n",), True),
+}
+# parameter -> type; p may also be an int, and is 0.2 when left out
+PARAMS = {"n": int, "k": int, "a": int, "b": int, "p": float, "max_degree": int}
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
+def check_params(family, params, seed=0):
+    """Raise ValueError unless family is known, params a dict of exactly the
+    family's parameters (p may be left out), and each value and the seed an
+    int (p may also be a finite float; a bool is neither)."""
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ValueError("unknown family %r" % (family,))
+    if not isinstance(params, dict):
+        raise ValueError("params must be a dict")
+    names = FAMILIES[family][1]
+    for name in names:
+        if name not in params and name != "p":
+            raise ValueError("family %r needs parameter %r" % (family, name))
+    for name, value in params.items():
+        if name not in names:
+            raise ValueError("family %r takes no parameter %r" % (family, name))
+        if not (type(value) is int
+                or type(value) is PARAMS[name] and math.isfinite(value)):
+            raise ValueError("parameter %r must be %s" % (
+                name, "an integer" if PARAMS[name] is int else "a finite number"))
+    if type(seed) is not int:
+        raise ValueError("seed must be an integer")
 
 
-def generate(spec):
-    """Graph of spec.family; raises ValueError for a missing parameter."""
-
-    def param(name):
-        if name not in spec.params:
-            raise ValueError("family %r needs parameter %r" % (spec.family, name))
-        return spec.params[name]
-
-    if spec.family == "path":
-        return path(param("n"))
-    if spec.family == "cycle":
-        return cycle(param("n"))
-    if spec.family == "complete":
-        return complete(param("n"))
-    if spec.family == "complete-bipartite":
-        return complete_bipartite(param("a"), param("b"))
-    if spec.family == "k-tree":
-        return k_tree(param("k"), param("n"), spec.seed)
-    if spec.family == "random-chordal":
-        return random_chordal(param("n"), spec.seed)
-    if spec.family == "random-bounded-degree":
-        return random_bounded_degree(param("n"), spec.params.get("p", 0.2),
-                                     param("max_degree"), spec.seed)
-    if spec.family == "interval":
-        return interval(param("n"), spec.seed)
-    raise ValueError("unknown family %r" % spec.family)
+def generate(family, params, seed=0):
+    """Graph of family, once check_params has passed it."""
+    check_params(family, params, seed)
+    builder, names, takes_seed = FAMILIES[family]
+    args = [params.get(name, 0.2) for name in names]  # only p can be absent
+    return builder(*args, seed) if takes_seed else builder(*args)

@@ -49,12 +49,6 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def degree(self, v):
-        return len(self.adj[v])
-
-    def has_edge(self, u, v):
-        return _norm_edge(u, v) in self.edges
-
     def max_degree(self):
         return max((len(a) for a in self.adj), default=0)
 

@@ -129,19 +129,6 @@ def _perfect_matchings(adj, mask):
     return total
 
 
-def _sub_degeneracy(g, vs):
-    """Degeneracy of G[vs], the least r for which G[vs] peels."""
-    adj, alive = _adjacency(g), _mask(vs)
-    r = 0
-    while not _peels(adj, alive, r):
-        r += 1
-    return r
-
-
-def _induced_has_cycle(g, vs):
-    return _has_cycle(_adjacency(g), _mask(vs))
-
-
 def _bnb_matching(search, feasible):
     """Max matching under a hereditary feasibility predicate, branch and bound.
 

@@ -20,6 +20,22 @@ def gnp(n, p, seed):
     return random_bounded_degree(n, p, max_degree=max(n, 1), seed=seed)
 
 
+def _reference_sub_degeneracy(g, vs):
+    """Degeneracy of G[vs] by a set-based min-degree peel, without remapping
+    ids: the reference for the oracles' mask peel and for DP witnesses."""
+    alive = set(vs)
+    deg = {v: sum(1 for w in g.adj[v] if w in alive) for v in alive}
+    worst = 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        worst = max(worst, deg[v])
+        alive.remove(v)
+        for w in g.adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return worst
+
+
 def dp_value(g, r):
     """The DP's root value for nu_r, whichever path solve takes: solve answers
     r >= omega - 1 with a maximum matching, and the DP is its reference."""

@@ -31,9 +31,8 @@ from degenmatch.generate import (
     random_bounded_degree,
     random_chordal,
 )
-from degenmatch.oracles import _sub_degeneracy
 
-from conftest import dp_value
+from conftest import _reference_sub_degeneracy, dp_value
 
 LIMITS = OracleLimits(max_vertices=14, max_edges=120, timeout_ms=300_000)
 
@@ -99,7 +98,7 @@ def test_criterion_02_witness_validity(chordal_corpus, dp_results):
         for r in (1, 2, 3):
             value, matching = dp_results[(i, r)]
             assert matching.edges <= g.edges and len(matching) == value, (i, r)
-            assert _sub_degeneracy(g, matching.vertices) <= r, (i, r)
+            assert _reference_sub_degeneracy(g, matching.vertices) <= r, (i, r)
     _passline(2, "witness-validity")
 
 

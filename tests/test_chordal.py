@@ -268,7 +268,7 @@ def _max_clique(g):
     best = 0
     for size in range(1, g.n + 1):
         for vs in combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(vs, 2)):
+            if all(e in g.edges for e in combinations(vs, 2)):
                 best = max(best, size)
     return best
 

@@ -427,6 +427,36 @@ def test_gen_missing_parameter(capsys):
     assert err == "invalid input: family 'k-tree' needs parameter 'k'\n"
 
 
+def test_gen_refuses_a_parameter_the_family_does_not_take(capsys):
+    # interval takes n only; --k and --a would be ignored without the check
+    code = main(["gen", "--family", "interval", "--n", "10", "--k", "4", "--a", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "invalid input: family 'interval' takes no parameter 'k'\n"
+
+
+def test_gen_p_defaults_only_where_taken(capsys):
+    # random-bounded-degree reads p, 0.2 when left out; p = 1 gives K12
+    argv = ["gen", "--family", "random-bounded-degree", "--n", "12",
+            "--max-degree", "11", "--seed", "1"]
+    code, report = run(capsys, *argv)
+    assert code == 0 and report["results"]["m"] == 18
+    code, report = run(capsys, *argv, "--p", "1")
+    assert code == 0 and report["results"]["m"] == 66
+    assert main(["gen", "--family", "path", "--n", "5", "--p", "0.5"]) == 3
+    assert capsys.readouterr().err == \
+        "invalid input: family 'path' takes no parameter 'p'\n"
+
+
+def test_gen_graph6_over_its_cap_exits_limits(capsys):
+    # path(100000) has 99999 edges, but its graph6 body would take 833 MB
+    code = main(["gen", "--family", "path", "--n", "100000"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err == ("limits exceeded: graph6 body of 833325000 bytes exceeds "
+                   "limit %d\n" % (1 << 28))
+
+
 def test_check_chordal(tmp_path, capsys):
     code, report = run(capsys, "check-chordal", "--input",
                        write_graph(tmp_path, k_tree(2, 7, seed=1)))
@@ -604,6 +634,58 @@ def test_bench_sparse_instance_over_oracle_vertices(tmp_path, capsys):
     row = next(csv.DictReader(io.StringIO(out.read_text())))
     assert (row["graph-id"], row["n"], row["m"]) == ("sparse30", "30", "4")
     assert row["nu_r"] != "" and row["chi_r"] == ""
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"params": {"n": 12, "max_degree": 11, "P": 1},
+      "family": "random-bounded-degree", "seed": 1},
+     "family 'random-bounded-degree' takes no parameter 'P'"),
+    ({"family": "interval", "params": {"n": 10, "k": 4}},
+     "family 'interval' takes no parameter 'k'"),
+    ({"family": "path", "params": {"n": 5, "p": 0.5}},
+     "family 'path' takes no parameter 'p'"),
+    ({"family": "k-tree", "params": {"n": 8}}, "family 'k-tree' needs parameter 'k'"),
+    ({"family": "random-bounded-degree", "params": {"n": 8, "max_degree": 2,
+                                                    "p": float("nan")}},
+     "parameter 'p' must be a finite number"),
+    ({"family": "cycle", "params": {"n": 5.0}}, "parameter 'n' must be an integer"),
+    ({"family": ["k-tree"], "params": {"k": 2, "n": 8}}, "unknown family ['k-tree']"),
+    ({"family": {"a": 1}, "params": {"n": 8}}, "unknown family {'a': 1}"),
+    ({"family": 7, "params": {"n": 8}}, "unknown family 7"),
+    ({"params": {"n": 8}}, "unknown family None"),
+    ({"family": "moebius", "params": {"n": 8}}, "unknown family 'moebius'"),
+], ids=["extra-P", "extra-k", "p-not-taken", "missing-k", "p-nan", "n-float",
+        "family-list", "family-object", "family-number", "family-missing",
+        "family-unknown"])
+def test_bench_checks_every_instance_before_any_runs(tmp_path, capsys, monkeypatch,
+                                                     bad, message):
+    # a bad instance after a good one is refused before the good one runs,
+    # with its id and never a traceback
+    ran = []
+    monkeypatch.setattr(cli, "_bench_task", ran.append)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [
+        {"id": "p5", "family": "path", "params": {"n": 5}},
+        dict(bad, id="bad", r=[1]),
+    ]}))
+    code = main(["bench", "--suite", str(suite)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and ran == []
+    assert err == "invalid input: instance 'bad': %s\n" % message
+
+
+def test_bench_p_is_read(tmp_path, capsys):
+    # p = 1 puts every pair in, up to the degree cap: K12 has 66 edges
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [
+        {"id": "k12", "family": "random-bounded-degree",
+         "params": {"n": 12, "max_degree": 11, "p": 1}, "seed": 1, "r": [1]},
+    ]}))
+    out = tmp_path / "survey.csv"
+    code, report = run(capsys, "bench", "--suite", str(suite), "--out", str(out))
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out.read_text())))
+    assert (row["graph-id"], row["n"], row["m"]) == ("k12", "12", "66")
 
 
 def test_bench_missing_parameter(tmp_path, capsys):

@@ -34,9 +34,15 @@ from degenmatch.generate import (
     path,
     random_chordal,
 )
-from degenmatch.oracles import _sub_degeneracy
 
-from conftest import PAW, WRONG_RECURRENCES, all_tables, dp_value, node_table
+from conftest import (
+    PAW,
+    WRONG_RECURRENCES,
+    _reference_sub_degeneracy,
+    all_tables,
+    dp_value,
+    node_table,
+)
 
 
 def _values(table):
@@ -124,7 +130,8 @@ def test_nu_r_examples():
     res = solve(path(6), 1)
     m = res.matching
     assert res.value == 3
-    assert m.edges <= path(6).edges and _sub_degeneracy(path(6), m.vertices) <= 1
+    assert m.edges <= path(6).edges
+    assert _reference_sub_degeneracy(path(6), m.vertices) <= 1
     assert solve(complete(4), 1).value == 1
     assert solve(complete(4), 3).value == 2
     res = solve(Graph(5), 2)
@@ -146,7 +153,7 @@ def test_oracle_equivalence_small():
             m = res.matching
             assert res.value == brute_nu_r(g, r)
             assert m.edges <= g.edges and len(m) == res.value
-            assert _sub_degeneracy(g, m.vertices) <= r
+            assert _reference_sub_degeneracy(g, m.vertices) <= r
 
 
 def test_state_bound_and_downward_closure():
@@ -213,7 +220,7 @@ def test_witness_valid_over_wide_bags():
                 assert m.edges <= g.edges
                 worth = len(m) if weights is None else sum(wg[e] for e in m)
                 assert worth == res.value
-                assert _sub_degeneracy(g, m.vertices) <= r
+                assert _reference_sub_degeneracy(g, m.vertices) <= r
 
 
 def test_handlers_leave_child_tables_unchanged():

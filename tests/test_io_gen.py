@@ -4,7 +4,6 @@ import pytest
 
 from degenmatch import (
     Graph,
-    GeneratorSpec,
     LimitsExceededError,
     ParseError,
     formats,
@@ -59,7 +58,7 @@ def test_graph6_round_trip_fuzz():
 
 
 def _reference_graph6(g):
-    """The quadratic encoder serialize_graph6 replaced: one has_edge call
+    """The quadratic encoder serialize_graph6 replaced: one edge lookup
     per vertex pair, bits packed six at a time."""
     n = g.n
     if n <= 62:
@@ -69,7 +68,7 @@ def _reference_graph6(g):
     bits = []
     for j in range(1, n):
         for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
+            bits.append(1 if (i, j) in g.edges else 0)
     for i in range(0, len(bits), 6):
         chunk = bits[i:i + 6]
         chunk += [0] * (6 - len(chunk))
@@ -126,6 +125,24 @@ def test_graph6_edge_cap_checked_before_decoding(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_graph6_body_cap_checked_before_allocating():
+    # path(100000) has 99999 edges, but its body would take 833 MB; the
+    # largest graph under the 2^28-byte cap has 56756 vertices
+    assert formats.MAX_GRAPH6_BYTES == 1 << 28
+    g = path(100000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitsExceededError,
+                           match="^graph6 body of 833325000 bytes exceeds limit 268435456$"):
+            serialize_graph6(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert (56756 * 56755 // 2 + 5) // 6 <= formats.MAX_GRAPH6_BYTES
+    assert (56757 * 56756 // 2 + 5) // 6 > formats.MAX_GRAPH6_BYTES
 
 
 def test_header_prefix_accepted():
@@ -222,11 +239,11 @@ def test_bounded_degree_respects_cap():
 
 
 def test_generator_determinism():
-    spec = GeneratorSpec("random-chordal", {"n": 12}, seed=7)
-    assert generate(spec) == generate(spec)
-    spec = GeneratorSpec("k-tree", {"k": 2, "n": 8}, seed=3)
-    assert generate(spec) == generate(spec)
-    assert generate(GeneratorSpec("complete-bipartite", {"a": 3, "b": 3})) == \
+    assert generate("random-chordal", {"n": 12}, seed=7) == \
+        generate("random-chordal", {"n": 12}, seed=7)
+    assert generate("k-tree", {"k": 2, "n": 8}, seed=3) == \
+        generate("k-tree", {"k": 2, "n": 8}, seed=3)
+    assert generate("complete-bipartite", {"a": 3, "b": 3}) == \
         complete_bipartite(3, 3)
     with pytest.raises(ValueError):
-        generate(GeneratorSpec("moebius", {"n": 5}))
+        generate("moebius", {"n": 5})

@@ -20,35 +20,19 @@ from degenmatch.oracles import (
     _bnb_matching,
     _edge_count,
     _has_cycle,
-    _induced_has_cycle,
     _mask,
     _peels,
     _perfect_matchings,
-    _sub_degeneracy,
 )
 from degenmatch.cli import write_survey_csv
 from degenmatch.generate import complete, complete_bipartite, cycle, path, random_chordal
 
-from conftest import gnp
+from conftest import _reference_sub_degeneracy, gnp
 
 
 # The set-based predicates the oracles ran before they moved to int vertex
-# masks, kept as the references the mask versions must equal.
-
-def _reference_sub_degeneracy(g, vs):
-    # peel the induced subgraph without remapping ids
-    alive = set(vs)
-    deg = {v: sum(1 for w in g.adj[v] if w in alive) for v in alive}
-    worst = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        worst = max(worst, deg[v])
-        alive.remove(v)
-        for w in g.adj[v]:
-            if w in alive:
-                deg[w] -= 1
-    return worst
-
+# masks, kept as the references the mask versions must equal (the peel,
+# _reference_sub_degeneracy, is in conftest: the DP tests use it too).
 
 def _reference_induced_edge_count(g, vs):
     vs = set(vs)
@@ -139,15 +123,20 @@ def _every_subset(g):
 
 
 def test_sub_degeneracy_equals_reference():
+    # G[vs] peels at its degeneracy d and not at d - 1
     for g in _predicate_corpus():
+        adj = _adjacency(g)
         for vs in _every_subset(g):
-            assert _sub_degeneracy(g, vs) == _reference_sub_degeneracy(g, vs), (g, vs)
+            d = _reference_sub_degeneracy(g, vs)
+            assert _peels(adj, _mask(vs), d), (g, vs)
+            assert d == 0 or not _peels(adj, _mask(vs), d - 1), (g, vs)
 
 
 def test_induced_has_cycle_equals_reference():
     for g in _predicate_corpus():
+        adj = _adjacency(g)
         for vs in _every_subset(g):
-            assert _induced_has_cycle(g, vs) == \
+            assert _has_cycle(adj, _mask(vs)) == \
                 _reference_induced_has_cycle(g, vs), (g, vs)
 
 

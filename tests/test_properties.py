@@ -17,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_matchings, dp_value
+from conftest import _reference_sub_degeneracy, all_matchings, dp_value
 
 from degenmatch import (
     Graph,
@@ -34,7 +34,7 @@ from degenmatch.cli import main
 from degenmatch.formats import parse_dimacs, parse_edge_list
 from degenmatch.generate import interval, k_tree, random_chordal
 from degenmatch.graphs import _min_key_order
-from degenmatch.oracles import DEFAULT_LIMITS, _sub_degeneracy
+from degenmatch.oracles import DEFAULT_LIMITS
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -90,7 +90,7 @@ def test_weighted_dp_equals_brute_force(g, r, data):
     m = res.matching
     assert res.value == brute_max_weight(g, weights, r)
     assert sum(weights[e] for e in m) == res.value
-    assert m.edges <= g.edges and _sub_degeneracy(g, m.vertices) <= r
+    assert m.edges <= g.edges and _reference_sub_degeneracy(g, m.vertices) <= r
 
 
 def _lazy_heap_order(adj, key):
