@@ -77,10 +77,16 @@ def is_chordal(g):
 
 @dataclass
 class DecompNode:
-    kind: str  # "leaf" | "introduce" | "forget" | "join"
+    """A node of a nice decomposition. vertex is the vertex an introduce or
+    forget node adds or removes, or the vertex a pendant node hangs off its
+    child's bag; neighbours, on a pendant node only, is that vertex's
+    neighbourhood, a clique inside the bag."""
+
+    kind: str  # "leaf" | "introduce" | "forget" | "join" | "pendant"
     bag: tuple
     children: tuple = ()
     vertex: int = None
+    neighbours: tuple = ()
 
 
 @dataclass
@@ -88,7 +94,9 @@ class NiceTreeDecomposition:
     """Rooted binary tree of clique bags with empty root and leaf bags.
 
     Every node's children come before it in nodes, so walking nodes in
-    index order visits children first and the root (the empty bag) last."""
+    index order visits children first and the root (the empty bag) last.
+    A pendant vertex lies in no bag: its pendant node, whose bag equals its
+    child's, covers it and every edge at it."""
 
     nodes: list = field(default_factory=list)
     root: int = 0
@@ -97,13 +105,16 @@ class NiceTreeDecomposition:
         return max((len(nd.bag) for nd in self.nodes), default=0)
 
     def subtree_vertices(self, t):
-        """Union of the bags at t and all its descendants."""
+        """Union of the bags at t and all its descendants, and of the
+        vertices their pendant nodes hang."""
         seen = set()
         stack = [t]
         while stack:
-            s = stack.pop()
-            seen.update(self.nodes[s].bag)
-            stack.extend(self.nodes[s].children)
+            nd = self.nodes[stack.pop()]
+            seen.update(nd.bag)
+            if nd.kind == "pendant":
+                seen.add(nd.vertex)
+            stack.extend(nd.children)
         return frozenset(seen)
 
 
@@ -111,8 +122,9 @@ class _Builder:
     def __init__(self):
         self.nodes = []
 
-    def add(self, kind, bag, children=(), vertex=None):
-        self.nodes.append(DecompNode(kind, tuple(bag), tuple(children), vertex))
+    def add(self, kind, bag, children=(), vertex=None, neighbours=()):
+        self.nodes.append(DecompNode(kind, tuple(bag), tuple(children), vertex,
+                                     tuple(neighbours)))
         return len(self.nodes) - 1
 
     def chain(self, below, from_bag, to_bag):
@@ -136,9 +148,12 @@ def build_nice_decomposition(g, peo):
 
     Per-vertex bags {v} + later-neighbors parented at the bag of v's earliest
     later neighbor, then normalized: left-deep join binarization, canonical
-    forget-before-introduce chains, empty root and leaves. Disconnected graphs
-    get one subtree per component joined under the empty root. Nodes are
-    appended children first."""
+    forget-before-introduce chains, empty root and leaves. A leaf c of the
+    elimination tree has no earlier neighbour, so N(c) = later(c) is a clique
+    inside its parent's bag: c gets no bag and no branch, but one pendant
+    node above the joins at its parent's bag (at the empty root when c is
+    isolated). Disconnected graphs get one subtree per component joined
+    under the empty root. Nodes are appended children first."""
     bags = [tuple(sorted([v] + peo.later[v])) for v in range(g.n)]
     # the empty root is one more parent, with index g.n
     children = [[] for _ in range(g.n + 1)]
@@ -149,18 +164,21 @@ def build_nice_decomposition(g, peo):
     top = [None] * g.n
 
     def attach(kids, bag):
-        """Chains from the tops of kids (ascending) up to bag, then joined
-        left-deep; a leaf and a chain when there are none."""
-        subtrees = [b.chain(top[c], bags[c], bag) for c in kids]
-        if not subtrees:
-            return b.chain(b.add("leaf", ()), (), bag)
-        cur = subtrees[0]
+        """Chains from the tops of the kids that have kids (ascending) up to
+        bag, joined left-deep (a leaf and a chain when there are none), then
+        one pendant node per kid that has none."""
+        subtrees = [b.chain(top[c], bags[c], bag) for c in kids if children[c]]
+        cur = subtrees[0] if subtrees else b.chain(b.add("leaf", ()), (), bag)
         for s in subtrees[1:]:
             cur = b.add("join", bag, (cur, s))
+        for c in kids:
+            if not children[c]:
+                cur = b.add("pendant", bag, (cur,), c, peo.later[c])
         return cur
 
     for v in peo.order:
-        top[v] = attach(children[v], bags[v])
+        if children[v]:
+            top[v] = attach(children[v], bags[v])
     return NiceTreeDecomposition(b.nodes, attach(children[g.n], ()))
 
 
@@ -188,6 +206,7 @@ def validate_decomposition(g, d):
     if not all(seen):
         return False, "tree-structure: unreachable nodes"
 
+    hung = [False] * g.n
     for t, nd in enumerate(d.nodes):
         if len(nd.children) > 2:
             return False, "binary: node %d has %d children" % (t, len(nd.children))
@@ -217,13 +236,24 @@ def validate_decomposition(g, d):
             child = set(d.nodes[nd.children[0]].bag)
             if nd.vertex is None or child != bag | {nd.vertex} or nd.vertex in bag:
                 return False, "forget-shape: node %d" % t
+        elif nd.kind == "pendant":
+            c = nd.vertex
+            if (len(nd.children) != 1 or set(d.nodes[nd.children[0]].bag) != bag
+                    or c is None or not 0 <= c < g.n or c in bag):
+                return False, "pendant-shape: node %d" % t
+            if (sorted(nd.neighbours) != list(g.adj[c])
+                    or not bag.issuperset(nd.neighbours)):
+                return False, "pendant-neighbours: node %d" % t
+            if hung[c]:
+                return False, "pendant-twice: vertex %d" % c
+            hung[c] = True
         else:
             return False, "kind: unknown kind %r at node %d" % (nd.kind, t)
 
     if d.nodes[d.root].bag:
         return False, "root-empty"
 
-    covered = set()
+    covered = {v for v in range(g.n) if hung[v]}
     for nd in d.nodes:
         covered.update(nd.bag)
     if covered != set(range(g.n)):
@@ -232,13 +262,16 @@ def validate_decomposition(g, d):
     # one walk over the nodes: the bag pairs that are edges of g, the first
     # bag that is not a clique, and per vertex the holders whose parent lacks
     # it (a connected subtree has exactly one such top; the shapes make its
-    # parent a forget of that vertex, so each vertex is forgotten once)
+    # parent a forget of that vertex, so each vertex is forgotten once). A
+    # pendant node covers the edges at its vertex, which is in no bag.
     adj = [set(g.adj[v]) for v in range(g.n)]
     bag_edges = set()
     not_clique = None
     tops = [0] * g.n
     for t, nd in enumerate(d.nodes):
         bag = nd.bag
+        if nd.kind == "pendant":
+            bag_edges.update(_norm_edge(nd.vertex, y) for y in nd.neighbours)
         for i in range(len(bag)):
             for j in range(i + 1, len(bag)):
                 if bag[j] in adj[bag[i]]:
@@ -254,7 +287,9 @@ def validate_decomposition(g, d):
         if (u, v) not in bag_edges:
             return False, "edge-coverage: edge (%d, %d) in no bag" % (u, v)
     for v in range(g.n):
-        if tops[v] != 1:
+        if hung[v] and tops[v]:
+            return False, "pendant-in-bag: vertex %d" % v
+        if not hung[v] and tops[v] != 1:
             return False, "connectivity: vertex %d" % v
     if not_clique is not None:
         return False, "clique-bag: node %d" % not_clique

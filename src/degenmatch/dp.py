@@ -1,19 +1,27 @@
 """Bottom-up dynamic program for maximum r-degenerate matchings in chordal graphs.
 
 Tables map a state (S, N) -- N inside S inside the current bag, |S| <= r+1 --
-to (value, witness): the best matching size (or weight) achievable below the
-node, and a matching that reaches it, from the first candidate to reach it
-(the recursions are monotone in the value, so keeping the maximum is exact).
-Each handler copies the states it keeps with `dict(child)`, which carries
-their stored hashes, and rehashes only the states that change: the ones an
-introduce adds, and at a forget the ones holding the forgotten vertex.
+to (value, witness): the best matching size (or weight) achievable in G_t,
+the subgraph on the vertices of the bags below the node and of the vertices
+its pendant nodes hang, and a matching that reaches it, from the first
+candidate to reach it (the recursions are monotone in the value, so keeping
+the maximum is exact). Each handler copies the states it keeps with
+`dict(child)`, which carries their stored hashes, and rehashes only the
+states that change: the ones an introduce or a pendant node adds, and at a
+forget the ones holding the forgotten vertex.
+
+A pendant node hangs a vertex c with no earlier neighbour, which lies in no
+bag, off its parent's bag, which holds N(c). c's neighbours in V(M) u S are
+then exactly S cap N(c), so c may be matched, to a y there outside N, exactly
+when that set has at most r vertices: r + 1 would close a clique of r + 2.
+
 A witness is a linked structure shared between states: None, (x, y, rest)
-where a forget matches x to y, or (left, right) at a join of two that are
-not None. Introduce, keep and drop reuse the child's (value, witness), and
-no table is read once its parent is built. `solve` re-adds the witness as the
-forward pass did and requires the value exactly, then certifies it with the
-class check of `verify_coloring`: a matching of g whose vertices induce an
-r-degenerate subgraph.
+where a forget or a pendant node matches x to y, or (left, right) at a join
+of two that are not None. Introduce, keep and drop reuse the child's
+(value, witness), and no table is read once its parent is built. `solve`
+re-adds the witness as the forward pass did and requires the value exactly,
+then certifies it with the class check of `verify_coloring`: a matching of g
+whose vertices induce an r-degenerate subgraph.
 
 The tables run only when they can matter: unweighted with r >= omega - 1,
 every matching of a chordal graph is r-degenerate, and `solve` returns
@@ -95,6 +103,35 @@ def dp_forget(child, x, weights=None):
     return table
 
 
+def dp_pendant(child, x, neighbours, r, weights=None):
+    """Pendant node for x, a vertex in no bag whose neighbours lie in the bag.
+
+    Every child state is kept (x unmatched). A state (S, N) with at most r
+    vertices in S cap N(x) also offers, for each y there outside N, the state
+    (S, N + y), with x matched to y: 1 or the weight of xy more and the
+    witness node (x, y, rest). x's neighbours in V(M) u S are then S cap N(x),
+    so G[V(M) u S] stays r-degenerate exactly when there are at most r of them
+    (r + 1 would close a clique of r + 2 with x). Each state keeps the first
+    candidate, in that order, that reaches its best value."""
+    table = dict(child)
+    near = set(neighbours)
+    offers = {}
+    for (s, n), (v, witness) in child.items():
+        ys = offers.get(s)
+        if ys is None:
+            ys = [y for y in s if y in near]
+            ys = offers[s] = ys if len(ys) <= r else ()
+        for y in ys:
+            if y in n:
+                continue
+            new = (s, tuple(sorted(n + (y,))))
+            gained = v + (1 if weights is None else weights[_norm_edge(x, y)])
+            cur = table.get(new)
+            if cur is None or gained > cur[0]:
+                table[new] = (gained, (x, y, witness))
+    return table
+
+
 def dp_join(left, right):
     """Join node: combine same-S states with disjoint matched sets; the
     witness is (left, right), or the one side that is not None."""
@@ -141,6 +178,9 @@ def run_tables(decomp, r, weights=None):
             table = dp_forget(tables.pop(nd.children[0]), nd.vertex, weights)
         elif nd.kind == "join":
             table = dp_join(tables.pop(nd.children[0]), tables.pop(nd.children[1]))
+        elif nd.kind == "pendant":
+            table = dp_pendant(tables.pop(nd.children[0]), nd.vertex,
+                               nd.neighbours, r, weights)
         else:
             raise ValueError("unknown node kind %r" % nd.kind)
         tables[t] = table
@@ -171,8 +211,10 @@ def _witness_edges(witness, weights=None):
 @dataclass(frozen=True)
 class DPResult:
     """value and witness of a solve; path is "dp" when the tables ran, with
-    nodes the decomposition's size and max_table its largest table, and
-    "matching" when a maximum matching answered, with nodes and max_table 0."""
+    nodes the decomposition's size (one pendant node for each vertex with no
+    earlier neighbour, which has no branch of its own) and max_table its
+    largest table, and "matching" when a maximum matching answered, with
+    nodes and max_table 0."""
 
     value: object
     matching: Matching
@@ -238,7 +280,7 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
         matching = max_matching(g)
         res = DPResult(len(matching), matching, 0, 0, "matching")
     else:
-        # a nice decomposition's largest bag is a largest clique
+        # every bag is a clique, so no table outgrows a bag of omega
         bound = _state_bound(omega, r)
         if bound > max_states:
             raise LimitsExceededError(

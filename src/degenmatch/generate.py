@@ -114,8 +114,11 @@ def random_chordal(n, seed=0):
 def random_bounded_degree(n, p, max_degree, seed=0):
     """Bernoulli(p) over pairs in lexicographic order, rejecting edges that
     would push either endpoint past the degree cap."""
-    if n < 0 or not 0 <= p <= 1 or max_degree < 0:
-        raise ValueError("bad parameters")
+    for name, value in (("n", n), ("max_degree", max_degree)):
+        if value < 0:
+            raise ValueError("%s must be non-negative, got %r" % (name, value))
+    if not 0 <= p <= 1:
+        raise ValueError("p must be between 0 and 1, got %r" % (p,))
     rng = Rng(seed)
     deg = [0] * n
     edges = []

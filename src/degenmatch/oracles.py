@@ -261,8 +261,10 @@ def brute_chromatic_index(g, limits=None):
 def brute_degenerate_states(g, d, r, node, limits=None):
     """The literal state set at a decomposition node, by full enumeration.
 
-    Enumerates every matching of G_t avoiding edges inside the bag, then every
-    S between V(M) cap X_t and X_t keeping G[V(M) u S] r-degenerate."""
+    G_t holds the vertices of the bags at the node and below it, and the
+    vertices the pendant nodes there hang (subtree_vertices). Enumerates
+    every matching of G_t avoiding edges inside the bag, then every S between
+    V(M) cap X_t and X_t keeping G[V(M) u S] r-degenerate."""
     if r < 0:
         raise ValueError("r must be non-negative")
     search = _Search(g, limits)

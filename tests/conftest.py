@@ -4,6 +4,7 @@ from itertools import combinations
 
 from degenmatch import Graph, Matching, dp
 from degenmatch.chordal import build_nice_decomposition, mcs_order
+from degenmatch.dp import dp_pendant
 from degenmatch.generate import (
     Rng,
     cycle,
@@ -51,6 +52,8 @@ def node_table(nd, kids, r, weights=None):
         return dp.dp_introduce(kids[0], nd.vertex, r)
     if nd.kind == "forget":
         return dp.dp_forget(kids[0], nd.vertex, weights)
+    if nd.kind == "pendant":
+        return dp.dp_pendant(kids[0], nd.vertex, nd.neighbours, r, weights)
     return dp.dp_join(*kids)
 
 
@@ -142,11 +145,21 @@ def order_corpus():
 
 
 # Wrong DP recurrences that still fill consistent tables and carry a witness
-# with each value, so only a check of the witness itself can catch them. Both
-# graphs hold a triangle, so at r = 1 < omega - 1 solve runs the DP.
-DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-# the star K_{1,3} with an edge between two leaves
+# with each value, so only a check of the witness itself can catch them. Each
+# graph holds a triangle, so at r = 1 < omega - 1 solve runs the DP, and each
+# is chosen so that its row's wrong kernel decides the answer (a leaf of the
+# elimination tree hangs as a pendant node, and never reaches the introduce,
+# forget or join kernels).
+# the triangle 0 1 2 with the tail 0-3: 3 and 2 hang off the bags (0,) and
+# (0, 1)
 PAW = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+# the triangle 0 1 2 with the tail 2-3: only 3 hangs, off the bag (0, 1, 2)
+PAW_TAIL_AT_2 = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+# the triangle 0 2 3 with the tail 3-1-4: 4 hangs, and forgets match the rest
+TRIANGLE_TAIL_2 = Graph(5, [(0, 2), (0, 3), (2, 3), (1, 3), (1, 4)])
+# the triangle 0 2 3 with the tail 0-4-1-5: the triangle's branch and the
+# tail's branch meet at a join over the bag (0,)
+TRIANGLE_TAIL_3 = Graph(6, [(0, 2), (0, 3), (2, 3), (0, 4), (1, 4), (1, 5)])
 
 
 def introduce_one_too_many(child, x, r):
@@ -188,16 +201,24 @@ def forget_unrecorded_match(child, x, weights=None):
     return table
 
 
+def pendant_one_too_many(child, x, neighbours, r, weights=None):
+    """dp_pendant that matches x while up to r + 1 of its neighbours are in S."""
+    return dp_pendant(child, x, neighbours, r + 1, weights)
+
+
 # name -> (graph, dp attributes to replace, DPInvariantError message); each
-# run at r = 1, where the true value is 1
+# run at r = 1
 WRONG_RECURRENCES = {
-    # nu_1(DIAMOND) = 2 with witness {02, 13}, which spans the 2-degenerate
-    # diamond
-    "introduce": (DIAMOND, {"dp_introduce": introduce_one_too_many},
+    # witness {01, 23}, which spans the triangle held in the bag (0, 1, 2)
+    "introduce": (PAW_TAIL_AT_2, {"dp_introduce": introduce_one_too_many},
                   "not 1-degenerate"),
-    # leaves of PAW matched to the centre: the two sides' edges share it
-    "join": (PAW, {"dp_join": join_overlapping}, "not a matching"),
-    # the value counts an edge the witness does not hold
-    "forget": (PAW, {"dp_forget": forget_unrecorded_match},
-               "witness adds up to 0, value is 1"),
+    # witness {03, 04, 15}: both sides of the join match the bag's vertex 0
+    "join": (TRIANGLE_TAIL_3, {"dp_join": join_overlapping}, "not a matching"),
+    # the value counts the forget's match of the triangle, which the witness
+    # {14} does not hold
+    "forget": (TRIANGLE_TAIL_2, {"dp_forget": forget_unrecorded_match},
+               "witness adds up to 1, value is 2"),
+    # witness {12, 03}: 2 hangs matched to 1 beside its other neighbour 0,
+    # and the two edges span the paw's triangle
+    "pendant": (PAW, {"dp_pendant": pendant_one_too_many}, "not 1-degenerate"),
 }

@@ -91,7 +91,11 @@ def test_build_k2():
     d = build_nice_decomposition(g, mcs_order(g))
     ok, report = validate_decomposition(g, d)
     assert ok, report
-    assert any(set(nd.bag) == {0, 1} for nd in d.nodes)
+    # the first vertex of the order has no earlier neighbour: it hangs off
+    # the other one's bag, and that pendant node covers the edge
+    assert [nd.kind for nd in d.nodes] == ["leaf", "introduce", "pendant", "forget"]
+    pendant = d.nodes[2]
+    assert (pendant.bag, pendant.vertex, pendant.neighbours) == ((0,), 1, (0,))
 
 
 def test_build_single_vertex():
@@ -99,8 +103,9 @@ def test_build_single_vertex():
     d = build_nice_decomposition(g, mcs_order(g))
     ok, report = validate_decomposition(g, d)
     assert ok, report
-    kinds = sorted(nd.kind for nd in d.nodes)
-    assert kinds == ["forget", "introduce", "leaf"]
+    # an isolated vertex hangs off the empty root bag
+    kinds = [nd.kind for nd in d.nodes]
+    assert kinds == ["leaf", "pendant"]
 
 
 def test_build_random_2_tree():
@@ -209,6 +214,20 @@ def test_validator_reports_clique_bag():
     assert not ok and report.startswith("clique-bag")
 
 
+def test_validator_reports_pendant_neighbour_outside_bag():
+    # vertex 1 hangs off the empty bag, away from its neighbour 0: the
+    # recorded neighbours equal N(1), but the edge 01 is in no bag
+    g = complete(2)
+    nodes = [
+        DecompNode("leaf", ()),
+        DecompNode("introduce", (0,), (0,), 0),
+        DecompNode("forget", (), (1,), 0),
+        DecompNode("pendant", (), (2,), 1, (0,)),
+    ]
+    ok, report = validate_decomposition(g, NiceTreeDecomposition(nodes, 3))
+    assert not ok and report == "pendant-neighbours: node 3"
+
+
 LEAF = DecompNode("leaf", ())
 
 
@@ -246,10 +265,26 @@ LEAF = DecompNode("leaf", ())
          DecompNode("join", (0,), (1, 3)), DecompNode("join", (0,), (8, 5)),
          DecompNode("join", (0,), (9, 7)), DecompNode("forget", (), (10,), 0)],
      11, "size-bound: 12 nodes > 9"),
+    # a pendant vertex inside the bag it hangs off
+    (1, [LEAF, DecompNode("introduce", (0,), (0,), 0),
+         DecompNode("pendant", (0,), (1,), 0), DecompNode("forget", (), (2,), 0)],
+     3, "pendant-shape: node 2"),
+    # 0 recorded as a neighbour of vertex 1, which has none
+    (2, [LEAF, DecompNode("introduce", (0,), (0,), 0),
+         DecompNode("pendant", (0,), (1,), 1, (0,)),
+         DecompNode("forget", (), (2,), 0)],
+     3, "pendant-neighbours: node 2"),
+    # vertex 0 is introduced and forgotten, then hung as well
+    (1, [LEAF, DecompNode("introduce", (0,), (0,), 0),
+         DecompNode("forget", (), (1,), 0), DecompNode("pendant", (), (2,), 0)],
+     3, "pendant-in-bag: vertex 0"),
+    (1, [LEAF, DecompNode("pendant", (), (0,), 0), DecompNode("pendant", (), (1,), 0)],
+     2, "pendant-twice: vertex 0"),
 ], ids=["root-range", "not-a-tree", "unreachable", "binary", "duplicate",
         "unknown-vertex", "leaf-shape", "join-children", "join-bags",
         "introduce-shape", "forget-shape", "kind", "root-empty",
-        "vertex-coverage", "size-bound"])
+        "vertex-coverage", "size-bound", "pendant-in-its-bag",
+        "pendant-neighbours", "pendant-in-bag", "pendant-twice"])
 def test_validator_reports(n, nodes, root, report):
     from degenmatch import Graph
     d = NiceTreeDecomposition(nodes, root)
@@ -257,11 +292,12 @@ def test_validator_reports(n, nodes, root, report):
 
 
 def test_forget_uniqueness():
+    # each vertex is forgotten once or hung once, never both
     for seed in range(30):
         g = random_chordal(10, seed)
         d = build_nice_decomposition(g, mcs_order(g))
-        forgotten = [nd.vertex for nd in d.nodes if nd.kind == "forget"]
-        assert sorted(forgotten) == list(range(g.n))
+        gone = [nd.vertex for nd in d.nodes if nd.kind in ("forget", "pendant")]
+        assert sorted(gone) == list(range(g.n))
 
 
 def _max_clique(g):
@@ -274,10 +310,13 @@ def _max_clique(g):
 
 
 def test_max_bag_equals_clique_number():
+    # a largest clique is a bag, or a pendant vertex with its neighbours
     for seed in range(15):
         g = random_chordal(9, seed)
         d = build_nice_decomposition(g, mcs_order(g))
-        assert d.max_bag_size() == _max_clique(g)
+        hung = max((len(nd.neighbours) + 1 for nd in d.nodes
+                    if nd.kind == "pendant"), default=0)
+        assert max(d.max_bag_size(), hung) == _max_clique(g)
 
 
 def test_curated_recognition_suite():

@@ -382,7 +382,8 @@ def test_nur_dp_memory_is_bounded_by_the_live_tables(tmp_path):
 def test_nur_edgeless_and_star_stay_linear(tmp_path, capsys, text, value,
                                            limit_s):
     # r = 1 >= omega - 1 on both, so no decomposition is built (for the
-    # edgeless input it would hold about 4 nodes per vertex)
+    # edgeless input it would be one leaf node, then a pendant node for each
+    # vertex)
     f = tmp_path / "g.txt"
     f.write_text(text)
     started = time.monotonic()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -177,10 +178,20 @@ def test_state_bound_and_downward_closure():
 
 def test_tables_match_full_state_enumeration():
     # pruned DP tables must agree with the literal state sets: same (S, N)
-    # support and, per state, the maximum k
-    for seed in range(6):
-        g = random_chordal(6, seed)
+    # support and, per state, the maximum k; pendant nodes included, at the
+    # empty root (isolated vertices, a K1 beside a component) and above a
+    # join (a 2-tree with two isolated vertices added)
+    graphs = [random_chordal(6, seed) for seed in range(6)]
+    graphs += [Graph(3), Graph(6, random_chordal(5, 1).sorted_edges()),
+               Graph(10, k_tree(2, 8, 14).sorted_edges()),
+               Graph(8, k_tree(1, 7, 0).sorted_edges())]
+    at_root = above_join = 0
+    for g in graphs:
         decomp = build_nice_decomposition(g, mcs_order(g))
+        for nd in decomp.nodes:
+            if nd.kind == "pendant":
+                at_root += nd.bag == ()
+                above_join += decomp.nodes[nd.children[0]].kind == "join"
         for r in (1, 2):
             tables = all_tables(decomp, r)
             for t in range(len(decomp.nodes)):
@@ -189,6 +200,7 @@ def test_tables_match_full_state_enumeration():
                 for s, n, k in literal:
                     best[(s, n)] = max(best.get((s, n), -1), k)
                 assert _values(tables[t]) == best
+    assert at_root >= 5 and above_join >= 2
 
 
 def test_monotone_in_r_and_delta_collapse():
@@ -340,7 +352,7 @@ def test_certificate_rejects_inconsistent_values(monkeypatch, where):
 @pytest.mark.parametrize("kind", sorted(WRONG_RECURRENCES))
 def test_solve_rejects_wrong_recurrence(monkeypatch, kind):
     g, patches, problem = WRONG_RECURRENCES[kind]
-    assert solve(g, 1).value == 1
+    assert solve(g, 1).value == brute_nu_r(g, 1)
     for name, fn in patches.items():
         monkeypatch.setattr(dp, name, fn)
     with pytest.raises(DPInvariantError, match=problem):
@@ -363,13 +375,19 @@ def test_solve_certifies_witness_edges_and_size(monkeypatch):
 
 
 def test_weighted_solve_rejects_unrecorded_match(monkeypatch):
-    # the forget mutant's value counts a weight its witness does not hold
+    # the forget mutant's value counts the weights of the forgets' matches,
+    # which its witness does not hold; it still holds the pendant nodes'
+    # matches, so it adds up to less than the true value, but not to 0
     g = interval(14, seed=3)
     wg = {e: 1 + e[0] % 3 for e in g.sorted_edges()}
-    assert solve(g, 2, weights=wg).value > 0
+    value = solve(g, 2, weights=wg).value
+    assert value > 0
     monkeypatch.setattr(dp, "dp_forget", WRONG_RECURRENCES["forget"][1]["dp_forget"])
-    with pytest.raises(DPInvariantError, match="witness adds up to 0, value is"):
+    with pytest.raises(DPInvariantError) as exc:
         solve(g, 2, weights=wg)
+    total, reported = re.fullmatch(r"witness adds up to (\d+), value is (\d+)",
+                                   str(exc.value)).groups()
+    assert int(reported) == value and int(total) < value
 
 
 def test_float_weights_certify_exactly():

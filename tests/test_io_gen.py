@@ -10,6 +10,7 @@ from degenmatch import (
     generate,
     is_chordal,
 )
+from degenmatch.cli import main
 from degenmatch.formats import (
     load_graph,
     parse_dimacs,
@@ -236,6 +237,21 @@ def test_bounded_degree_respects_cap():
     for seed in range(30):
         g = random_bounded_degree(20, 0.4, 4, seed)
         assert g.max_degree() <= 4
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--p", "1.5", "p must be between 0 and 1, got 1.5"),
+    ("--p", "-0.25", "p must be between 0 and 1, got -0.25"),
+    ("--n", "-3", "n must be non-negative, got -3"),
+    ("--max-degree", "-1", "max_degree must be non-negative, got -1"),
+])
+def test_bounded_degree_names_the_bad_parameter(capsys, option, value, message):
+    args = {"--n": "12", "--max-degree": "11", "--p": "0.5", option: value}
+    argv = ["gen", "--family", "random-bounded-degree"]
+    for name, given in args.items():
+        argv += [name + "=" + given]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "invalid input: %s\n" % message)
 
 
 def test_generator_determinism():

@@ -284,11 +284,14 @@ def test_negative_r_is_rejected():
 
 
 def test_states_exclude_bag_internal_edges():
-    # at the node where both endpoints of the only edge are in the bag, no
-    # matching may use that edge
-    g = Graph(2, [(0, 1)])
+    # at the node where both endpoints of an edge are in the bag, and no
+    # other edge is below it, no matching may use that edge (a K2 hangs one
+    # endpoint off the other's bag, so the triangle's first bag of two is
+    # used)
+    g = complete(3)
     d = build_nice_decomposition(g, mcs_order(g))
-    node = next(i for i, nd in enumerate(d.nodes) if set(nd.bag) == {0, 1})
+    node = next(i for i, nd in enumerate(d.nodes) if len(nd.bag) == 2)
+    assert d.subtree_vertices(node) == frozenset(d.nodes[node].bag)
     states = brute_degenerate_states(g, d, 1, node)
     assert {k for _, _, k in states} == {0}
 
@@ -329,9 +332,10 @@ def test_one_search_per_call(monkeypatch):
 
 
 def test_degenerate_states_timeout():
-    # at K14's 14-vertex bag no edge is allowed, so all the work is the
-    # 2^14 subsets of the bag, which the deadline must bound as well
-    g = complete(14)
+    # at K15's 14-vertex bag (its first vertex hangs off it) no edge is
+    # allowed, so all the work is the 2^14 subsets of the bag, which the
+    # deadline must bound as well
+    g = complete(15)
     d = build_nice_decomposition(g, mcs_order(g))
     node = next(i for i, nd in enumerate(d.nodes) if len(nd.bag) == 14)
     with pytest.raises(LimitsExceededError):
