@@ -1,6 +1,6 @@
 """Chordality recognition and nice clique-tree decompositions."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .graphs import _min_key_order, _norm_edge
 
@@ -9,16 +9,13 @@ class NotChordalError(Exception):
     """Raised when an input graph contains a chordless cycle of length >= 4."""
 
 
-@dataclass(frozen=True)
-class EliminationOrder:
+class EliminationOrder(namedtuple("EliminationOrder", "order later parent")):
     """A perfect elimination order with its elimination tree, as built and
-    checked by elimination_order: later[v] lists the neighbours of v after
-    it in order, parent[v] is the earliest of them (None at a component
-    root)."""
+    checked by elimination_order: order is a tuple, later[v] lists the
+    neighbours of v after it in order, parent[v] is the earliest of them
+    (None at a component root)."""
 
-    order: tuple
-    later: list
-    parent: list
+    __slots__ = ()
 
 
 def elimination_order(g, order):
@@ -75,21 +72,17 @@ def is_chordal(g):
         return False
 
 
-@dataclass
-class DecompNode:
-    """A node of a nice decomposition. vertex is the vertex an introduce or
-    forget node adds or removes, or the vertex a pendant node hangs off its
-    child's bag; neighbours, on a pendant node only, is that vertex's
-    neighbourhood, a clique inside the bag."""
+class DecompNode(namedtuple("DecompNode", "kind bag children vertex neighbours",
+                            defaults=((), None, ()))):
+    """A node of a nice decomposition. kind is "leaf", "introduce", "forget",
+    "join" or "pendant"; bag and children are tuples. vertex is the vertex
+    an introduce or forget node adds or removes, or the vertex a pendant
+    node hangs off its child's bag; neighbours, on a pendant node only, is
+    that vertex's neighbourhood, a clique inside the bag."""
 
-    kind: str  # "leaf" | "introduce" | "forget" | "join" | "pendant"
-    bag: tuple
-    children: tuple = ()
-    vertex: int = None
-    neighbours: tuple = ()
+    __slots__ = ()
 
 
-@dataclass
 class NiceTreeDecomposition:
     """Rooted binary tree of clique bags with empty root and leaf bags.
 
@@ -98,8 +91,9 @@ class NiceTreeDecomposition:
     A pendant vertex lies in no bag: its pendant node, whose bag equals its
     child's, covers it and every edge at it."""
 
-    nodes: list = field(default_factory=list)
-    root: int = 0
+    def __init__(self, nodes=None, root=0):
+        self.nodes = [] if nodes is None else nodes
+        self.root = root
 
     def max_bag_size(self):
         return max((len(nd.bag) for nd in self.nodes), default=0)

@@ -1,14 +1,12 @@
 """Command-line front door: solver, coloring, oracles, generators, benchmarks."""
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import __version__
@@ -174,6 +172,8 @@ def _bench_task(task):
 
 def write_survey_csv(rows, fileobj):
     """Emit the survey table; rows are dicts keyed by SURVEY_FIELDS."""
+    import csv  # only bench --out writes CSV, so no other call loads it
+
     writer = csv.DictWriter(fileobj, fieldnames=SURVEY_FIELDS)
     writer.writeheader()
     for row in rows:
@@ -206,6 +206,10 @@ def cmd_bench(args, _):
         # the pool forks all its workers at once, so start no more than can run
         workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         if workers > 1:
+            # the pool pulls in multiprocessing, socket and pickle, so it is
+            # imported only here, where one is started
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_bench_task, tasks))
         else:

@@ -28,7 +28,7 @@ every matching of a chordal graph is r-degenerate, and `solve` returns
 `graphs.max_matching` under the same certificate instead."""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chordal import build_nice_decomposition, mcs_order
 from .coloring import _is_r_degenerate
@@ -208,19 +208,14 @@ def _witness_edges(witness, weights=None):
     return [node[:2] for node in nodes if len(node) == 3], total[id(witness)]
 
 
-@dataclass(frozen=True)
-class DPResult:
+class DPResult(namedtuple("DPResult", "value matching nodes max_table path")):
     """value and witness of a solve; path is "dp" when the tables ran, with
     nodes the decomposition's size (one pendant node for each vertex with no
     earlier neighbour, which has no branch of its own) and max_table its
     largest table, and "matching" when a maximum matching answered, with
     nodes and max_table 0."""
 
-    value: object
-    matching: Matching
-    nodes: int
-    max_table: int
-    path: str
+    __slots__ = ()
 
 
 MAX_STATES = 10**6
@@ -231,6 +226,16 @@ def _state_bound(bag_size, r):
     S inside the bag, |S| <= r+1): a bound on every table of a decomposition
     whose largest bag has that size."""
     return sum(math.comb(bag_size, k) << k for k in range(min(r + 1, bag_size) + 1))
+
+
+def _largest_bag(peo):
+    """The size of the largest bag build_nice_decomposition builds from the
+    checked elimination order peo: its bags are {p} + later(p) for each
+    vertex p that is some vertex's parent, and subsets of those (a vertex
+    that is no parent hangs as a pendant node), so omega - 1 when every
+    largest clique holds an elimination-tree leaf."""
+    return max((len(peo.later[p]) for p in peo.parent if p is not None),
+               default=-1) + 1
 
 
 def solve(g, r, weights=None, max_states=MAX_STATES):
@@ -248,9 +253,10 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
     Raises ValueError, before anything else, for a weight missing, given
     for a non-edge or not a finite number, then for r < 1 or max_states < 1,
     NotChordalError on non-chordal input, LimitsExceededError,
-    before the decomposition is built, when the DP would run and a bag of
-    omega vertices admits more than max_states states (default MAX_STATES;
-    the cap bounds tables, so it applies to the DP only), and
+    before the decomposition is built, when the DP would run and its largest
+    bag (omega or omega - 1 vertices, read from the elimination tree) admits
+    more than max_states states (default MAX_STATES; the cap bounds tables,
+    so it applies to the DP only), and
     DPInvariantError when the witness is not an r-degenerate matching of g
     whose total, re-added as the forward pass added it, is the value."""
     if weights is not None:
@@ -280,12 +286,13 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
         matching = max_matching(g)
         res = DPResult(len(matching), matching, 0, 0, "matching")
     else:
-        # every bag is a clique, so no table outgrows a bag of omega
-        bound = _state_bound(omega, r)
+        # every bag is a clique, so no table outgrows the largest bag's states
+        bag = _largest_bag(peo)
+        bound = _state_bound(bag, r)
         if bound > max_states:
             raise LimitsExceededError(
                 "%d DP states (largest bag %d, r = %d) exceeds limit %d"
-                % (bound, omega, r, max_states))
+                % (bound, bag, r, max_states))
         decomp = build_nice_decomposition(g, peo)
         root, largest = run_tables(decomp, r, weights)
         value, witness = root[_EMPTY]

@@ -6,16 +6,16 @@ _Search: one limit check, one deadline and one set of masks, shared by every
 search the call runs (the chromatic searches find their class cap inside it)."""
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import LimitsExceededError, _check_size
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_vertices: int = 16
-    max_edges: int = 48
-    timeout_ms: int = 60_000
+class OracleLimits(namedtuple("OracleLimits", "max_vertices max_edges timeout_ms",
+                              defaults=(16, 48, 60_000))):
+    """The size limits and the time budget of one oracle call."""
+
+    __slots__ = ()
 
 
 DEFAULT_LIMITS = OracleLimits()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -328,13 +329,16 @@ def test_nur_max_states_exits_limits(tmp_path, capsys):
     assert code == 4 and out == ""
     assert err == ("limits exceeded: 42981185 DP states (largest bag 16, "
                    "r = 14) exceeds limit 1000000\n")
-    # K5 at r = 2: 1 + 5*2 + 10*4 + 10*8 = 131 states over its one bag
+    # K5 at r = 2: 1 + 4*2 + 6*4 + 4*8 = 65 states over its largest bag of
+    # 4 (the fifth vertex hangs as a pendant node)
     k5 = write_graph(tmp_path, complete(5), "k5.g6")
-    code = main(["nur", "--input", k5, "--r", "2", "--max-states", "130"])
+    code = main(["nur", "--input", k5, "--r", "2", "--max-states", "64"])
     out, err = capsys.readouterr()
-    assert code == 4 and out == "" and err.startswith("limits exceeded: ")
+    assert code == 4 and out == ""
+    assert err == ("limits exceeded: 65 DP states (largest bag 4, r = 2) "
+                   "exceeds limit 64\n")
     code, report = run(capsys, "nur", "--input", k5, "--r", "2",
-                       "--max-states", "131")
+                       "--max-states", "65")
     assert code == 0 and report["results"]["nu_r"] == 1
     assert report["results"]["stats"]["path"] == "dp"
     # r = 4 = omega - 1 builds no table, so no cap applies
@@ -495,8 +499,9 @@ BENCH_SUITE = {"instances": [
 
 
 def record_pools(monkeypatch, pool_class):
-    """Replace the CLI's ProcessPoolExecutor with a subclass of pool_class
-    that records the max_workers of every pool made; returns that list."""
+    """Replace concurrent.futures.ProcessPoolExecutor, which `bench` imports
+    where it starts a pool, with a subclass of pool_class that records the
+    max_workers of every pool made; returns that list."""
     made = []
 
     class Recording(pool_class):
@@ -504,8 +509,24 @@ def record_pools(monkeypatch, pool_class):
             made.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     return made
+
+
+def test_import_loads_no_pool_csv_or_dataclasses():
+    # every degenmatch process imports the CLI; the process pool (only
+    # `bench --jobs N` with N > 1 starts one), csv (only `bench --out`) and
+    # dataclasses with inspect are imported where they are used, or not at all
+    heavy = ["concurrent.futures", "multiprocessing", "csv", "dataclasses",
+             "inspect"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, degenmatch.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))",
+         *heavy],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -513,7 +534,7 @@ def test_bench(tmp_path, capsys, monkeypatch, jobs):
     # the worker pool (--jobs 2) must give the serial run's counters and CSV;
     # two CPUs keep --jobs 2 on the pool on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    made = record_pools(monkeypatch, cli.ProcessPoolExecutor)
+    made = record_pools(monkeypatch, concurrent.futures.ProcessPoolExecutor)
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps(BENCH_SUITE))
     out = tmp_path / "survey.csv"

@@ -269,11 +269,31 @@ def test_state_bound():
             assert max(len(t) for t in all_tables(decomp, r).values()) <= bound
 
 
+def test_largest_bag_is_the_decompositions():
+    # the cap's bag size, read off the elimination order, is the largest bag
+    # the decomposition builds: omega - 1 when every largest clique holds an
+    # elimination-tree leaf (K_n), omega elsewhere, 0 with no edge
+    graphs = [random_chordal(12, seed) for seed in range(20)]
+    graphs += [Graph(n + 2, k_tree(k, n, seed).sorted_edges())
+               for k, n, seed in ((1, 9, 0), (2, 10, 3), (3, 12, 5))]
+    graphs += [complete(n) for n in range(1, 8)] + [Graph(0), Graph(4)]
+    below_omega = 0
+    for g in graphs:
+        peo = mcs_order(g)
+        size = dp._largest_bag(peo)
+        assert size == build_nice_decomposition(g, peo).max_bag_size()
+        below_omega += size < max(map(len, peo.later), default=-1) + 1
+    assert below_omega >= 7
+
+
 def test_solve_max_states(monkeypatch):
-    g = complete(5)  # one bag of 5: 131 states at r = 2
-    assert solve(g, 2, max_states=131).value == solve(g, 2).value == 1
-    with pytest.raises(LimitsExceededError, match="^131 DP states"):
-        solve(g, 2, max_states=130)
+    # K5's elimination-tree leaf hangs as a pendant node, so its largest bag
+    # holds 4 vertices: 1 + 4*2 + 6*4 + 4*8 = 65 states at r = 2
+    g = complete(5)
+    assert solve(g, 2, max_states=65).value == solve(g, 2).value == 1
+    with pytest.raises(LimitsExceededError) as exc:
+        solve(g, 2, max_states=64)
+    assert str(exc.value) == "65 DP states (largest bag 4, r = 2) exceeds limit 64"
     # every DP call runs under dp.MAX_STATES by default, and a refused call
     # is refused from omega, before a decomposition is built
     def no_decomposition(g, peo):
