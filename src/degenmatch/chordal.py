@@ -112,68 +112,73 @@ class NiceTreeDecomposition:
         return frozenset(seen)
 
 
-class _Builder:
-    def __init__(self):
-        self.nodes = []
-
-    def add(self, kind, bag, children=(), vertex=None, neighbours=()):
-        self.nodes.append(DecompNode(kind, tuple(bag), tuple(children), vertex,
-                                     tuple(neighbours)))
-        return len(self.nodes) - 1
-
-    def chain(self, below, from_bag, to_bag):
-        """Forget/introduce chain turning from_bag into to_bag, bottom-up.
-
-        Forgets come before introduces, each in ascending vertex id."""
-        cur = below
-        bag = set(from_bag)
-        for v in sorted(set(from_bag) - set(to_bag)):
-            bag.remove(v)
-            cur = self.add("forget", sorted(bag), (cur,), v)
-        for v in sorted(set(to_bag) - set(from_bag)):
-            bag.add(v)
-            cur = self.add("introduce", sorted(bag), (cur,), v)
-        return cur
+def _largest_bag(peo):
+    """The size of the largest bag build_nice_decomposition builds from the
+    checked elimination order peo, the largest of its parents' bags: omega - 1
+    when every largest clique holds an elimination-tree leaf."""
+    return max((len(peo.later[p]) for p in peo.parent if p is not None),
+               default=-1) + 1
 
 
 def build_nice_decomposition(g, peo):
     """Nice decomposition from a checked EliminationOrder (mcs_order or
     elimination_order); its tree is read, not rebuilt or re-checked.
 
-    Per-vertex bags {v} + later-neighbors parented at the bag of v's earliest
-    later neighbor, then normalized: left-deep join binarization, canonical
-    forget-before-introduce chains, empty root and leaves. A leaf c of the
-    elimination tree has no earlier neighbour, so N(c) = later(c) is a clique
-    inside its parent's bag: c gets no bag and no branch, but one pendant
-    node above the joins at its parent's bag (at the empty root when c is
-    isolated). Disconnected graphs get one subtree per component joined
-    under the empty root. Nodes are appended children first."""
-    bags = [tuple(sorted([v] + peo.later[v])) for v in range(g.n)]
+    Only a vertex p that is some vertex's parent in the elimination tree
+    gets a bag, {p} + later(p), built at the bag of p's parent; every other
+    bag is a subset of one of these. The tree is then normalized: left-deep
+    join binarization, canonical forget-before-introduce chains, empty root
+    and leaves. A leaf c of the elimination tree has no earlier neighbour,
+    so N(c) = later(c) is a clique inside its parent's bag: c gets no bag and
+    no branch, but one pendant node above the joins at its parent's bag (at
+    the empty root when c is isolated). Disconnected graphs get one subtree
+    per component joined under the empty root. Nodes are appended children
+    first."""
     # the empty root is one more parent, with index g.n
     children = [[] for _ in range(g.n + 1)]
     for v in range(g.n):
         children[g.n if peo.parent[v] is None else peo.parent[v]].append(v)
-
-    b = _Builder()
+    nodes = []
     top = [None] * g.n
+
+    def add(kind, bag, kids=(), vertex=None, neighbours=()):
+        nodes.append(DecompNode(kind, tuple(bag), tuple(kids), vertex,
+                                tuple(neighbours)))
+        return len(nodes) - 1
+
+    def chain(below, to_bag):
+        """Forget/introduce chain from node below's bag up to to_bag:
+        forgets before introduces, each in ascending vertex id."""
+        from_bag = nodes[below].bag
+        bag = set(from_bag)
+        for v in sorted(bag.difference(to_bag)):
+            bag.remove(v)
+            below = add("forget", sorted(bag), (below,), v)
+        for v in sorted(set(to_bag).difference(from_bag)):
+            bag.add(v)
+            below = add("introduce", sorted(bag), (below,), v)
+        return below
 
     def attach(kids, bag):
         """Chains from the tops of the kids that have kids (ascending) up to
         bag, joined left-deep (a leaf and a chain when there are none), then
         one pendant node per kid that has none."""
-        subtrees = [b.chain(top[c], bags[c], bag) for c in kids if children[c]]
-        cur = subtrees[0] if subtrees else b.chain(b.add("leaf", ()), (), bag)
+        subtrees = [chain(top[c], bag) for c in kids if children[c]]
+        cur = subtrees[0] if subtrees else chain(add("leaf", ()), bag)
         for s in subtrees[1:]:
-            cur = b.add("join", bag, (cur, s))
+            cur = add("join", bag, (cur, s))
         for c in kids:
             if not children[c]:
-                cur = b.add("pendant", bag, (cur,), c, peo.later[c])
+                cur = add("pendant", bag, (cur,), c, peo.later[c])
         return cur
 
+    # a vertex comes before its parent in the order, so each top is built
+    # before the chain that reads it; the bag is a tuple, so the join and
+    # pendant nodes at it share one object
     for v in peo.order:
         if children[v]:
-            top[v] = attach(children[v], bags[v])
-    return NiceTreeDecomposition(b.nodes, attach(children[g.n], ()))
+            top[v] = attach(children[v], tuple(sorted([v] + peo.later[v])))
+    return NiceTreeDecomposition(nodes, attach(children[g.n], ()))
 
 
 def validate_decomposition(g, d):

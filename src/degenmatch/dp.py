@@ -14,6 +14,7 @@ A pendant node hangs a vertex c with no earlier neighbour, which lies in no
 bag, off its parent's bag, which holds N(c). c's neighbours in V(M) u S are
 then exactly S cap N(c), so c may be matched, to a y there outside N, exactly
 when that set has at most r vertices: r + 1 would close a clique of r + 2.
+Forget and pendant nodes share one match step, `_match`.
 
 A witness is a linked structure shared between states: None, (x, y, rest)
 where a forget or a pendant node matches x to y, or (left, right) at a join
@@ -30,7 +31,7 @@ every matching of a chordal graph is r-degenerate, and `solve` returns
 import math
 from collections import namedtuple
 
-from .chordal import build_nice_decomposition, mcs_order
+from .chordal import _largest_bag, build_nice_decomposition, mcs_order
 from .coloring import _is_r_degenerate
 from .graphs import LimitsExceededError, Matching, _norm_edge, max_matching
 
@@ -62,6 +63,22 @@ def dp_introduce(child, x, r):
     return table
 
 
+def _match(table, s, n, x, ys, value, weights):
+    """The match step of forget and pendant nodes: for each y in ys outside
+    n, the state (s, n + y) with x matched to y, at value's size plus 1 or
+    the weight of xy and with the witness node (x, y, rest). A state keeps
+    the first candidate that reaches its best value."""
+    v, witness = value
+    for y in ys:
+        if y in n:
+            continue
+        new = (s, tuple(sorted(n + (y,))))
+        gained = v + (1 if weights is None else weights[_norm_edge(x, y)])
+        cur = table.get(new)
+        if cur is None or gained > cur[0]:
+            table[new] = (gained, (x, y, witness))
+
+
 def dp_forget(child, x, weights=None):
     """Forget node for x, one case family per child state.
 
@@ -91,15 +108,7 @@ def dp_forget(child, x, weights=None):
             if cur is None or value[0] > cur[0]:
                 table[new] = value
             continue
-        v, witness = value
-        for y in s_minus:
-            if y in n:
-                continue
-            new = (s_minus, tuple(sorted(n + (y,))))
-            gained = v + (1 if weights is None else weights[_norm_edge(x, y)])
-            cur = table.get(new)
-            if cur is None or gained > cur[0]:
-                table[new] = (gained, (x, y, witness))
+        _match(table, s_minus, n, x, s_minus, value, weights)
     return table
 
 
@@ -116,19 +125,13 @@ def dp_pendant(child, x, neighbours, r, weights=None):
     table = dict(child)
     near = set(neighbours)
     offers = {}
-    for (s, n), (v, witness) in child.items():
+    for (s, n), value in child.items():
         ys = offers.get(s)
         if ys is None:
             ys = [y for y in s if y in near]
             ys = offers[s] = ys if len(ys) <= r else ()
-        for y in ys:
-            if y in n:
-                continue
-            new = (s, tuple(sorted(n + (y,))))
-            gained = v + (1 if weights is None else weights[_norm_edge(x, y)])
-            cur = table.get(new)
-            if cur is None or gained > cur[0]:
-                table[new] = (gained, (x, y, witness))
+        if ys:
+            _match(table, s, n, x, ys, value, weights)
     return table
 
 
@@ -226,16 +229,6 @@ def _state_bound(bag_size, r):
     S inside the bag, |S| <= r+1): a bound on every table of a decomposition
     whose largest bag has that size."""
     return sum(math.comb(bag_size, k) << k for k in range(min(r + 1, bag_size) + 1))
-
-
-def _largest_bag(peo):
-    """The size of the largest bag build_nice_decomposition builds from the
-    checked elimination order peo: its bags are {p} + later(p) for each
-    vertex p that is some vertex's parent, and subsets of those (a vertex
-    that is no parent hangs as a pendant node), so omega - 1 when every
-    largest clique holds an elimination-tree leaf."""
-    return max((len(peo.later[p]) for p in peo.parent if p is not None),
-               default=-1) + 1
 
 
 def solve(g, r, weights=None, max_states=MAX_STATES):

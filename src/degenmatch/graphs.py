@@ -138,7 +138,8 @@ def degeneracy(g):
 
 
 class Matching:
-    """Edge subset with pairwise disjoint endpoints."""
+    """Edge subset with pairwise disjoint endpoints; an edge listed twice
+    shares its endpoints with itself, and is refused."""
 
     def __init__(self, edges):
         es = set()
@@ -146,12 +147,9 @@ class Matching:
         for u, v in edges:
             if u == v:
                 raise ValueError("self-loop (%s, %s) in matching" % (u, v))
-            e = _norm_edge(u, v)
-            if e in es:
-                continue
             if u in used or v in used:
                 raise ValueError("edges share endpoint at (%s, %s)" % (u, v))
-            es.add(e)
+            es.add(_norm_edge(u, v))
             used.add(u)
             used.add(v)
         self.edges = frozenset(es)

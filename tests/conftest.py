@@ -183,6 +183,23 @@ def join_overlapping(left, right):
     return table
 
 
+def join_left_twice(left, right):
+    """dp_join whose witness holds the left side's witness twice instead of
+    the two sides' witnesses."""
+    table = {}
+    for (s, ln), (lvalue, lwitness) in left.items():
+        for (rs, rn), (rvalue, rwitness) in right.items():
+            if rs != s or not set(ln).isdisjoint(rn):
+                continue
+            key = (s, tuple(sorted(ln + rn)))
+            cur = table.get(key)
+            if cur is None or lvalue + rvalue > cur[0]:
+                table[key] = (lvalue + rvalue, rwitness if lwitness is None
+                              else lwitness if rwitness is None
+                              else (lwitness, lwitness))
+    return table
+
+
 def forget_unrecorded_match(child, x, weights=None):
     """dp_forget whose match case adds the gain but keeps the child's witness."""
     table = {}
@@ -214,6 +231,10 @@ WRONG_RECURRENCES = {
                   "not 1-degenerate"),
     # witness {03, 04, 15}: both sides of the join match the bag's vertex 0
     "join": (TRIANGLE_TAIL_3, {"dp_join": join_overlapping}, "not a matching"),
+    # value 2 with the witness {23, 23}: the join repeats the triangle
+    # branch's match 23 in place of the tail's 15
+    "join-witness": (TRIANGLE_TAIL_3, {"dp_join": join_left_twice},
+                     "not a matching"),
     # the value counts the forget's match of the triangle, which the witness
     # {14} does not hold
     "forget": (TRIANGLE_TAIL_2, {"dp_forget": forget_unrecorded_match},

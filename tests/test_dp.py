@@ -24,6 +24,7 @@ from degenmatch.dp import (
     dp_introduce,
     dp_join,
     dp_leaf,
+    dp_pendant,
     run_tables,
 )
 from degenmatch.generate import (
@@ -95,6 +96,46 @@ def test_dp_forget_weighted():
     child = _table({((1, 2), ()): 0})
     t = _values(dp_forget(child, 1, weights={(1, 2): 5}))
     assert t[((2,), (2,))] == 5
+
+
+def test_dp_pendant_cases():
+    # x = 9 hangs off the bag (1, 2, 3) with N(9) = (1, 2): every child state
+    # is kept with its own (value, witness), and each state offers (S, N + y)
+    # for each y in S cap N(9) outside N, 1 more and with the witness
+    # (9, y, rest); ((1, 2), (1,)) keeps its 2 over the match 9-1 worth 1
+    child = {((1, 2), ()): (0, None), ((1, 2), (1,)): (2, ("a",)),
+             ((1, 3), ()): (1, ("b",)), ((3,), ()): (0, None)}
+    before = dict(child)
+    t = dp_pendant(child, 9, (1, 2), 2)
+    assert child == before
+    assert all(t[key] is value for key, value in child.items())
+    assert t == {**child,
+                 ((1, 2), (2,)): (1, (9, 2, None)),
+                 ((1, 2), (1, 2)): (3, (9, 2, ("a",))),
+                 ((1, 3), (1,)): (2, (9, 1, ("b",)))}
+
+
+def test_dp_pendant_size_guard():
+    # at r = 1, S = (1, 2) holds both neighbours of 9, and matching 9 would
+    # close the triangle 1 2 9: nothing is offered there, while (1, 3),
+    # which holds one, still offers its match
+    child = {((1, 2), ()): (0, None), ((1, 3), ()): (1, ("b",))}
+    before = dict(child)
+    t = dp_pendant(child, 9, (1, 2), 1)
+    assert child == before
+    assert t == {**child, ((1, 3), (1,)): (2, (9, 1, ("b",)))}
+
+
+def test_dp_pendant_weighted():
+    # a match adds the weight of its edge; 9-1 worth 5 beats the kept 2
+    child = {((1, 2), ()): (0, None), ((1, 2), (1,)): (2, ("a",))}
+    before = dict(child)
+    t = dp_pendant(child, 9, (1, 2), 2, weights={(1, 9): 5, (2, 9): 7})
+    assert child == before
+    assert t == {((1, 2), ()): (0, None),
+                 ((1, 2), (1,)): (5, (9, 1, None)),
+                 ((1, 2), (2,)): (7, (9, 2, None)),
+                 ((1, 2), (1, 2)): (9, (9, 2, ("a",)))}
 
 
 def test_dp_join():
@@ -280,7 +321,7 @@ def test_largest_bag_is_the_decompositions():
     below_omega = 0
     for g in graphs:
         peo = mcs_order(g)
-        size = dp._largest_bag(peo)
+        size = chordal._largest_bag(peo)
         assert size == build_nice_decomposition(g, peo).max_bag_size()
         below_omega += size < max(map(len, peo.later), default=-1) + 1
     assert below_omega >= 7
