@@ -13,7 +13,14 @@ from . import __version__
 from .chordal import NotChordalError, build_nice_decomposition, is_chordal, mcs_order
 from .coloring import ColoringInvariantError, greedy_color, verify_coloring
 from .dp import MAX_STATES, DPInvariantError, solve
-from .formats import MAX_EDGES, MAX_VERTICES, ParseError, load_graph, serialize_graph6
+from .formats import (
+    MAX_EDGES,
+    MAX_VERTICES,
+    ParseError,
+    check_graph6_size,
+    load_graph,
+    serialize_graph6,
+)
 from .generate import FAMILIES, PARAMS, Rng, check_params, generate
 from .graphs import _norm_edge
 from .oracles import (
@@ -128,6 +135,10 @@ def cmd_oracle(args, g):
 def cmd_gen(args, _):
     params = {name: getattr(args, name) for name in PARAMS
               if getattr(args, name) is not None}
+    check_params(args.family, params, args.seed)
+    # the graph6 body's size depends only on the vertex count, so a graph
+    # too large to write is refused before it is built
+    check_graph6_size(params["n"] if "n" in params else params["a"] + params["b"])
     g = generate(args.family, params, args.seed)
     line = serialize_graph6(g)
     if args.out:

@@ -39,14 +39,21 @@ def _g6_encode_n(n):
     return [126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)]
 
 
-def serialize_graph6(g):
-    """Encode in time linear in the output: edge (i, j), i < j, sets bit
-    j(j-1)/2 + i of the body, six bits a byte, most significant first."""
-    size = (g.n * (g.n - 1) // 2 + 5) // 6
+def check_graph6_size(n):
+    """Bytes of the graph6 body of an n-vertex graph, which has one bit per
+    vertex pair whatever the edges; LimitsExceededError when that is over
+    MAX_GRAPH6_BYTES."""
+    size = (n * (n - 1) // 2 + 5) // 6
     if size > MAX_GRAPH6_BYTES:
         raise LimitsExceededError("graph6 body of %d bytes exceeds limit %d"
                                   % (size, MAX_GRAPH6_BYTES))
-    body = bytearray(size)
+    return size
+
+
+def serialize_graph6(g):
+    """Encode in time linear in the output: edge (i, j), i < j, sets bit
+    j(j-1)/2 + i of the body, six bits a byte, most significant first."""
+    body = bytearray(check_graph6_size(g.n))
     for i, j in g.edges:
         k = j * (j - 1) // 2 + i
         body[k // 6] |= 32 >> k % 6

@@ -42,9 +42,24 @@ class Rng:
             if x < bound:
                 return x % n
 
-    def chance(self, p):
-        # true with probability p, via a 53-bit threshold
-        return self.next_u64() >> 11 < p * (1 << 53)
+    def chances(self, p, count):
+        """Make count draws and return, in ascending order, the offsets of
+        those that pass with probability p: draw x passes when its top 53
+        bits, x >> 11, are below p * 2^53. That float is exact, so for the
+        integer x the test is x < ceil(p * 2^53) << 11, one comparison."""
+        _check_probability(p)
+        threshold = math.ceil(p * (1 << 53)) << 11
+        x = self.state
+        hits = []
+        # next_u64 written out: one loop makes every draw of the call
+        for i in range(count):
+            x ^= x >> 12
+            x = (x ^ x << 25) & _MASK
+            x ^= x >> 27
+            if x * 0x2545F4914F6CDD1D & _MASK < threshold:
+                hits.append(i)
+        self.state = x
+        return hits
 
     def shuffle(self, items):
         for i in range(len(items) - 1, 0, -1):
@@ -57,30 +72,70 @@ class Rng:
         return items[:k]
 
 
+# The range rules, one per family, each taking the family's parameters in
+# call order. A builder runs its rule before it builds anything, and
+# check_params runs the same rule, so bench refuses a suite before any
+# instance runs.
+def _check_probability(p):
+    if not 0 <= p <= 1:  # also refuses NaN
+        raise ValueError("p must be between 0 and 1, got %r" % (p,))
+
+
+def _check_vertex_count(n):
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+
+
+def _check_cycle(n):
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+
+
+def _check_complete_bipartite(a, b):
+    if a < 0 or b < 0:
+        raise ValueError("part sizes must be non-negative")
+
+
+def _check_k_tree(k, n):
+    if k < 1 or n < k + 1:
+        raise ValueError("k-tree needs n >= k + 1 >= 2")
+
+
+def _check_random_chordal(n):
+    if n < 1:
+        raise ValueError("need at least one vertex")
+
+
+def _check_bounded_degree(n, p, max_degree):
+    for name, value in (("n", n), ("max_degree", max_degree)):
+        if value < 0:
+            raise ValueError("%s must be non-negative, got %r" % (name, value))
+    _check_probability(p)
+
+
 def path(n):
+    _check_vertex_count(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n):
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
+    _check_cycle(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n):
+    _check_vertex_count(n)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(a, b):
-    if a < 0 or b < 0:
-        raise ValueError("part sizes must be non-negative")
+    _check_complete_bipartite(a, b)
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def k_tree(k, n, seed=0):
     """Random k-tree: K_{k+1} plus vertices attached to random k-cliques."""
-    if k < 1 or n < k + 1:
-        raise ValueError("k-tree needs n >= k + 1 >= 2")
+    _check_k_tree(k, n)
     rng = Rng(seed)
     edges = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
     cliques = [tuple(range(k + 1))]
@@ -97,8 +152,7 @@ def random_chordal(n, seed=0):
     """Simplicial growth: each new vertex attaches to a random sub-clique of a
     random existing clique, so the reverse creation order is a perfect
     elimination order."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    _check_random_chordal(n)
     rng = Rng(seed)
     edges = []
     cliques = [(0,)]
@@ -112,19 +166,17 @@ def random_chordal(n, seed=0):
 
 
 def random_bounded_degree(n, p, max_degree, seed=0):
-    """Bernoulli(p) over pairs in lexicographic order, rejecting edges that
-    would push either endpoint past the degree cap."""
-    for name, value in (("n", n), ("max_degree", max_degree)):
-        if value < 0:
-            raise ValueError("%s must be non-negative, got %r" % (name, value))
-    if not 0 <= p <= 1:
-        raise ValueError("p must be between 0 and 1, got %r" % (p,))
+    """Bernoulli(p) over pairs in lexicographic order, one draw per pair,
+    rejecting edges that would push either endpoint past the degree cap.
+    Row u's n - u - 1 draws come from one Rng.chances call."""
+    _check_bounded_degree(n, p, max_degree)
     rng = Rng(seed)
     deg = [0] * n
     edges = []
     for u in range(n):
-        for v in range(u + 1, n):
-            if rng.chance(p) and deg[u] < max_degree and deg[v] < max_degree:
+        for i in rng.chances(p, n - u - 1):
+            v = u + 1 + i
+            if deg[u] < max_degree and deg[v] < max_degree:
                 edges.append((u, v))
                 deg[u] += 1
                 deg[v] += 1
@@ -133,6 +185,7 @@ def random_bounded_degree(n, p, max_degree, seed=0):
 
 def interval(n, seed=0):
     """Intersection graph of n integer intervals with endpoints in [0, 2n]."""
+    _check_vertex_count(n)
     rng = Rng(seed)
     spans = []
     for _ in range(n):
@@ -144,16 +197,19 @@ def interval(n, seed=0):
     return Graph(n, edges)
 
 
-# family -> (builder, its parameters in call order, whether it takes a seed)
+# family -> (builder, its parameters in call order, whether it takes a seed,
+# its range rule)
 FAMILIES = {
-    "path": (path, ("n",), False),
-    "cycle": (cycle, ("n",), False),
-    "complete": (complete, ("n",), False),
-    "complete-bipartite": (complete_bipartite, ("a", "b"), False),
-    "k-tree": (k_tree, ("k", "n"), True),
-    "random-chordal": (random_chordal, ("n",), True),
-    "random-bounded-degree": (random_bounded_degree, ("n", "p", "max_degree"), True),
-    "interval": (interval, ("n",), True),
+    "path": (path, ("n",), False, _check_vertex_count),
+    "cycle": (cycle, ("n",), False, _check_cycle),
+    "complete": (complete, ("n",), False, _check_vertex_count),
+    "complete-bipartite": (complete_bipartite, ("a", "b"), False,
+                           _check_complete_bipartite),
+    "k-tree": (k_tree, ("k", "n"), True, _check_k_tree),
+    "random-chordal": (random_chordal, ("n",), True, _check_random_chordal),
+    "random-bounded-degree": (random_bounded_degree, ("n", "p", "max_degree"), True,
+                              _check_bounded_degree),
+    "interval": (interval, ("n",), True, _check_vertex_count),
 }
 # parameter -> type; p may also be an int, and is 0.2 when left out
 PARAMS = {"n": int, "k": int, "a": int, "b": int, "p": float, "max_degree": int}
@@ -161,8 +217,9 @@ PARAMS = {"n": int, "k": int, "a": int, "b": int, "p": float, "max_degree": int}
 
 def check_params(family, params, seed=0):
     """Raise ValueError unless family is known, params a dict of exactly the
-    family's parameters (p may be left out), and each value and the seed an
-    int (p may also be a finite float; a bool is neither)."""
+    family's parameters (p may be left out), each value and the seed an int
+    (p may also be a finite float; a bool is neither), and the values in the
+    range the family's builder accepts."""
     if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError("unknown family %r" % (family,))
     if not isinstance(params, dict):
@@ -180,11 +237,17 @@ def check_params(family, params, seed=0):
                 name, "an integer" if PARAMS[name] is int else "a finite number"))
     if type(seed) is not int:
         raise ValueError("seed must be an integer")
+    FAMILIES[family][3](*_arguments(family, params))
+
+
+def _arguments(family, params):
+    # only p can be absent
+    return [params.get(name, 0.2) for name in FAMILIES[family][1]]
 
 
 def generate(family, params, seed=0):
     """Graph of family, once check_params has passed it."""
     check_params(family, params, seed)
-    builder, names, takes_seed = FAMILIES[family]
-    args = [params.get(name, 0.2) for name in names]  # only p can be absent
+    builder, _, takes_seed, _ = FAMILIES[family]
+    args = _arguments(family, params)
     return builder(*args, seed) if takes_seed else builder(*args)

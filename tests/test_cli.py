@@ -676,9 +676,34 @@ def test_bench_sparse_instance_over_oracle_vertices(tmp_path, capsys):
     ({"family": 7, "params": {"n": 8}}, "unknown family 7"),
     ({"params": {"n": 8}}, "unknown family None"),
     ({"family": "moebius", "params": {"n": 8}}, "unknown family 'moebius'"),
+    # values in range for their type but not for the family's builder
+    ({"family": "cycle", "params": {"n": 2}}, "cycle needs at least 3 vertices"),
+    ({"family": "k-tree", "params": {"k": 0, "n": 5}}, "k-tree needs n >= k + 1 >= 2"),
+    ({"family": "k-tree", "params": {"k": 3, "n": 3}}, "k-tree needs n >= k + 1 >= 2"),
+    ({"family": "random-chordal", "params": {"n": 0}}, "need at least one vertex"),
+    ({"family": "random-bounded-degree", "params": {"n": 8, "max_degree": 2,
+                                                    "p": 1.5}},
+     "p must be between 0 and 1, got 1.5"),
+    ({"family": "random-bounded-degree", "params": {"n": 8, "max_degree": 2,
+                                                    "p": -1}},
+     "p must be between 0 and 1, got -1"),
+    ({"family": "random-bounded-degree", "params": {"n": -3, "max_degree": 2}},
+     "n must be non-negative, got -3"),
+    ({"family": "random-bounded-degree", "params": {"n": 8, "max_degree": -1}},
+     "max_degree must be non-negative, got -1"),
+    ({"family": "path", "params": {"n": -1}}, "vertex count must be non-negative"),
+    ({"family": "complete", "params": {"n": -1}}, "vertex count must be non-negative"),
+    ({"family": "interval", "params": {"n": -1}}, "vertex count must be non-negative"),
+    ({"family": "complete-bipartite", "params": {"a": -1, "b": 3}},
+     "part sizes must be non-negative"),
+    ({"family": "complete-bipartite", "params": {"a": 3, "b": -1}},
+     "part sizes must be non-negative"),
 ], ids=["extra-P", "extra-k", "p-not-taken", "missing-k", "p-nan", "n-float",
         "family-list", "family-object", "family-number", "family-missing",
-        "family-unknown"])
+        "family-unknown", "cycle-n2", "k-tree-k0", "k-tree-n-small", "chordal-n0",
+        "p-above-1", "p-below-0", "bounded-degree-n-negative",
+        "max-degree-negative", "path-n-negative", "complete-n-negative",
+        "interval-n-negative", "bipartite-a-negative", "bipartite-b-negative"])
 def test_bench_checks_every_instance_before_any_runs(tmp_path, capsys, monkeypatch,
                                                      bad, message):
     # a bad instance after a good one is refused before the good one runs,

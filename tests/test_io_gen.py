@@ -1,3 +1,5 @@
+import hashlib
+import re
 import tracemalloc
 
 import pytest
@@ -19,6 +21,7 @@ from degenmatch.formats import (
     serialize_graph6,
 )
 from degenmatch.generate import (
+    FAMILIES,
     Rng,
     complete,
     complete_bipartite,
@@ -146,6 +149,20 @@ def test_graph6_body_cap_checked_before_allocating():
     assert (56757 * 56756 // 2 + 5) // 6 > formats.MAX_GRAPH6_BYTES
 
 
+def test_gen_checks_graph6_size_before_building(capsys, monkeypatch):
+    # complete(56757) would build 1.6e9 edge tuples before serialize_graph6
+    # refused it; the cap depends only on n, so the builder is never called
+    def build(*args):
+        raise AssertionError("builder called")
+
+    for family, argv in (("complete", ["--n", "56757"]),
+                         ("complete-bipartite", ["--a", "30000", "--b", "26757"])):
+        monkeypatch.setitem(FAMILIES, family, (build,) + FAMILIES[family][1:])
+        assert main(["gen", "--family", family] + argv) == 4
+        assert capsys.readouterr() == ("", "limits exceeded: graph6 body of 268441691 "
+                                       "bytes exceeds limit 268435456\n")
+
+
 def test_header_prefix_accepted():
     assert parse_graph6(">>graph6<<C~") == complete(4)
 
@@ -196,9 +213,9 @@ def test_load_graph_autodetect():
 
 
 def test_rng_portable_and_deterministic():
-    a = [Rng(0).next_u64() for _ in range(3)]
-    b = [Rng(0).next_u64() for _ in range(3)]
-    assert a == b
+    r = Rng(0)
+    assert [r.next_u64() for _ in range(3)] == [
+        0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD, 0xB3C638353C668C91]
     assert Rng(1).next_u64() != Rng(2).next_u64()
     r = Rng(5)
     vals = [r.randbelow(10) for _ in range(100)]
@@ -231,6 +248,92 @@ def test_random_chordal_always_chordal():
 def test_interval_chordal():
     for seed in range(40):
         assert is_chordal(interval(3 + seed % 10, seed))
+
+
+@pytest.mark.parametrize("family, params, seed, digest", [
+    ("k-tree", {"k": 3, "n": 40}, 2,
+     "29befcb9624f42a0956cdf26c32a40d07aa5cb524dd0487f7a74921842412a33"),
+    ("random-chordal", {"n": 30}, 5,
+     "85130facc1cc46add201763f5788bfed0c455869636277a4a08e8acc00910f13"),
+    ("interval", {"n": 30}, 4,
+     "9953e8b7a84c718538d6b97608e7b058c62dc3d2dcde94f190d30c96c22b06f8"),
+    ("random-bounded-degree", {"n": 40, "p": 0.3, "max_degree": 5}, 3,
+     "156dfd3b47cb0c2d4de36a1a29493d2f30c2542b7973aba6bd276a5f953a4ef7"),
+    ("random-bounded-degree", {"n": 40, "p": 1, "max_degree": 5}, 3,
+     "6ed3592740f21aeb9334df27ad6139365c13d400b976a4d199c2a8fc4a92e6c2"),
+], ids=["k-tree", "random-chordal", "interval", "bounded-degree-p0.3",
+        "bounded-degree-p1"])
+def test_seeded_families_match_pinned_graphs(family, params, seed, digest):
+    # the sha256 of each graph6 line, so a changed random stream or draw
+    # order fails on every Python version
+    line = serialize_graph6(generate(family, params, seed))
+    assert hashlib.sha256(line.encode()).hexdigest() == digest
+
+
+def _reference_chance(rng, p):
+    """The per-draw test Rng.chances replaced: true with probability p, via
+    a 53-bit threshold."""
+    return rng.next_u64() >> 11 < p * (1 << 53)
+
+
+def _reference_bounded_degree(n, p, max_degree, seed=0):
+    """The per-pair random_bounded_degree that one chances call per row
+    replaced: one draw per pair in lexicographic order."""
+    rng = Rng(seed)
+    deg = [0] * n
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if _reference_chance(rng, p) and deg[u] < max_degree and deg[v] < max_degree:
+                edges.append((u, v))
+                deg[u] += 1
+                deg[v] += 1
+    return edges
+
+
+# p at both ends (1 as an int and as a float), below one step of the 53-bit
+# threshold, and one step under 1
+REFERENCE_PS = [0, 1, 1.0, 2.0 ** -60, 0.05, 0.5, 1 - 2.0 ** -53]
+
+
+def test_bounded_degree_equals_reference():
+    for n in range(41):
+        for p in REFERENCE_PS:
+            for max_degree in sorted({0, 1, 3, n}):
+                for seed in range(10):
+                    g = random_bounded_degree(n, p, max_degree, seed)
+                    assert sorted(g.edges) == _reference_bounded_degree(
+                        n, p, max_degree, seed), (n, p, max_degree, seed)
+
+
+def test_chances_equals_reference_draws():
+    for p in REFERENCE_PS + [0.3, 5e-324]:
+        for seed in range(5):
+            for count in (0, 1, 2, 7, 64, 500):
+                rng, twin = Rng(seed), Rng(seed)
+                hits = rng.chances(p, count)
+                assert hits == [i for i in range(count) if _reference_chance(twin, p)]
+                assert rng.state == twin.state
+                # the next draw continues the same stream
+                assert rng.next_u64() == twin.next_u64()
+
+
+@pytest.mark.parametrize("p", [float("nan"), -0.25, 1.5, float("inf"),
+                               -float("inf"), 1 + 2.0 ** -52, 2, -1])
+def test_chances_refuses_p_outside_unit_interval(p):
+    # refused before any draw, with the message random_bounded_degree gives
+    rng = Rng(9)
+    before = rng.state
+    with pytest.raises(ValueError, match=r"^p must be between 0 and 1, got %s$"
+                       % re.escape(repr(p))):
+        rng.chances(p, 10)
+    assert rng.state == before
+    with pytest.raises(ValueError, match="^p must be between 0 and 1"):
+        random_bounded_degree(5, p, 2)
+
+
+def test_chance_is_gone():
+    assert not hasattr(Rng, "chance")
 
 
 def test_bounded_degree_respects_cap():
