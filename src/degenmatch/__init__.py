@@ -15,7 +15,6 @@ from .chordal import (
     build_nice_decomposition,
     is_chordal,
     mcs_order,
-    validate_decomposition,
 )
 from .dp import solve
 from .coloring import (
@@ -28,7 +27,6 @@ from .coloring import (
 from .oracles import (
     LimitsExceededError,
     OracleLimits,
-    brute_chromatic_index,
     brute_chromatic_index_r,
     brute_degenerate_states,
     brute_nu_r,
@@ -41,13 +39,11 @@ __all__ = [
     "Graph", "Matching", "degeneracy", "induced_subgraph",
     "EliminationOrder", "NiceTreeDecomposition", "NotChordalError",
     "build_nice_decomposition", "is_chordal", "mcs_order",
-    "validate_decomposition",
     "solve",
     "ColoringInvariantError", "EdgeColoring", "greedy_color",
     "palette_size", "verify_coloring",
-    "LimitsExceededError", "OracleLimits", "brute_chromatic_index",
-    "brute_chromatic_index_r", "brute_degenerate_states", "brute_nu_r",
-    "brute_nu_variants",
+    "LimitsExceededError", "OracleLimits", "brute_chromatic_index_r",
+    "brute_degenerate_states", "brute_nu_r", "brute_nu_variants",
     "ParseError", "load_graph", "parse_graph6", "serialize_graph6",
     "Rng", "generate",
 ]

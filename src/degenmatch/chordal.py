@@ -83,20 +83,16 @@ class DecompNode(namedtuple("DecompNode", "kind bag children vertex neighbours",
     __slots__ = ()
 
 
-class NiceTreeDecomposition:
-    """Rooted binary tree of clique bags with empty root and leaf bags.
+class NiceTreeDecomposition(namedtuple("NiceTreeDecomposition", "nodes root")):
+    """Rooted binary tree of clique bags with empty root and leaf bags: nodes
+    is the list of DecompNodes, root the index of the root.
 
     Every node's children come before it in nodes, so walking nodes in
     index order visits children first and the root (the empty bag) last.
     A pendant vertex lies in no bag: its pendant node, whose bag equals its
     child's, covers it and every edge at it."""
 
-    def __init__(self, nodes=None, root=0):
-        self.nodes = [] if nodes is None else nodes
-        self.root = root
-
-    def max_bag_size(self):
-        return max((len(nd.bag) for nd in self.nodes), default=0)
+    __slots__ = ()
 
     def subtree_vertices(self, t):
         """Union of the bags at t and all its descendants, and of the
@@ -180,120 +176,3 @@ def build_nice_decomposition(g, peo):
             top[v] = attach(children[v], tuple(sorted([v] + peo.later[v])))
     return NiceTreeDecomposition(nodes, attach(children[g.n], ()))
 
-
-def validate_decomposition(g, d):
-    """Check every nice-decomposition invariant; returns (ok, report).
-
-    report names the first violated axiom, None when everything holds."""
-    n_nodes = len(d.nodes)
-    if not 0 <= d.root < n_nodes:
-        return False, "tree-structure: root out of range"
-    parent = [None] * n_nodes
-    seen = [False] * n_nodes
-    stack = [d.root]
-    seen[d.root] = True
-    while stack:
-        t = stack.pop()
-        for c in d.nodes[t].children:
-            if not 0 <= c < n_nodes or seen[c]:
-                return False, "tree-structure: not a tree"
-            if c >= t:
-                return False, "tree-structure: child after parent at node %d" % t
-            seen[c] = True
-            parent[c] = t
-            stack.append(c)
-    if not all(seen):
-        return False, "tree-structure: unreachable nodes"
-
-    hung = [False] * g.n
-    for t, nd in enumerate(d.nodes):
-        if len(nd.children) > 2:
-            return False, "binary: node %d has %d children" % (t, len(nd.children))
-        bag = set(nd.bag)
-        if len(bag) != len(nd.bag):
-            return False, "bag: duplicate vertices at node %d" % t
-        if any(not 0 <= v < g.n for v in bag):
-            return False, "bag: unknown vertex at node %d" % t
-        if nd.kind == "leaf":
-            if nd.children or nd.bag:
-                return False, "leaf-shape: node %d" % t
-        elif nd.kind == "join":
-            if len(nd.children) != 2:
-                return False, "join-shape: node %d" % t
-            for c in nd.children:
-                if set(d.nodes[c].bag) != bag:
-                    return False, "join-shape: bag mismatch at node %d" % t
-        elif nd.kind == "introduce":
-            if len(nd.children) != 1:
-                return False, "introduce-shape: node %d" % t
-            child = set(d.nodes[nd.children[0]].bag)
-            if nd.vertex is None or bag != child | {nd.vertex} or nd.vertex in child:
-                return False, "introduce-shape: node %d" % t
-        elif nd.kind == "forget":
-            if len(nd.children) != 1:
-                return False, "forget-shape: node %d" % t
-            child = set(d.nodes[nd.children[0]].bag)
-            if nd.vertex is None or child != bag | {nd.vertex} or nd.vertex in bag:
-                return False, "forget-shape: node %d" % t
-        elif nd.kind == "pendant":
-            c = nd.vertex
-            if (len(nd.children) != 1 or set(d.nodes[nd.children[0]].bag) != bag
-                    or c is None or not 0 <= c < g.n or c in bag):
-                return False, "pendant-shape: node %d" % t
-            if (sorted(nd.neighbours) != list(g.adj[c])
-                    or not bag.issuperset(nd.neighbours)):
-                return False, "pendant-neighbours: node %d" % t
-            if hung[c]:
-                return False, "pendant-twice: vertex %d" % c
-            hung[c] = True
-        else:
-            return False, "kind: unknown kind %r at node %d" % (nd.kind, t)
-
-    if d.nodes[d.root].bag:
-        return False, "root-empty"
-
-    covered = {v for v in range(g.n) if hung[v]}
-    for nd in d.nodes:
-        covered.update(nd.bag)
-    if covered != set(range(g.n)):
-        return False, "vertex-coverage"
-
-    # one walk over the nodes: the bag pairs that are edges of g, the first
-    # bag that is not a clique, and per vertex the holders whose parent lacks
-    # it (a connected subtree has exactly one such top; the shapes make its
-    # parent a forget of that vertex, so each vertex is forgotten once). A
-    # pendant node covers the edges at its vertex, which is in no bag.
-    adj = [set(g.adj[v]) for v in range(g.n)]
-    bag_edges = set()
-    not_clique = None
-    tops = [0] * g.n
-    for t, nd in enumerate(d.nodes):
-        bag = nd.bag
-        if nd.kind == "pendant":
-            bag_edges.update(_norm_edge(nd.vertex, y) for y in nd.neighbours)
-        for i in range(len(bag)):
-            for j in range(i + 1, len(bag)):
-                if bag[j] in adj[bag[i]]:
-                    bag_edges.add(_norm_edge(bag[i], bag[j]))
-                elif not_clique is None:
-                    not_clique = t
-        above = d.nodes[parent[t]].bag if parent[t] is not None else ()
-        for v in bag:
-            if v not in above:
-                tops[v] += 1
-
-    for u, v in g.edges:
-        if (u, v) not in bag_edges:
-            return False, "edge-coverage: edge (%d, %d) in no bag" % (u, v)
-    for v in range(g.n):
-        if hung[v] and tops[v]:
-            return False, "pendant-in-bag: vertex %d" % v
-        if not hung[v] and tops[v] != 1:
-            return False, "connectivity: vertex %d" % v
-    if not_clique is not None:
-        return False, "clique-bag: node %d" % not_clique
-
-    bound = 6 * max(g.n, 1) * max(d.max_bag_size(), 1) + 3
-    if n_nodes > bound:
-        return False, "size-bound: %d nodes > %d" % (n_nodes, bound)
-    return True, None

@@ -9,7 +9,7 @@ class ColoringInvariantError(RuntimeError):
 
 def palette_size(delta, r):
     """Palette bound floor(2(delta-1)^2/(r+1) + 2(delta-1) + 1)."""
-    if delta < 1 or r < 1:
+    if type(delta) is not int or type(r) is not int or delta < 1 or r < 1:
         raise ValueError("delta and r must be positive")
     k = (2 * (delta - 1) ** 2) // (r + 1) + 2 * (delta - 1) + 1
     assert k >= 2 * (delta - 1) + 1
@@ -87,7 +87,7 @@ def greedy_color(g, r, order=None, delta=None):
 
     Default order is lexicographic by endpoint ids. delta may be overridden
     upward (the palette bound holds for any delta >= max degree)."""
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise ValueError("r must be a positive integer")
     actual = g.max_degree()
     if delta is None:

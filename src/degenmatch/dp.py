@@ -244,7 +244,8 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
     read the witness carried with the root value.
 
     Raises ValueError, before anything else, for a weight missing, given
-    for a non-edge or not a finite number, then for r < 1 or max_states < 1,
+    for a non-edge or not a finite number, then for an r that is not an int
+    of at least 1 or for max_states < 1,
     NotChordalError on non-chordal input, LimitsExceededError,
     before the decomposition is built, when the DP would run and its largest
     bag (omega or omega - 1 vertices, read from the elimination tree) admits
@@ -269,7 +270,7 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
         if bad:
             raise ValueError("weight %r of edge %s is not a finite number"
                              % (weights[min(bad)], min(bad)))
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise ValueError("r must be a positive integer")
     if max_states < 1:
         raise ValueError("max_states must be a positive integer")

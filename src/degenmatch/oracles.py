@@ -174,7 +174,7 @@ def brute_nu_r(g, r, limits=None):
 
     A branch dies as soon as the covered set is no longer r-degenerate;
     degeneracy is closed under induced subgraphs, so no superset recovers."""
-    if r < 0:
+    if type(r) is not int or r < 0:
         raise ValueError("r must be non-negative")
     search = _Search(g, limits)
     return _bnb_matching(search, lambda vs: _peels(search.adj, vs, r))
@@ -246,16 +246,10 @@ def brute_chromatic_index_r(g, r, limits=None):
     A new color may only be opened as the next unused index; classes are
     bounded by nu_r(g), giving a counting prune. Intended for small edge
     counts."""
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise ValueError("r must be a positive integer")
     search = _Search(g, limits)
     return _bnb_chromatic(search, lambda vs: _peels(search.adj, vs, r))
-
-
-def brute_chromatic_index(g, limits=None):
-    """Classical chromatic index chi' by the same backtracking without
-    degeneracy constraints."""
-    return _bnb_chromatic(_Search(g, limits), lambda vs: True)
 
 
 def brute_degenerate_states(g, d, r, node, limits=None):
@@ -265,8 +259,10 @@ def brute_degenerate_states(g, d, r, node, limits=None):
     vertices the pendant nodes there hang (subtree_vertices). Enumerates
     every matching of G_t avoiding edges inside the bag, then every S between
     V(M) cap X_t and X_t keeping G[V(M) u S] r-degenerate."""
-    if r < 0:
+    if type(r) is not int or r < 0:
         raise ValueError("r must be non-negative")
+    if type(node) is not int or not 0 <= node < len(d.nodes):
+        raise ValueError("node %r is not a node of the decomposition" % (node,))
     search = _Search(g, limits)
     adj = search.adj
     bag = _mask(d.nodes[node].bag)

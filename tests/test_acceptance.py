@@ -9,7 +9,6 @@ import pytest
 from degenmatch import (
     Graph,
     OracleLimits,
-    brute_chromatic_index,
     brute_chromatic_index_r,
     brute_nu_r,
     brute_nu_variants,
@@ -19,7 +18,6 @@ from degenmatch import (
     mcs_order,
     palette_size,
     solve,
-    validate_decomposition,
     verify_coloring,
 )
 from degenmatch.generate import (
@@ -32,7 +30,12 @@ from degenmatch.generate import (
     random_chordal,
 )
 
-from conftest import _reference_sub_degeneracy, dp_value
+from conftest import (
+    _reference_sub_degeneracy,
+    brute_chromatic_index,
+    dp_value,
+    validate_decomposition,
+)
 
 LIMITS = OracleLimits(max_vertices=14, max_edges=120, timeout_ms=300_000)
 

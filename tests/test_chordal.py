@@ -9,7 +9,6 @@ from degenmatch import (
     build_nice_decomposition,
     is_chordal,
     mcs_order,
-    validate_decomposition,
 )
 from degenmatch.chordal import DecompNode, elimination_order, is_perfect_elimination
 from degenmatch.generate import (
@@ -22,7 +21,7 @@ from degenmatch.generate import (
     random_chordal,
 )
 
-from conftest import gnp, has_chordless_cycle, order_corpus
+from conftest import gnp, has_chordless_cycle, order_corpus, validate_decomposition
 
 
 def test_c4_not_chordal():
@@ -91,6 +90,7 @@ def test_build_k2():
     d = build_nice_decomposition(g, mcs_order(g))
     ok, report = validate_decomposition(g, d)
     assert ok, report
+    assert isinstance(d, tuple) and d == (d.nodes, d.root)
     # the first vertex of the order has no earlier neighbour: it hangs off
     # the other one's bag, and that pendant node covers the edge
     assert [nd.kind for nd in d.nodes] == ["leaf", "introduce", "pendant", "forget"]
@@ -113,7 +113,7 @@ def test_build_random_2_tree():
     d = build_nice_decomposition(g, mcs_order(g))
     ok, report = validate_decomposition(g, d)
     assert ok, report
-    assert d.max_bag_size() == 3
+    assert max(len(nd.bag) for nd in d.nodes) == 3
 
 
 def test_build_disconnected():
@@ -316,7 +316,7 @@ def test_max_bag_equals_clique_number():
         d = build_nice_decomposition(g, mcs_order(g))
         hung = max((len(nd.neighbours) + 1 for nd in d.nodes
                     if nd.kind == "pendant"), default=0)
-        assert max(d.max_bag_size(), hung) == _max_clique(g)
+        assert max(max(len(nd.bag) for nd in d.nodes), hung) == _max_clique(g)
 
 
 def test_curated_recognition_suite():

@@ -2,7 +2,6 @@ import pytest
 
 from degenmatch import (
     Graph,
-    brute_chromatic_index,
     brute_chromatic_index_r,
     greedy_color,
     palette_size,
@@ -19,13 +18,20 @@ from degenmatch.generate import (
     random_bounded_degree,
 )
 
+from conftest import brute_chromatic_index
+
 
 def test_palette_size_examples():
     assert palette_size(3, 1) == 9  # simplifies to Delta^2 at r=1
     assert palette_size(1, 1) == 1
     assert palette_size(4, 3) == 11
-    with pytest.raises(ValueError):
-        palette_size(0, 1)
+    # a delta or r that is not an int is refused like one out of range
+    for delta, r in ((0, 1), (3, 1.5), (3.0, 1), (3, True), ("3", 1), (3, "1")):
+        with pytest.raises(ValueError, match="^delta and r must be positive$"):
+            palette_size(delta, r)
+    for r in (0, 1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            greedy_color(path(3), r)
 
 
 def forbidden_sets(g, color, uv, r):

@@ -185,6 +185,12 @@ def test_nu_r_rejects_bad_inputs():
         solve(cycle(5), 1)
     with pytest.raises(ValueError):
         solve(path(3), 0)
+    # an r that is not an int, on the DP path (omega - 1 = 3 > r), where the
+    # state bound needs an int, and on the matching path, where 3.5 would
+    # compare as an r of 3 or more
+    for r in (2.5, 3.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            solve(k_tree(3, 12, 1), r)
 
 
 def test_oracle_equivalence_small():
@@ -306,7 +312,7 @@ def test_state_bound():
         g = random_chordal(7, s)
         decomp = build_nice_decomposition(g, mcs_order(g))
         for r in (1, 2):
-            bound = _state_bound(decomp.max_bag_size(), r)
+            bound = _state_bound(max(len(nd.bag) for nd in decomp.nodes), r)
             assert max(len(t) for t in all_tables(decomp, r).values()) <= bound
 
 
@@ -322,7 +328,7 @@ def test_largest_bag_is_the_decompositions():
     for g in graphs:
         peo = mcs_order(g)
         size = chordal._largest_bag(peo)
-        assert size == build_nice_decomposition(g, peo).max_bag_size()
+        assert size == max(len(nd.bag) for nd in build_nice_decomposition(g, peo).nodes)
         below_omega += size < max(map(len, peo.later), default=-1) + 1
     assert below_omega >= 7
 

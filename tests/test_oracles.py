@@ -7,7 +7,6 @@ from degenmatch import (
     Graph,
     OracleLimits,
     LimitsExceededError,
-    brute_chromatic_index,
     brute_chromatic_index_r,
     brute_degenerate_states,
     brute_nu_r,
@@ -27,7 +26,7 @@ from degenmatch.oracles import (
 from degenmatch.cli import write_survey_csv
 from degenmatch.generate import complete, complete_bipartite, cycle, path, random_chordal
 
-from conftest import _reference_sub_degeneracy, gnp
+from conftest import _reference_sub_degeneracy, brute_chromatic_index, gnp
 
 
 # The set-based predicates the oracles ran before they moved to int vertex
@@ -272,15 +271,38 @@ def test_states_leaf_and_root():
 
 def test_negative_r_is_rejected():
     # the oracles that take r and allow r = 0 (where only the empty matching
-    # is 0-degenerate) refuse a negative r alike
+    # is 0-degenerate) refuse a negative r alike, and with the same message an
+    # r that is not an int, which the peel would otherwise compare as a bound
+    # (1.5 acting as 1 on path(4)); brute_chromatic_index_r, which needs
+    # r >= 1, refuses those and r = 0
     g = path(3)
     d = build_nice_decomposition(g, mcs_order(g))
     for call in (lambda r: brute_nu_r(g, r),
+                 lambda r: brute_nu_r(path(4), r),
                  lambda r: brute_degenerate_states(g, d, r, d.root)):
-        with pytest.raises(ValueError, match="^r must be non-negative$"):
-            call(-3)
+        for r in (-3, 1.5, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="^r must be non-negative$"):
+                call(r)
+    for r in (0, 1.5, 2.0, True, "1"):
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            brute_chromatic_index_r(g, r)
     assert brute_nu_r(g, 0) == 0
     assert brute_degenerate_states(g, d, 0, d.root) == {((), (), 0)}
+
+
+def test_states_refuse_a_node_outside_the_decomposition():
+    # -1 would read the root's states through negative indexing, and 8 would
+    # raise IndexError
+    g = path(4)
+    d = build_nice_decomposition(g, mcs_order(g))
+    assert len(d.nodes) == 8
+    for node in (-1, 8, 1.0):
+        with pytest.raises(ValueError, match="is not a node of the decomposition"):
+            brute_degenerate_states(g, d, 1, node)
+    # the first and the last index are nodes: the leaf, and the root with
+    # the matchings of 0, 1 and 2 edges
+    assert brute_degenerate_states(g, d, 1, 0) == {((), (), 0)}
+    assert len(brute_degenerate_states(g, d, 1, 7)) == 3
 
 
 def test_states_exclude_bag_internal_edges():

@@ -10,6 +10,7 @@ from degenmatch.dp import DPResult
 RECORDS = [
     EliminationOrder((1, 0), [[1], []], [1, None]),
     DecompNode("pendant", (0,), (0,), 1, (0,)),
+    NiceTreeDecomposition([DecompNode("leaf", ())], 0),
     DPResult(1, Matching([(0, 1)]), 0, 0, "matching"),
     OracleLimits(),
 ]
@@ -22,6 +23,8 @@ def test_defaults_and_keyword_construction():
     assert (leaf.children, leaf.vertex, leaf.neighbours) == ((), None, ())
     assert DecompNode(kind="forget", bag=(), children=(1,), vertex=0) == \
         DecompNode("forget", (), (1,), 0, ())
+    with pytest.raises(TypeError):  # the builder passes both fields
+        NiceTreeDecomposition()
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda rec: type(rec).__name__)
@@ -36,11 +39,3 @@ def test_records_are_immutable_with_a_named_repr(record):
         assert field + "=" in repr(record)
     assert record == type(record)(*record)
     assert record == tuple(record)
-
-
-def test_decompositions_do_not_share_a_node_list():
-    a, b = NiceTreeDecomposition(), NiceTreeDecomposition()
-    a.nodes.append(DecompNode("leaf", ()))
-    assert b.nodes == [] and (a.root, b.root) == (0, 0)
-    d = NiceTreeDecomposition(nodes=a.nodes, root=0)
-    assert d.nodes is a.nodes and d.max_bag_size() == 0
