@@ -2,7 +2,7 @@
 
 from collections import namedtuple
 
-from .graphs import _min_key_order, _norm_edge
+from .graphs import _min_key_order
 
 
 class NotChordalError(Exception):
@@ -20,8 +20,12 @@ class EliminationOrder(namedtuple("EliminationOrder", "order later parent")):
 
 def elimination_order(g, order):
     """The checked EliminationOrder of order. Raises ValueError at the first
-    violation of the perfect-elimination property (Rose-Tarjan-Lueker):
-    every other later neighbor of v must be adjacent to the parent of v."""
+    violation of the perfect-elimination property: every other later
+    neighbour of v must be adjacent to the parent u of v. Such a neighbour
+    comes after u, so it must be in later(u); as in Rose, Tarjan and Lueker
+    (SIAM J. Comput. 5(2), 1976), later(u) is made a set once, for all the
+    children of u at once, and the violation reported is the earliest one in
+    order."""
     order = tuple(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
@@ -30,14 +34,21 @@ def elimination_order(g, order):
         pos[v] = i
     later = [[w for w in g.adj[v] if pos[w] > pos[v]] for v in range(g.n)]
     parent = [None] * g.n
-    edges = g.edges
+    # the children of each parent with a later neighbour besides it
+    waiting = {}
     for v in order:
-        if not later[v]:
-            continue
-        u = parent[v] = min(later[v], key=pos.__getitem__)
-        for w in later[v]:
-            if w != u and _norm_edge(u, w) not in edges:
-                raise ValueError("invalid perfect elimination order at vertex %d" % v)
+        if later[v]:
+            u = parent[v] = min(later[v], key=pos.__getitem__)
+            if len(later[v]) > 1:
+                waiting.setdefault(u, []).append(v)
+    bad = []
+    for u, kids in waiting.items():
+        near = set(later[u])
+        near.add(u)
+        bad += (v for v in kids if not near.issuperset(later[v]))
+    if bad:
+        raise ValueError("invalid perfect elimination order at vertex %d"
+                         % min(bad, key=pos.__getitem__))
     return EliminationOrder(order, later, parent)
 
 

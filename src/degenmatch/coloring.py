@@ -92,6 +92,8 @@ def greedy_color(g, r, order=None, delta=None):
     actual = g.max_degree()
     if delta is None:
         delta = actual
+    elif type(delta) is not int:
+        raise ValueError("delta override must be an integer")
     elif delta < actual:
         raise ValueError("delta override %d below max degree %d" % (delta, actual))
     edges = g.sorted_edges()
@@ -142,12 +144,13 @@ def verify_coloring(g, coloring, r):
             return False, "edge %s colored twice" % (e,)
         colored.add(e)
         classes.setdefault(a, []).append(e)
-    missing = g.edges - colored
+    missing = [e for e in g.sorted_edges() if e not in colored]
     if missing:
-        return False, "uncolored edge %s" % (min(missing),)
-    extra = colored - g.edges
-    if extra:
-        return False, "colored non-edge %s" % (min(extra),)
+        return False, "uncolored edge %s" % (missing[0],)
+    # colored holds every edge, so it holds another pair when it has more
+    if len(colored) > g.m:
+        return False, "colored non-edge %s" % (min(e for e in colored
+                                                  if not g.has_edge(*e)),)
     for a in sorted(classes):
         try:
             m = Matching(classes[a])

@@ -244,8 +244,8 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
     read the witness carried with the root value.
 
     Raises ValueError, before anything else, for a weight missing, given
-    for a non-edge or not a finite number, then for an r that is not an int
-    of at least 1 or for max_states < 1,
+    for a non-edge or not a finite number, then for an r or a max_states
+    that is not an int of at least 1,
     NotChordalError on non-chordal input, LimitsExceededError,
     before the decomposition is built, when the DP would run and its largest
     bag (omega or omega - 1 vertices, read from the elimination tree) admits
@@ -255,9 +255,9 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
     whose total, re-added as the forward pass added it, is the value."""
     if weights is not None:
         # the caller's dict may change between calls, so each call checks it
-        if not weights.keys() >= g.edges:
-            raise ValueError("missing weight for edges %s"
-                             % sorted(g.edges - set(weights)))
+        missing = [e for e in g.sorted_edges() if e not in weights]
+        if missing:
+            raise ValueError("missing weight for edges %s" % missing)
         if len(weights) > g.m:
             try:
                 extra = sorted(set(weights) - g.edges)
@@ -272,7 +272,7 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
                              % (weights[min(bad)], min(bad)))
     if type(r) is not int or r < 1:
         raise ValueError("r must be a positive integer")
-    if max_states < 1:
+    if type(max_states) is not int or max_states < 1:
         raise ValueError("max_states must be a positive integer")
     peo = mcs_order(g)
     omega = max(map(len, peo.later), default=-1) + 1
@@ -300,9 +300,10 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
                                    % (total, value))
         res = DPResult(value, matching, len(decomp.nodes), largest, "dp")
     matching = res.matching
-    if not matching.edges <= g.edges:
+    stray = [e for e in matching.edges if not g.has_edge(*e)]
+    if stray:
         raise DPInvariantError("witness edge %s is not an edge of the graph"
-                               % (min(matching.edges - g.edges),))
+                               % (min(stray),))
     if not _is_r_degenerate(g, matching.vertices, r):
         raise DPInvariantError(
             "witness induces a subgraph that is not %d-degenerate" % r)

@@ -1,12 +1,19 @@
-"""Graph serialization: graph6, plain edge lists, and DIMACS."""
+"""Graph serialization: graph6, plain edge lists, and DIMACS.
 
-import math
+Each parser reads a text's vertex ids in bulk and builds the graph's
+adjacency with _sorted_adjacency; a parsed graph keeps no edge set. The edge
+list and DIMACS formats also have a line walker, which reads a text line by
+line: it runs only on a text the bulk reading does not take, to name its
+first fault by line, or to read a valid text in a form the bulk reading
+leaves to it."""
+
 import re
+from itertools import chain, compress, repeat
 
-from .graphs import Graph, LimitsExceededError, _check_size
+from .graphs import Graph, LimitsExceededError, _check_size, _norm_edge
 
-# Default caps on the size of a parsed graph, checked before Graph allocates
-# its adjacency lists.
+# Default caps on the size of a parsed graph, checked while its ids are read,
+# before its adjacency is built.
 MAX_VERTICES = 10 ** 6
 MAX_EDGES = 10 ** 7
 # serialize_graph6 refuses a body over 2^28 bytes (n > 56756) before it
@@ -24,6 +31,30 @@ _G6_SUB_63 = bytes(63) + bytes(range(64)) + bytes(129)
 # the edge count is read from the body this many bytes at a time, so
 # counting does not hold a second copy of a large body
 _G6_COUNT_CHUNK = 1 << 20
+# _G6_BITS spells a byte as its six bits, most significant first, each the
+# character chr(0) or chr(1)
+_G6_BITS = {63 + x: format(x, "06b").replace("1", "\x01").replace("0", "\x00")
+            for x in range(64)}
+
+# The line breaks of str.splitlines, and the lines a text may hold when it is
+# read in bulk: blank, a comment (which must hold no other line break), or
+# one record, with spaces and tabs around its fields and '\n' or '\r\n' at its
+# end. Each _BAD pattern finds the first line of a chunk that is none of
+# these; such a text goes to the line walker. The patterns are kept as
+# strings: re compiles each on its first use and caches it, so importing the
+# module compiles none of them.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_EDGE_LIST_BAD = r"(?m)^(?![ \t]*(?:#[^%s]*|[0-9]+[ \t]+[0-9]+[ \t]*)?\r?$)" % _BREAKS
+_DIMACS_BAD = r"(?m)^(?![ \t]*(?:c[^%s]*|e[ \t]+[0-9]+[ \t]+[0-9]+[ \t]*)?\r?$)" % _BREAKS
+# blank and comment lines, then a problem line
+_DIMACS_HEADER = (r"(?:[ \t]*(?:c[^%s]*)?\r?\n)*[ \t]*p[ \t]+(?:edge|col)[ \t]+([0-9]+)"
+                  r"[ \t]+([0-9]+)[ \t]*\r?(?:\n|\Z)" % _BREAKS)
+# in a chunk that passed its pattern, a comment is all that holds '#' or 'c'
+_EDGE_LIST_COMMENT = "#[^\n]*"
+_DIMACS_COMMENT = "c[^\n]*"
+# a text is read in chunks of about this many characters, so a text past a
+# cap is refused before the rest of it is read
+_CHUNK = 1 << 16
 
 
 class ParseError(ValueError):
@@ -62,7 +93,8 @@ def serialize_graph6(g):
 
 def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """Decode in time linear in the text: one C-speed scan checks every
-    byte, then only the groups other than '?' (no edge) are read."""
+    byte, the edges are counted against the cap, then each column j, the
+    bits of the pairs (i, j), i < j, is read once when it holds an edge."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -91,17 +123,49 @@ def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
                            "big").bit_count()
             for k in range(pos, len(s), _G6_COUNT_CHUNK))
     _check_size(n, m, max_vertices, max_edges)
-    # bit idx = j(j-1)/2 + i stands for the edge (i, j), i < j
-    edges = []
-    for group in _G6_NONZERO_GROUP.finditer(s, pos):
-        value = ord(group.group()) - 63
-        base = 6 * (group.start() - pos)
-        for k in range(6):
-            if value & (32 >> k):
-                idx = base + k
-                j = (1 + math.isqrt(8 * idx + 1)) // 2
-                edges.append((idx - j * (j - 1) // 2, j))
-    return Graph(n, edges)
+
+    def columns():
+        # bit j(j-1)/2 + i of the body stands for the edge (i, j), i < j
+        for j in range(1, n):
+            first = j * (j - 1) // 2
+            lo, hi = pos + first // 6, pos + (first + j + 5) // 6
+            if _G6_NONZERO_GROUP.search(s, lo, hi):
+                bits = s[lo:hi].translate(_G6_BITS).encode()
+                yield zip(compress(range(j), bits[first % 6:]), repeat(j))
+
+    return Graph._from_adjacency(_sorted_adjacency(n, chain.from_iterable(columns())))
+
+
+def _sorted_adjacency(n, edges):
+    """The ascending adjacency tuples of the graph on 0..n-1 with the given
+    edges (pairs of ids in range), over one shared int per vertex; None when
+    an edge is a self-loop or repeats, so that some vertex lists a neighbour
+    twice."""
+    ids = list(range(n))
+    adj = [[] for _ in ids]
+    for u, v in edges:
+        adj[u].append(ids[v])
+        adj[v].append(ids[u])
+    adj = list(map(tuple, map(sorted, adj)))
+    if sum(map(len, map(set, adj))) < sum(map(len, adj)):
+        return None
+    return adj
+
+
+def _chunks(text, start):
+    """text from start on, in pieces that end at a '\\n' once they hold
+    _CHUNK characters, or at the end of the text."""
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _ids(tokens):
+    """The 1-based ids in tokens, strings of ASCII digits, as 0-based ints;
+    each distinct token is converted once."""
+    value = {t: int(t) - 1 for t in set(tokens)}
+    return list(map(value.__getitem__, tokens))
 
 
 def _content_lines(text, comment):
@@ -112,25 +176,35 @@ def _content_lines(text, comment):
             yield lineno, line
 
 
-def _graph(n, edges, text, comment, header_lines):
-    """Graph(n, edges) for a parsed edge list or DIMACS text, whose only fault
-    left is an edge listed twice. In such a text, edge k is on content line
-    header_lines + k, so only a refused file is read again to name the line."""
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        seen = set()
-        for k, e in enumerate(map(frozenset, edges)):
-            if e in seen:
-                lineno, _ = list(_content_lines(text, comment))[header_lines + k]
-                raise ParseError("line %d: duplicate edge" % lineno) from None
-            seen.add(e)
-        raise ParseError(str(exc)) from None
+def _read_edge_list(text, max_vertices, max_edges):
+    """The sorted adjacency of an edge list read in bulk, a chunk at a time;
+    None as soon as a chunk has a line _EDGE_LIST_BAD finds, an id of 0 or
+    an id or edge past a cap, or when an edge repeats."""
+    ends = []
+    n = 0
+    for chunk in _chunks(text, 0):
+        if re.search(_EDGE_LIST_BAD, chunk):
+            return None
+        ids = _ids(re.sub(_EDGE_LIST_COMMENT, "", chunk).split())
+        if ids:
+            n = max(n, max(ids) + 1)
+            if min(ids) < 0:
+                return None
+        ends += ids
+        if n > max_vertices or len(ends) > 2 * max_edges:
+            return None
+    it = iter(ends)
+    return _sorted_adjacency(n, zip(it, it))
 
 
-def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
-    """Plain 'u v' lines with 1-based vertex ids; n is the largest id seen."""
+def _walk_edge_list(text, max_vertices, max_edges):
+    """The line walker of edge lists: raises at the first faulty line, or at
+    the first line past a cap, as the parser always has; an edge that
+    repeats is named once every line has passed. For a text with no fault,
+    (n, [(u, v), ...]) with 0-based ids, u < v."""
     edges = []
+    seen = set()
+    repeat_line = None
     max_id = 0
     for lineno, line in _content_lines(text, "#"):
         parts = line.split()
@@ -146,18 +220,67 @@ def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
         if u == v:
             raise ParseError("line %d: self-loop" % lineno)
         max_id = max(max_id, u, v)
-        edges.append((u - 1, v - 1))
+        e = _norm_edge(u - 1, v - 1)
+        if repeat_line is None and e in seen:
+            repeat_line = lineno
+        seen.add(e)
+        edges.append(e)
         # reading stops at the first line past a cap
         if max_id > max_vertices or len(edges) > max_edges:
             _check_size(max_id, len(edges), max_vertices, max_edges)
-    return _graph(max_id, edges, text, "#", 0)
+    if repeat_line is not None:
+        raise ParseError("line %d: duplicate edge" % repeat_line)
+    return max_id, edges
 
 
-def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
-    """DIMACS 'p edge n m' with 'e u v' lines, 1-based ids."""
+def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
+    """Plain 'u v' lines with 1-based vertex ids; n is the largest id seen.
+
+    A text the bulk reading does not take goes to the line walker, which
+    raises at its first fault or, finding none (in a text with line breaks
+    other than '\\n' and '\\r\\n', say), reads it."""
+    adj = _read_edge_list(text, max_vertices, max_edges)
+    if adj is None:
+        adj = _sorted_adjacency(*_walk_edge_list(text, max_vertices, max_edges))
+    return Graph._from_adjacency(adj)
+
+
+def _read_dimacs(text, max_vertices, max_edges):
+    """The sorted adjacency of a DIMACS text read in bulk: the problem line
+    that _DIMACS_HEADER finds, whose counts are checked against the caps
+    before any edge line is read, then the edge lines a chunk at a time;
+    None when there is no such problem line, or as soon as a chunk has a
+    line _DIMACS_BAD finds, an id out of range or more edges than declared,
+    or when the count differs at the end or an edge repeats."""
+    head = re.match(_DIMACS_HEADER, text)
+    if head is None:
+        return None
+    n, m = int(head[1]), int(head[2])
+    _check_size(n, m, max_vertices, max_edges)
+    ends = []
+    for chunk in _chunks(text, head.end()):
+        if re.search(_DIMACS_BAD, chunk):
+            return None
+        tokens = re.sub(_DIMACS_COMMENT, "", chunk).split()
+        del tokens[::3]  # the 'e' of each edge line
+        ids = _ids(tokens)
+        ends += ids
+        if len(ends) > 2 * m or ids and not 0 <= min(ids) <= max(ids) < n:
+            return None
+    if len(ends) != 2 * m:
+        return None
+    it = iter(ends)
+    return _sorted_adjacency(n, zip(it, it))
+
+
+def _walk_dimacs(text, max_vertices, max_edges):
+    """The line walker of DIMACS texts, as _walk_edge_list is for edge
+    lists."""
     n = None
     declared_m = None
     edges = []
+    seen = set()
+    repeat_line = None
     for lineno, line in _content_lines(text, "c"):
         parts = line.split()
         if parts[0] == "p":
@@ -182,16 +305,30 @@ def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
                 raise ParseError("line %d: vertex id out of range" % lineno)
             if u == v:
                 raise ParseError("line %d: self-loop" % lineno)
-            edges.append((u - 1, v - 1))
+            e = _norm_edge(u - 1, v - 1)
+            if repeat_line is None and e in seen:
+                repeat_line = lineno
+            seen.add(e)
+            edges.append(e)
         else:
             raise ParseError("line %d: unknown record %r" % (lineno, parts[0]))
     if n is None:
         raise ParseError("missing problem line")
-    if declared_m is not None and declared_m != len(edges):
+    if declared_m != len(edges):
         raise ParseError("header declares %d edges, found %d"
                          % (declared_m, len(edges)))
-    # the one problem line comes before every edge line
-    return _graph(n, edges, text, "c", 1)
+    if repeat_line is not None:
+        raise ParseError("line %d: duplicate edge" % repeat_line)
+    return n, edges
+
+
+def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
+    """DIMACS 'p edge n m' with 'e u v' lines, 1-based ids; a text the bulk
+    reading does not take goes to the line walker, as in parse_edge_list."""
+    adj = _read_dimacs(text, max_vertices, max_edges)
+    if adj is None:
+        adj = _sorted_adjacency(*_walk_dimacs(text, max_vertices, max_edges))
+    return Graph._from_adjacency(adj)
 
 
 def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
@@ -203,8 +340,10 @@ def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES)
     if min(max_vertices, max_edges) < 0:
         raise ValueError("max_vertices and max_edges must be non-negative")
     if fmt == "auto":
-        # the line list is dropped before the parser makes its own
-        _, first = next(_content_lines(text, "#"), (0, ""))
+        # chunks end at a '\n', so no line is cut, and a large text is not
+        # split into lines past its first chunk that holds one
+        first = next((line for chunk in _chunks(text, 0)
+                      for _, line in _content_lines(chunk, "#")), "")
         if first == "c" or first[:2] in ("c ", "p ", "e "):
             fmt = "dimacs"
         elif len(first.split()) == 2:

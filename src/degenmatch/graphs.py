@@ -1,6 +1,9 @@
 """Simple undirected graphs, induced subgraphs, degeneracy, and matchings."""
 
 import heapq
+from bisect import bisect_right
+from functools import cached_property
+from itertools import chain, repeat
 
 
 class LimitsExceededError(Exception):
@@ -22,7 +25,11 @@ def _norm_edge(u, v):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Immutable after construction; no self-loops or parallel edges."""
+    Immutable after construction; no self-loops or parallel edges. adj[v]
+    is the ascending tuple of v's neighbours. Graph(n, edges) checks the
+    edges and keeps them as a frozenset in `edges`, in the order they
+    were given; a graph made by _from_adjacency (a parsed graph, an induced
+    subgraph) holds its adjacency only and builds `edges` on first use."""
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -45,23 +52,46 @@ class Graph:
             adj[v].append(u)
         self.adj = [tuple(sorted(a)) for a in adj]
 
+    @classmethod
+    def _from_adjacency(cls, adj):
+        """The graph whose adjacency is adj, a list of ascending tuples that
+        already describe a simple graph; nothing is checked or copied."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        return g
+
+    @cached_property
+    def edges(self):
+        return frozenset(self.sorted_edges())
+
     @property
     def m(self):
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def max_degree(self):
         return max((len(a) for a in self.adj), default=0)
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        # the neighbours above u end each ascending adjacency tuple
+        return list(chain.from_iterable(zip(repeat(u), a[bisect_right(a, u):])
+                                        for u, a in enumerate(self.adj)))
+
+    def has_edge(self, u, v):
+        """Whether uv is an edge; a u that is no vertex id gives False."""
+        if type(u) is not int or not 0 <= u < self.n:
+            return False
+        a = self.adj[u]
+        i = bisect_right(a, v)
+        return i > 0 and a[i - 1] == v
 
     def __eq__(self, other):
         if isinstance(other, Graph):
-            return self.n == other.n and self.edges == other.edges
+            return self.n == other.n and self.adj == other.adj
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, tuple(self.adj)))
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
@@ -72,15 +102,16 @@ def induced_subgraph(g, s):
 
     Vertices are remapped to 0..|s|-1 in ascending order of their original
     identifiers; returns (subgraph, original_ids) with original_ids[i] the
-    vertex of g that became i."""
+    vertex of g that became i. The remapped adjacency keeps its order, so
+    the subgraph is built without the checks of Graph(n, edges)."""
     vs = sorted(set(s))
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError("unknown vertex %s" % v)
     index = {v: i for i, v in enumerate(vs)}
-    edges = [(index[u], index[w]) for u in vs for w in g.adj[u]
-             if u < w and w in index]
-    return Graph(len(vs), edges), tuple(vs)
+    adj = [tuple(map(index.__getitem__, filter(index.__contains__, g.adj[v])))
+           for v in vs]
+    return Graph._from_adjacency(adj), tuple(vs)
 
 
 def _min_key_order(adj, key):

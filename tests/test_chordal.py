@@ -12,6 +12,7 @@ from degenmatch import (
 )
 from degenmatch.chordal import DecompNode, elimination_order, is_perfect_elimination
 from degenmatch.generate import (
+    Rng,
     complete,
     complete_bipartite,
     cycle,
@@ -137,6 +138,45 @@ def test_invalid_peo_rejected():
         elimination_order(path(4), (1, 2, 0, 3))
     with pytest.raises(ValueError):
         elimination_order(path(4), (0, 1, 2))
+
+
+def _reference_first_violation(g, order):
+    """The vertex elimination_order reports: the first v in order with a later
+    neighbour other than its parent u that is not adjacent to u, found by
+    probing the edge set; None when order is a perfect elimination order."""
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [w for w in g.adj[v] if pos[w] > pos[v]]
+        if later:
+            u = min(later, key=pos.__getitem__)
+            if any(w != u and (min(u, w), max(u, w)) not in g.edges for w in later):
+                return v
+    return None
+
+
+def test_invalid_peo_reports_the_earliest_violation():
+    # later(u) is checked once for all of u's children, yet the vertex named
+    # is still the first violation in order
+    rng = Rng(5)
+    named = 0
+    for seed in range(150):
+        g = gnp(3 + seed % 10, 0.5, seed)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        for order in (order, order[::-1]):
+            bad = _reference_first_violation(g, order)
+            if bad is None:
+                peo = elimination_order(g, order)
+                for v in range(g.n):
+                    if peo.later[v]:
+                        u = peo.parent[v]
+                        assert set(peo.later[v]) - {u} <= set(peo.later[u])
+            else:
+                named += 1
+                with pytest.raises(ValueError, match="^invalid perfect elimination "
+                                   "order at vertex %d$" % bad):
+                    elimination_order(g, order)
+    assert named > 100
 
 
 def test_validator_on_random_chordal_corpus():

@@ -226,6 +226,15 @@ def test_delta_override():
         greedy_color(g, 1, delta=1)
 
 
+def test_delta_override_must_be_an_int():
+    # on an edgeless graph, which never reaches palette_size, and on a path,
+    # which does, a delta that is not an int gets one message
+    for g in (Graph(3), path(4)):
+        for delta in (3.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="^delta override must be an integer$"):
+                greedy_color(g, 1, delta=delta)
+
+
 def test_edgeless_graph():
     coloring = greedy_color(Graph(3), 1)
     assert coloring.color == {} and coloring.colors_used() == 0

@@ -356,8 +356,9 @@ def test_solve_max_states(monkeypatch):
         assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("cap", [0, -5, 2.5, 65.0, True, "65"])
 def test_solve_rejects_max_states_below_one(cap):
+    # a cap that is not an int is refused like one below 1
     # on the DP path (r = 2 < omega - 1 = 4) and the matching path alike
     for r in (2, 4):
         with pytest.raises(ValueError, match="max_states must be a positive"):

@@ -1,6 +1,7 @@
 import pytest
 
 from degenmatch import Graph, Matching, degeneracy, induced_subgraph
+from degenmatch.formats import parse_edge_list
 from degenmatch.generate import Rng, complete, complete_bipartite, cycle, path
 from degenmatch.graphs import _min_key_order, max_matching
 from degenmatch.oracles import _adjacency, _has_cycle, _mask, brute_nu_variants
@@ -22,6 +23,27 @@ def test_adjacency_consistent():
     assert g.adj[1] == (0, 2)
     assert (0, 3) in g.edges
     assert (2, 3) not in g.edges
+
+
+def test_parsed_graph_builds_edges_on_first_use():
+    # a parsed graph holds its adjacency; it equals, and hashes like, the
+    # graph built from its edges, and builds its edge set when asked
+    g = parse_edge_list("1 2\n4 1\n2 3\n")
+    want = Graph(4, [(0, 1), (0, 3), (1, 2)])
+    assert "edges" not in vars(g)
+    assert g == want and hash(g) == hash(want) and g.adj == want.adj
+    assert g.m == 3 and g.sorted_edges() == [(0, 1), (0, 3), (1, 2)]
+    assert "edges" not in vars(g)
+    assert g.edges == want.edges and "edges" in vars(g)
+    assert g != Graph(4, [(0, 1), (0, 3)]) and g != Graph(5, want.edges)
+
+
+def test_has_edge():
+    g = Graph(4, [(0, 1), (1, 3)])
+    assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(3, 1)
+    for u, v in ((0, 2), (0, 3), (1, 2), (2, 3), (-1, 1), (4, 1), (0, 4), (0, -1)):
+        assert not g.has_edge(u, v), (u, v)
+    assert not g.has_edge(0.0, 1) and not g.has_edge("0", 1)
 
 
 def test_c4_not_1_degenerate():

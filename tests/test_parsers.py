@@ -1,0 +1,397 @@
+"""Differential tests of the parsers against the line-by-line parsers they
+replaced, kept here as _reference_*: every text, valid or not, must give an
+equal graph with equal adjacency, or the same exception with the same
+message. The texts are drawn and then mutated: comments, blank lines, CRLF
+and the other line breaks of str.splitlines, tabs and other whitespace,
+non-ASCII comments, leading zeros, duplicate edges, self-loops, ids out of
+range, and caps on both sides of the graph's size."""
+
+import hashlib
+import math
+import re
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from conftest import gnp
+
+from degenmatch import Graph, ParseError, formats
+from degenmatch.formats import (
+    MAX_EDGES,
+    MAX_VERTICES,
+    load_graph,
+    parse_dimacs,
+    parse_edge_list,
+    parse_graph6,
+    serialize_graph6,
+)
+from degenmatch.generate import interval, k_tree
+from degenmatch.graphs import _check_size
+
+SETTINGS = settings(max_examples=300, deadline=None)
+
+_REFERENCE_G6_BAD_BYTE = re.compile(r"[^?-~]")
+_REFERENCE_G6_NONZERO_GROUP = re.compile(r"[@-~]")
+_REFERENCE_G6_SUB_63 = bytes(63) + bytes(range(64)) + bytes(129)
+_REFERENCE_G6_COUNT_CHUNK = 1 << 20
+
+
+def _reference_parse_graph6(text, max_vertices, max_edges):
+    """Decode in time linear in the text: one C-speed scan checks every
+    byte, then only the groups other than '?' (no edge) are read."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ParseError("empty graph6 string")
+    bad = _REFERENCE_G6_BAD_BYTE.search(s)
+    if bad:
+        raise ParseError("invalid graph6 byte %r" % bad.group())
+    # the vertex count takes 1, 3 or 6 bytes after a '', '~' or '~~' prefix
+    start, pos = (2, 8) if s[:2] == "~~" else (1, 4) if s[0] == "~" else (0, 1)
+    if len(s) < pos:
+        raise ParseError("truncated graph6 header")
+    n = 0
+    for ch in s[start:pos]:
+        n = (n << 6) | (ord(ch) - 63)
+    _check_size(n, 0, max_vertices, max_edges)
+    nbits = n * (n - 1) // 2
+    ngroups = (nbits + 5) // 6
+    if len(s) - pos != ngroups:
+        raise ParseError("graph6 body has %d groups, expected %d"
+                         % (len(s) - pos, ngroups))
+    # the last group's low padding bits must be zero
+    if (ord(s[-1]) - 63) & ((1 << (6 * ngroups - nbits)) - 1):
+        raise ParseError("nonzero trailing bits in graph6 string")
+    m = sum(int.from_bytes(s[k:k + _REFERENCE_G6_COUNT_CHUNK].encode()
+                           .translate(_REFERENCE_G6_SUB_63), "big").bit_count()
+            for k in range(pos, len(s), _REFERENCE_G6_COUNT_CHUNK))
+    _check_size(n, m, max_vertices, max_edges)
+    # bit idx = j(j-1)/2 + i stands for the edge (i, j), i < j
+    edges = []
+    for group in _REFERENCE_G6_NONZERO_GROUP.finditer(s, pos):
+        value = ord(group.group()) - 63
+        base = 6 * (group.start() - pos)
+        for k in range(6):
+            if value & (32 >> k):
+                idx = base + k
+                j = (1 + math.isqrt(8 * idx + 1)) // 2
+                edges.append((idx - j * (j - 1) // 2, j))
+    return Graph(n, edges)
+
+
+def _reference_content_lines(text, comment):
+    """(line number, stripped line) for each line neither blank nor a comment."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line
+
+
+def _reference_graph(n, edges, text, comment, header_lines):
+    """Graph(n, edges) for a parsed edge list or DIMACS text, whose only fault
+    left is an edge listed twice. In such a text, edge k is on content line
+    header_lines + k, so only a refused file is read again to name the line."""
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        seen = set()
+        for k, e in enumerate(map(frozenset, edges)):
+            if e in seen:
+                lineno, _ = list(_reference_content_lines(text, comment))[header_lines + k]
+                raise ParseError("line %d: duplicate edge" % lineno) from None
+            seen.add(e)
+        raise ParseError(str(exc)) from None
+
+
+def _reference_parse_edge_list(text, max_vertices, max_edges):
+    """Plain 'u v' lines with 1-based vertex ids; n is the largest id seen."""
+    edges = []
+    max_id = 0
+    for lineno, line in _reference_content_lines(text, "#"):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("line %d: expected 'u v'" % lineno)
+        # int() alone also reads '1_0' as 10, signs and non-ASCII digits
+        u, v = parts
+        if not (line.isascii() and u.isdigit() and v.isdigit()):
+            raise ParseError("line %d: non-integer vertex id" % lineno)
+        u, v = int(u), int(v)
+        if u < 1 or v < 1:
+            raise ParseError("line %d: vertex ids are 1-based" % lineno)
+        if u == v:
+            raise ParseError("line %d: self-loop" % lineno)
+        max_id = max(max_id, u, v)
+        edges.append((u - 1, v - 1))
+        # reading stops at the first line past a cap
+        if max_id > max_vertices or len(edges) > max_edges:
+            _check_size(max_id, len(edges), max_vertices, max_edges)
+    return _reference_graph(max_id, edges, text, "#", 0)
+
+
+def _reference_parse_dimacs(text, max_vertices, max_edges):
+    """DIMACS 'p edge n m' with 'e u v' lines, 1-based ids."""
+    n = None
+    declared_m = None
+    edges = []
+    for lineno, line in _reference_content_lines(text, "c"):
+        parts = line.split()
+        if parts[0] == "p":
+            if (n is not None or len(parts) != 4 or parts[1] not in ("edge", "col")
+                    or not (line.isascii() and (parts[2] + parts[3]).isdigit())):
+                raise ParseError("line %d: bad problem line" % lineno)
+            n, declared_m = int(parts[2]), int(parts[3])
+            _check_size(n, declared_m, max_vertices, max_edges)
+        elif parts[0] == "e":
+            if n is None:
+                raise ParseError("line %d: edge before problem line" % lineno)
+            if len(parts) != 3:
+                raise ParseError("line %d: expected 'e u v'" % lineno)
+            if len(edges) == declared_m:
+                raise ParseError("line %d: more edges than the %d the header declares"
+                                 % (lineno, declared_m))
+            u, v = parts[1:]
+            if not (line.isascii() and u.isdigit() and v.isdigit()):
+                raise ParseError("line %d: non-integer vertex id" % lineno)
+            u, v = int(u), int(v)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError("line %d: vertex id out of range" % lineno)
+            if u == v:
+                raise ParseError("line %d: self-loop" % lineno)
+            edges.append((u - 1, v - 1))
+        else:
+            raise ParseError("line %d: unknown record %r" % (lineno, parts[0]))
+    if n is None:
+        raise ParseError("missing problem line")
+    if declared_m is not None and declared_m != len(edges):
+        raise ParseError("header declares %d edges, found %d"
+                         % (declared_m, len(edges)))
+    # the one problem line comes before every edge line
+    return _reference_graph(n, edges, text, "c", 1)
+
+
+def _reference_load_graph(text, fmt="auto", max_vertices=MAX_VERTICES,
+                          max_edges=MAX_EDGES):
+    if min(max_vertices, max_edges) < 0:
+        raise ValueError("max_vertices and max_edges must be non-negative")
+    if fmt == "auto":
+        _, first = next(_reference_content_lines(text, "#"), (0, ""))
+        if first == "c" or first[:2] in ("c ", "p ", "e "):
+            fmt = "dimacs"
+        elif len(first.split()) == 2:
+            fmt = "edgelist"
+        else:
+            fmt = "graph6"
+    parsers = {"graph6": _reference_parse_graph6, "edgelist": _reference_parse_edge_list,
+               "dimacs": _reference_parse_dimacs}
+    if fmt not in parsers:
+        raise ParseError("unknown format %r" % fmt)
+    return parsers[fmt](text, max_vertices, max_edges)
+
+
+def _outcome(parse, text, caps):
+    try:
+        return parse(text, *caps)
+    except Exception as exc:  # any exception, so that a new kind shows as a difference
+        return type(exc), str(exc)
+
+
+def _same(parse, reference, text, caps, chunk):
+    """parse and reference agree on text under caps, with the bulk reader's
+    chunks about chunk characters long."""
+    want = _outcome(reference, text, caps)
+    saved = formats._CHUNK
+    formats._CHUNK = chunk
+    try:
+        got = _outcome(parse, text, caps)
+    finally:
+        formats._CHUNK = saved
+    if isinstance(want, Graph):
+        assert isinstance(got, Graph), (text, got)
+        assert got == want and got.n == want.n and got.adj == want.adj
+        assert hash(got) == hash(want) and got.m == want.m
+        assert got.edges == want.edges and got.sorted_edges() == sorted(want.edges)
+    else:
+        assert got == want, text
+
+
+CAPS = st.tuples(st.one_of(st.just(MAX_VERTICES), st.integers(0, 12)),
+                 st.one_of(st.just(MAX_EDGES), st.integers(0, 12)))
+CHUNKS = st.sampled_from([1 << 16, 1, 5, 12])
+
+
+class Style:
+    """The characters a drawn text is made of. PLAIN texts mostly take the
+    bulk reader's path, so their faults are ids, counts, repeats and caps;
+    ANY texts also use every line break of str.splitlines and other
+    whitespace, which send a text to the line walker."""
+
+    def __init__(self, breaks, pads, seps, ids, comment):
+        self.brk = st.sampled_from(breaks)
+        self.pad = st.sampled_from(pads)
+        self.sep = st.sampled_from(seps)
+        self.id = ids
+        self.comment = st.text(st.sampled_from(comment), max_size=6)
+
+    def lines(self, line):
+        return st.lists(st.tuples(line, self.brk), max_size=12)
+
+
+PLAIN = Style(["\n", "\r\n"], ["", "", " ", "\t"], [" ", " ", "\t", "  "],
+              st.one_of(st.integers(1, 9).map(str), st.sampled_from(["0", "01", "10"])),
+              "ab \t12#ce")
+ANY = Style(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"],
+            ["", "", " ", "\t", "\x1f", "\xa0", "\u3000"],
+            [" ", " ", "\t", "  ", "\x1f", "\xa0", "\u3000"],
+            st.one_of(st.integers(0, 9).map(str), st.sampled_from(
+                ["01", "007", "12", "1_0", "+1", "-1", "\u0661", "\uff12", "x", "1.0"])),
+            "ab \t12#ce\xe9\u4e2d\x0b\r\u2028")
+STYLES = st.sampled_from([PLAIN, ANY])
+
+
+def _line(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+def _join(pairs, final=True):
+    """Each drawn line followed by its drawn line break, but the last line
+    only when final."""
+    text = "".join(line + brk for line, brk in pairs)
+    return text if final or not pairs else text[:-len(pairs[-1][1])]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lines, comments, blank lines and a few malformed lines."""
+    t = draw(STYLES)
+    edge = _line(t.pad, t.id, t.sep, t.id, t.pad)
+    lines = draw(t.lines(st.one_of(
+        edge, edge, edge, edge, _line(t.pad, st.just("#"), t.comment),
+        st.sampled_from(["", " ", "1", "1 2 3", "e 1 2", "p edge 3 1", "#"]))))
+    return _join(lines, draw(st.booleans()))
+
+
+@st.composite
+def dimacs_texts(draw):
+    """Comments, a problem line that most often counts the edge lines, then
+    the lines after it."""
+    t = draw(STYLES)
+    edge = _line(t.pad, st.just("e"), t.sep, t.id, t.sep, t.id, t.pad)
+    before = draw(t.lines(st.one_of(_line(t.pad, st.just("c"), t.comment), st.just(""))))
+    after = draw(t.lines(st.one_of(
+        edge, edge, edge, edge, _line(t.pad, st.just("c"), t.comment),
+        st.sampled_from(["", "e 1", "e 1 2 3", "x 1 2", "p edge 3 1", "E 1 2", "1 2"]))))
+    count = sum(line.split()[:1] == ["e"] for line, _ in after)
+    problem = draw(_line(t.pad, st.sampled_from(["p", "p", "p", "p", "P"]), t.sep,
+                         st.sampled_from(["edge", "edge", "col", "edges"]), t.sep,
+                         st.integers(1, 9).map(str), t.sep,
+                         st.sampled_from([count, count, count - 1, count + 1]).map(str),
+                         t.pad))
+    return _join(before) + problem + draw(t.brk) + _join(after, draw(st.booleans()))
+
+
+def _mutate(text, data):
+    """text with a few characters replaced, inserted or deleted, or with one
+    of its lines repeated at another place."""
+    pool = "0123456789 \t\n\r#ce?@~_\x0b\x1c\x85\u2028\xe9"
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        ch = data.draw(st.sampled_from(pool))
+        how = data.draw(st.sampled_from(["replace", "insert", "delete", "repeat"]))
+        if how == "repeat":
+            lines = text.splitlines(keepends=True)
+            if lines:
+                line = lines[data.draw(st.integers(0, len(lines) - 1))]
+                lines.insert(data.draw(st.integers(0, len(lines))), line)
+            text = "".join(lines)
+        elif how == "insert":
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + (ch if how == "replace" else "") + text[i + 1:]
+    return text
+
+
+def _edge_list_of(g, brk):
+    return "".join("%d %d%s" % (u + 1, v + 1, brk) for u, v in g.sorted_edges())
+
+
+@SETTINGS
+@given(edge_list_texts(), CAPS, CHUNKS)
+def test_edge_list_matches_the_line_parser(text, caps, chunk):
+    _same(parse_edge_list, _reference_parse_edge_list, text, caps, chunk)
+    _same(load_graph, _reference_load_graph, text, ("auto",) + caps, chunk)
+
+
+@SETTINGS
+@given(dimacs_texts(), CAPS, CHUNKS)
+def test_dimacs_matches_the_line_parser(text, caps, chunk):
+    _same(parse_dimacs, _reference_parse_dimacs, text, caps, chunk)
+    _same(load_graph, _reference_load_graph, text, ("auto",) + caps, chunk)
+
+
+# caps near the graph's own size: on it, one below, one above
+NEAR = st.one_of(st.none(), st.integers(-2, 2))
+
+
+def _near(caps, n, m):
+    return tuple(default if d is None else max(0, size + d)
+                 for d, size, default in zip(caps, (n, m), (MAX_VERTICES, MAX_EDGES)))
+
+
+@SETTINGS
+@given(st.integers(0, 12), st.integers(0, 99), st.sampled_from(["\n", "\r\n", "\x0b"]),
+       st.tuples(NEAR, NEAR), CHUNKS, st.data())
+def test_mutated_edge_lists_and_dimacs_match_the_line_parsers(n, seed, brk, near, chunk,
+                                                              data):
+    g = gnp(n, 0.4, seed)
+    caps = _near(near, max((v + 1 for a in g.adj for v in a), default=0), g.m)
+    dimacs = "c x%sp edge %d %d%s" % (brk, n, g.m, brk) + "".join(
+        "e %d %d%s" % (u + 1, v + 1, brk) for u, v in g.sorted_edges())
+    for parse, reference, text in (
+            (parse_edge_list, _reference_parse_edge_list, _edge_list_of(g, brk)),
+            (parse_dimacs, _reference_parse_dimacs, dimacs)):
+        _same(parse, reference, text, caps, chunk)
+        text = _mutate(text, data)
+        _same(parse, reference, text, caps, chunk)
+        _same(load_graph, _reference_load_graph, text, ("auto",) + caps, chunk)
+
+
+@SETTINGS
+@given(st.integers(0, 70), st.integers(0, 99), st.sampled_from(["", ">>graph6<<"]),
+       st.sampled_from(["", "\n", " \r\n", "\t"]), st.tuples(NEAR, NEAR), st.data())
+def test_graph6_matches_the_group_by_group_decoder(n, seed, prefix, end, near, data):
+    g = gnp(n, data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])), seed)
+    caps = _near(near, n, g.m)
+    text = prefix + serialize_graph6(g) + end
+    _same(parse_graph6, _reference_parse_graph6, text, caps, formats._CHUNK)
+    text = _mutate(text, data)
+    _same(parse_graph6, _reference_parse_graph6, text, caps, formats._CHUNK)
+    _same(load_graph, _reference_load_graph, text, ("auto",) + caps, formats._CHUNK)
+
+
+def test_large_texts_match_in_every_format():
+    g = k_tree(3, 300, 1)
+    dimacs = "p edge %d %d\n" % (g.n, g.m) + "".join(
+        "e %d %d\n" % (u + 1, v + 1) for u, v in g.edges)
+    for parse, reference, text in (
+            (parse_graph6, _reference_parse_graph6, serialize_graph6(g)),
+            (parse_edge_list, _reference_parse_edge_list, _edge_list_of(g, "\r\n")),
+            (parse_dimacs, _reference_parse_dimacs, dimacs)):
+        for chunk in (1 << 16, 100):
+            _same(parse, reference, text, (MAX_VERTICES, MAX_EDGES), chunk)
+            assert parse(text) == g
+
+
+@pytest.mark.parametrize("g, digest", [
+    (interval(37, 0), "bdffa521c5df992f13b180b8c4e2ea2b9c9f80c7aa2ad6c83829675f01a5cc7f"),
+    (interval(59, 3), "9bf6c3887344f61bbee247761436e2f167cb574d5a1060d7110cd4af6a9d4320"),
+    (k_tree(3, 300, 1), "7d83e38cde766f99fed2b24593cf70cdba2ba9715c4fcb0ad37977f14b72bd2b"),
+], ids=["interval-37-0", "interval-59-3", "k-tree-3-300-1"])
+def test_constructed_edges_keep_their_iteration_order(g, digest):
+    # benchmarks/jobs.py draws the interval-wide weights in g.edges order, so
+    # Graph(n, edges) keeps the frozenset it builds, in the order it has
+    # always had, which these digests pin
+    assert hashlib.sha256(repr(list(g.edges)).encode()).hexdigest() == digest
