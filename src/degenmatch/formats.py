@@ -1,16 +1,12 @@
-"""Graph serialization: graph6, plain edge lists, and DIMACS.
-
-Each parser reads a text's vertex ids in bulk and builds the graph's
-adjacency with _sorted_adjacency; a parsed graph keeps no edge set. The edge
-list and DIMACS formats also have a line walker, which reads a text line by
-line: it runs only on a text the bulk reading does not take, to name its
-first fault by line, or to read a valid text in a form the bulk reading
-leaves to it."""
+"""Graph serialization: graph6, plain edge lists, and DIMACS, each read in bulk
+into adjacency only; a line walker reads on from the first edge-list or DIMACS
+chunk with a fault, only to name the fault and its line."""
 
 import re
-from itertools import chain, compress, repeat
+from operator import eq
 
-from .graphs import Graph, LimitsExceededError, _check_size, _norm_edge
+from .graphs import (Graph, LimitsExceededError, _check_size, _norm_edge,
+                     _sorted_adjacency)
 
 # Default caps on the size of a parsed graph, checked while its ids are read,
 # before its adjacency is built.
@@ -23,7 +19,8 @@ MAX_GRAPH6_BYTES = 1 << 28
 
 # a graph6 byte is 63..126 ('?'..'~'); '?' is a group of six zero bits
 _G6_BAD_BYTE = re.compile(r"[^?-~]")
-_G6_NONZERO_GROUP = re.compile(r"[@-~]")
+# runs of groups other than '?'; re scans for them far faster than '[@-~]+'
+_G6_NONZERO_RUN = re.compile(r"[@-~][@-~]*")
 # body bytes hold 0..63 before the offset: _G6_ADD_63 adds it and
 # _G6_SUB_63 takes it off
 _G6_ADD_63 = bytes(range(63, 127)) + bytes(192)
@@ -31,24 +28,27 @@ _G6_SUB_63 = bytes(63) + bytes(range(64)) + bytes(129)
 # the edge count is read from the body this many bytes at a time, so
 # counting does not hold a second copy of a large body
 _G6_COUNT_CHUNK = 1 << 20
-# _G6_BITS spells a byte as its six bits, most significant first, each the
-# character chr(0) or chr(1)
-_G6_BITS = {63 + x: format(x, "06b").replace("1", "\x01").replace("0", "\x00")
-            for x in range(64)}
+# the set bits of each body byte, most significant (0) first
+_G6_SET_BITS = {chr(63 + x): [k for k in range(6) if x & 32 >> k] for x in range(64)}
 
-# The line breaks of str.splitlines, and the lines a text may hold when it is
-# read in bulk: blank, a comment (which must hold no other line break), or
-# one record, with spaces and tabs around its fields and '\n' or '\r\n' at its
-# end. Each _BAD pattern finds the first line of a chunk that is none of
-# these; such a text goes to the line walker. The patterns are kept as
-# strings: re compiles each on its first use and caches it, so importing the
-# module compiles none of them.
+# The line breaks of str.splitlines. A _BAD pattern finds the first line of a
+# chunk that the line walker would refuse or that holds an _ODD_BREAK (a text
+# with one is read again with '\n' in its place): a line is blank, a comment
+# or one record, with _PAD (whitespace str.strip removes, but no line break)
+# around it and _SEP between its fields. The patterns are kept as strings: re
+# compiles each on its first use and caches it, so importing the module
+# compiles none of them.
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_EDGE_LIST_BAD = r"(?m)^(?![ \t]*(?:#[^%s]*|[0-9]+[ \t]+[0-9]+[ \t]*)?\r?$)" % _BREAKS
-_DIMACS_BAD = r"(?m)^(?![ \t]*(?:c[^%s]*|e[ \t]+[0-9]+[ \t]+[0-9]+[ \t]*)?\r?$)" % _BREAKS
+_ODD_BREAK = r"\r(?!\n)|[%s]" % _BREAKS[2:]
+_PAD = "[\t\x1f \xa0\u1680\u2000-\u200a\u202f\u205f\u3000]*"
+_SEP = "[ \t\x1f]+"
+_EDGE_LIST_BAD = (r"(?m)^(?!%s(?:#[^%s]*|[0-9]+%s[0-9]+%s)?\r?$)"
+                  % (_PAD, _BREAKS, _SEP, _PAD))
+_DIMACS_BAD = (r"(?m)^(?!%s(?:c[^%s]*|e%s[0-9]+%s[0-9]+%s)?\r?$)"
+               % (_PAD, _BREAKS, _SEP, _SEP, _PAD))
 # blank and comment lines, then a problem line
-_DIMACS_HEADER = (r"(?:[ \t]*(?:c[^%s]*)?\r?\n)*[ \t]*p[ \t]+(?:edge|col)[ \t]+([0-9]+)"
-                  r"[ \t]+([0-9]+)[ \t]*\r?(?:\n|\Z)" % _BREAKS)
+_DIMACS_HEADER = (r"(?:%s(?:c[^%s]*)?\r?\n)*%sp%s(?:edge|col)%s([0-9]+)%s([0-9]+)%s"
+                  r"\r?(?:\n|\Z)" % (_PAD, _BREAKS, _PAD, _SEP, _SEP, _SEP, _PAD))
 # in a chunk that passed its pattern, a comment is all that holds '#' or 'c'
 _EDGE_LIST_COMMENT = "#[^\n]*"
 _DIMACS_COMMENT = "c[^\n]*"
@@ -93,8 +93,8 @@ def serialize_graph6(g):
 
 def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """Decode in time linear in the text: one C-speed scan checks every
-    byte, the edges are counted against the cap, then each column j, the
-    bits of the pairs (i, j), i < j, is read once when it holds an edge."""
+    byte, the edges are counted against the cap, then each set bit of the
+    bytes other than '?' is read once."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -123,33 +123,27 @@ def parse_graph6(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
                            "big").bit_count()
             for k in range(pos, len(s), _G6_COUNT_CHUNK))
     _check_size(n, m, max_vertices, max_edges)
-
-    def columns():
-        # bit j(j-1)/2 + i of the body stands for the edge (i, j), i < j
-        for j in range(1, n):
-            first = j * (j - 1) // 2
-            lo, hi = pos + first // 6, pos + (first + j + 5) // 6
-            if _G6_NONZERO_GROUP.search(s, lo, hi):
-                bits = s[lo:hi].translate(_G6_BITS).encode()
-                yield zip(compress(range(j), bits[first % 6:]), repeat(j))
-
-    return Graph._from_adjacency(_sorted_adjacency(n, chain.from_iterable(columns())))
-
-
-def _sorted_adjacency(n, edges):
-    """The ascending adjacency tuples of the graph on 0..n-1 with the given
-    edges (pairs of ids in range), over one shared int per vertex; None when
-    an edge is a self-loop or repeats, so that some vertex lists a neighbour
-    twice."""
     ids = list(range(n))
     adj = [[] for _ in ids]
-    for u, v in edges:
-        adj[u].append(ids[v])
-        adj[v].append(ids[u])
-    adj = list(map(tuple, map(sorted, adj)))
-    if sum(map(len, map(set, adj))) < sum(map(len, adj)):
-        return None
-    return adj
+    add = [a.append for a in adj]
+    # bit j(j-1)/2 + i is the edge (i, j), i < j: column j starts at bit first,
+    # row is the i of a group's bit 0. Bits ascend, and so does each adj list.
+    j = first = 0
+    for run in _G6_NONZERO_RUN.finditer(s, pos):
+        row = 6 * (run.start() - pos) - first
+        for group in run.group():
+            for k in _G6_SET_BITS[group]:
+                i = row + k
+                while i >= j:
+                    i -= j
+                    row -= j
+                    first += j
+                    j += 1
+                    add_j, id_j = add[j], ids[j]
+                add[i](id_j)
+                add_j(ids[i])
+            row += 6
+    return Graph._from_adjacency(list(map(tuple, adj)))
 
 
 def _chunks(text, start):
@@ -161,52 +155,86 @@ def _chunks(text, start):
         start = end
 
 
-def _ids(tokens):
-    """The 1-based ids in tokens, strings of ASCII digits, as 0-based ints;
-    each distinct token is converted once."""
-    value = {t: int(t) - 1 for t in set(tokens)}
-    return list(map(value.__getitem__, tokens))
-
-
-def _content_lines(text, comment):
-    """(line number, stripped line) for each line neither blank nor a comment."""
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if line and not line.startswith(comment):
-            yield lineno, line
-
-
-def _read_edge_list(text, max_vertices, max_edges):
-    """The sorted adjacency of an edge list read in bulk, a chunk at a time;
-    None as soon as a chunk has a line _EDGE_LIST_BAD finds, an id of 0 or
-    an id or edge past a cap, or when an edge repeats."""
+def _read_ids(text, start, bad, comment, labels, top, most):
+    """The 0-based ids of the records of text from start on, read in bulk a
+    chunk at a time (labels slices the record labels out of its tokens), and
+    where reading stopped: len(text), or the start of the first chunk with a
+    line bad finds, an id outside 0..top-1 or more than most records."""
     ends = []
-    n = 0
-    for chunk in _chunks(text, 0):
-        if re.search(_EDGE_LIST_BAD, chunk):
-            return None
-        ids = _ids(re.sub(_EDGE_LIST_COMMENT, "", chunk).split())
-        if ids:
-            n = max(n, max(ids) + 1)
-            if min(ids) < 0:
-                return None
+    for chunk in _chunks(text, start):
+        if re.search(bad, chunk):
+            break
+        tokens = re.sub(comment, "", chunk).split()
+        del tokens[labels]
+        # each distinct token is converted once
+        value = {t: int(t) - 1 for t in set(tokens)}
+        ids = list(map(value.__getitem__, tokens))
+        del tokens, value  # freed before the next chunk's: 15 MB less RSS at 1M lines
+        if ids and not (0 <= min(ids) and max(ids) < top
+                        and len(ends) + len(ids) <= 2 * most):
+            break
         ends += ids
-        if n > max_vertices or len(ends) > 2 * max_edges:
-            return None
+        start += len(chunk)
+    return ends, start
+
+
+def _content_lines(text, comment, start=0):
+    """(line number, stripped line) for each line neither blank nor a
+    comment from start on, a chunk at a time; lines before start end in \\n."""
+    lineno = text.count("\n", 0, start)
+    for chunk in _chunks(text, start):
+        lines = chunk.splitlines()
+        for k, line in enumerate(lines, lineno + 1):
+            line = line.strip()
+            if line and not line.startswith(comment):
+                yield k, line
+        lineno += len(lines)
+
+
+def _refuse(text, start, ends, parse, walk, caps, *state):
+    """parse of text with '\\n' for each _ODD_BREAK past start, where bulk
+    reading stopped with the ids ends; else walk names the fault from line 1
+    if ends holds a self-loop (it outranks a later fault), else from start."""
+    if re.compile(_ODD_BREAK).search(text, start):
+        return parse(re.sub(_ODD_BREAK, "\n", text), *caps)
     it = iter(ends)
-    return _sorted_adjacency(n, zip(it, it))
+    if any(map(eq, it, it)):
+        walk(text, 0, *caps)
+    walk(text, start, *caps, *state)
 
 
-def _walk_edge_list(text, max_vertices, max_edges):
-    """The line walker of edge lists: raises at the first faulty line, or at
-    the first line past a cap, as the parser always has; an edge that
-    repeats is named once every line has passed. For a text with no fault,
-    (n, [(u, v), ...]) with 0-based ids, u < v."""
-    edges = []
+def _graph(n, ends, text, walk, caps):
+    """The graph on 0..n-1 with the pairs in ends as edges; when a vertex
+    lists a neighbour twice, walk names the self-loop or repeat in text."""
+    it = iter(ends)
+    adj = _sorted_adjacency(n, zip(it, it))
+    if sum(map(len, map(set, adj))) < len(ends):
+        walk(text, 0, *caps)
+    return Graph._from_adjacency(adj)
+
+
+def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
+    """Plain 'u v' lines with 1-based vertex ids; n is the largest id seen.
+
+    A chunk with a fault, an id of 0 or a cap passed stops the bulk reading;
+    _walk_edge_list names that fault, or a repeat once every line is read."""
+    caps = max_vertices, max_edges
+    ends, start = _read_ids(text, 0, _EDGE_LIST_BAD, _EDGE_LIST_COMMENT, slice(0),
+                            max_vertices, max_edges)
+    n = max(ends, default=-1) + 1
+    if start < len(text):
+        return _refuse(text, start, ends, parse_edge_list, _walk_edge_list, caps,
+                       n, len(ends) // 2)
+    return _graph(n, ends, text, _walk_edge_list, caps)
+
+
+def _walk_edge_list(text, start, max_vertices, max_edges, max_id=0, count=0):
+    """Raise at the first faulty line of an edge list from start on, or the
+    first line past a cap, after lines with count edges and largest id
+    max_id; at a repeat once every line has passed; else AssertionError."""
     seen = set()
     repeat_line = None
-    max_id = 0
-    for lineno, line in _content_lines(text, "#"):
+    for lineno, line in _content_lines(text, "#", start):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("line %d: expected 'u v'" % lineno)
@@ -220,68 +248,44 @@ def _walk_edge_list(text, max_vertices, max_edges):
         if u == v:
             raise ParseError("line %d: self-loop" % lineno)
         max_id = max(max_id, u, v)
-        e = _norm_edge(u - 1, v - 1)
+        count += 1
+        e = _norm_edge(u, v)
         if repeat_line is None and e in seen:
             repeat_line = lineno
         seen.add(e)
-        edges.append(e)
         # reading stops at the first line past a cap
-        if max_id > max_vertices or len(edges) > max_edges:
-            _check_size(max_id, len(edges), max_vertices, max_edges)
+        if max_id > max_vertices or count > max_edges:
+            _check_size(max_id, count, max_vertices, max_edges)
     if repeat_line is not None:
         raise ParseError("line %d: duplicate edge" % repeat_line)
-    return max_id, edges
+    raise AssertionError("the line walker found no fault in a refused edge list")
 
 
-def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
-    """Plain 'u v' lines with 1-based vertex ids; n is the largest id seen.
-
-    A text the bulk reading does not take goes to the line walker, which
-    raises at its first fault or, finding none (in a text with line breaks
-    other than '\\n' and '\\r\\n', say), reads it."""
-    adj = _read_edge_list(text, max_vertices, max_edges)
-    if adj is None:
-        adj = _sorted_adjacency(*_walk_edge_list(text, max_vertices, max_edges))
-    return Graph._from_adjacency(adj)
-
-
-def _read_dimacs(text, max_vertices, max_edges):
-    """The sorted adjacency of a DIMACS text read in bulk: the problem line
-    that _DIMACS_HEADER finds, whose counts are checked against the caps
-    before any edge line is read, then the edge lines a chunk at a time;
-    None when there is no such problem line, or as soon as a chunk has a
-    line _DIMACS_BAD finds, an id out of range or more edges than declared,
-    or when the count differs at the end or an edge repeats."""
+def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
+    """DIMACS 'p edge n m' with 'e u v' lines, 1-based ids; the counts of the
+    problem line that _DIMACS_HEADER finds are checked against the caps, then
+    the edge lines are read as in parse_edge_list."""
+    caps = max_vertices, max_edges
     head = re.match(_DIMACS_HEADER, text)
     if head is None:
-        return None
+        return _refuse(text, 0, [], parse_dimacs, _walk_dimacs, caps)
     n, m = int(head[1]), int(head[2])
     _check_size(n, m, max_vertices, max_edges)
-    ends = []
-    for chunk in _chunks(text, head.end()):
-        if re.search(_DIMACS_BAD, chunk):
-            return None
-        tokens = re.sub(_DIMACS_COMMENT, "", chunk).split()
-        del tokens[::3]  # the 'e' of each edge line
-        ids = _ids(tokens)
-        ends += ids
-        if len(ends) > 2 * m or ids and not 0 <= min(ids) <= max(ids) < n:
-            return None
-    if len(ends) != 2 * m:
-        return None
-    it = iter(ends)
-    return _sorted_adjacency(n, zip(it, it))
+    ends, start = _read_ids(text, head.end(), _DIMACS_BAD, _DIMACS_COMMENT,
+                            slice(None, None, 3), n, m)
+    # a fault at start, or fewer edges than declared (named at the text's end)
+    if start < len(text) or len(ends) < 2 * m:
+        return _refuse(text, start, ends, parse_dimacs, _walk_dimacs, caps,
+                       n, m, len(ends) // 2)
+    return _graph(n, ends, text, _walk_dimacs, caps)
 
 
-def _walk_dimacs(text, max_vertices, max_edges):
+def _walk_dimacs(text, start, max_vertices, max_edges, n=None, declared_m=None, count=0):
     """The line walker of DIMACS texts, as _walk_edge_list is for edge
-    lists."""
-    n = None
-    declared_m = None
-    edges = []
+    lists; after the problem line, it is given that line's counts."""
     seen = set()
     repeat_line = None
-    for lineno, line in _content_lines(text, "c"):
+    for lineno, line in _content_lines(text, "c", start):
         parts = line.split()
         if parts[0] == "p":
             if (n is not None or len(parts) != 4 or parts[1] not in ("edge", "col")
@@ -294,7 +298,7 @@ def _walk_dimacs(text, max_vertices, max_edges):
                 raise ParseError("line %d: edge before problem line" % lineno)
             if len(parts) != 3:
                 raise ParseError("line %d: expected 'e u v'" % lineno)
-            if len(edges) == declared_m:
+            if count == declared_m:
                 raise ParseError("line %d: more edges than the %d the header declares"
                                  % (lineno, declared_m))
             u, v = parts[1:]
@@ -305,30 +309,20 @@ def _walk_dimacs(text, max_vertices, max_edges):
                 raise ParseError("line %d: vertex id out of range" % lineno)
             if u == v:
                 raise ParseError("line %d: self-loop" % lineno)
-            e = _norm_edge(u - 1, v - 1)
+            count += 1
+            e = _norm_edge(u, v)
             if repeat_line is None and e in seen:
                 repeat_line = lineno
             seen.add(e)
-            edges.append(e)
         else:
             raise ParseError("line %d: unknown record %r" % (lineno, parts[0]))
     if n is None:
         raise ParseError("missing problem line")
-    if declared_m != len(edges):
-        raise ParseError("header declares %d edges, found %d"
-                         % (declared_m, len(edges)))
+    if declared_m != count:
+        raise ParseError("header declares %d edges, found %d" % (declared_m, count))
     if repeat_line is not None:
         raise ParseError("line %d: duplicate edge" % repeat_line)
-    return n, edges
-
-
-def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
-    """DIMACS 'p edge n m' with 'e u v' lines, 1-based ids; a text the bulk
-    reading does not take goes to the line walker, as in parse_edge_list."""
-    adj = _read_dimacs(text, max_vertices, max_edges)
-    if adj is None:
-        adj = _sorted_adjacency(*_walk_dimacs(text, max_vertices, max_edges))
-    return Graph._from_adjacency(adj)
+    raise AssertionError("the line walker found no fault in a refused DIMACS text")
 
 
 def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
@@ -340,10 +334,9 @@ def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES)
     if min(max_vertices, max_edges) < 0:
         raise ValueError("max_vertices and max_edges must be non-negative")
     if fmt == "auto":
-        # chunks end at a '\n', so no line is cut, and a large text is not
+        # _content_lines reads a chunk at a time, so a large text is not
         # split into lines past its first chunk that holds one
-        first = next((line for chunk in _chunks(text, 0)
-                      for _, line in _content_lines(chunk, "#")), "")
+        first = next((line for _, line in _content_lines(text, "#")), "")
         if first == "c" or first[:2] in ("c ", "p ", "e "):
             fmt = "dimacs"
         elif len(first.split()) == 2:

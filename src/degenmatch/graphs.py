@@ -22,6 +22,17 @@ def _norm_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _sorted_adjacency(n, edges):
+    """Ascending adjacency tuples, over one shared int per vertex, of the
+    pairs in edges; a self-loop or repeat lists a neighbour twice."""
+    ids = list(range(n))
+    adj = [[] for _ in ids]
+    for u, v in edges:
+        adj[u].append(ids[v])
+        adj[v].append(ids[u])
+    return list(map(tuple, map(sorted, adj)))
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -46,11 +57,7 @@ class Graph:
                 raise ValueError("duplicate edge (%s, %s)" % (u, v))
             seen.add(e)
         self.edges = frozenset(seen)
-        adj = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = [tuple(sorted(a)) for a in adj]
+        self.adj = _sorted_adjacency(n, self.edges)
 
     @classmethod
     def _from_adjacency(cls, adj):

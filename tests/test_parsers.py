@@ -6,9 +6,11 @@ and the other line breaks of str.splitlines, tabs and other whitespace,
 non-ASCII comments, leading zeros, duplicate edges, self-loops, ids out of
 range, and caps on both sides of the graph's size."""
 
+import contextlib
 import hashlib
 import math
 import re
+from unittest import mock
 
 import pytest
 
@@ -27,7 +29,7 @@ from degenmatch.formats import (
     parse_graph6,
     serialize_graph6,
 )
-from degenmatch.generate import interval, k_tree
+from degenmatch.generate import interval, k_tree, path
 from degenmatch.graphs import _check_size
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -226,7 +228,7 @@ class Style:
     """The characters a drawn text is made of. PLAIN texts mostly take the
     bulk reader's path, so their faults are ids, counts, repeats and caps;
     ANY texts also use every line break of str.splitlines and other
-    whitespace, which send a text to the line walker."""
+    whitespace, which the bulk reader takes only in some places."""
 
     def __init__(self, breaks, pads, seps, ids, comment):
         self.brk = st.sampled_from(breaks)
@@ -373,16 +375,112 @@ def test_graph6_matches_the_group_by_group_decoder(n, seed, prefix, end, near, d
 
 
 def test_large_texts_match_in_every_format():
-    g = k_tree(3, 300, 1)
-    dimacs = "p edge %d %d\n" % (g.n, g.m) + "".join(
-        "e %d %d\n" % (u + 1, v + 1) for u, v in g.edges)
-    for parse, reference, text in (
-            (parse_graph6, _reference_parse_graph6, serialize_graph6(g)),
-            (parse_edge_list, _reference_parse_edge_list, _edge_list_of(g, "\r\n")),
-            (parse_dimacs, _reference_parse_dimacs, dimacs)):
-        for chunk in (1 << 16, 100):
-            _same(parse, reference, text, (MAX_VERTICES, MAX_EDGES), chunk)
-            assert parse(text) == g
+    # path(3000) and k_tree(3, 3000, 1) are sparse: most graph6 columns that
+    # hold an edge hold one or three of their thousands of bits
+    for g in (k_tree(3, 300, 1), path(3000), k_tree(3, 3000, 1)):
+        dimacs = "p edge %d %d\n" % (g.n, g.m) + "".join(
+            "e %d %d\n" % (u + 1, v + 1) for u, v in g.edges)
+        for parse, reference, text in (
+                (parse_graph6, _reference_parse_graph6, serialize_graph6(g)),
+                (parse_edge_list, _reference_parse_edge_list, _edge_list_of(g, "\r\n")),
+                (parse_dimacs, _reference_parse_dimacs, dimacs)):
+            for chunk in (1 << 16, 100):
+                _same(parse, reference, text, (MAX_VERTICES, MAX_EDGES), chunk)
+                assert parse(text) == g
+
+
+@contextlib.contextmanager
+def _no_walker():
+    """The line walkers fail while this is open, so a text that reaches
+    one fails the test."""
+    def walk(*args):
+        raise AssertionError("a valid text reached a line walker")
+    with mock.patch.object(formats, "_walk_edge_list", walk), \
+            mock.patch.object(formats, "_walk_dimacs", walk):
+        yield
+
+
+def _valid_texts_reach_no_walker(parse, reference, text):
+    want = _outcome(reference, text, (MAX_VERTICES, MAX_EDGES))
+    if isinstance(want, Graph):
+        with _no_walker():
+            got = parse(text)
+        assert got == want and got.adj == want.adj, text
+
+
+@SETTINGS
+@given(edge_list_texts(), dimacs_texts())
+def test_drawn_valid_texts_reach_no_walker(edge_list, dimacs):
+    _valid_texts_reach_no_walker(parse_edge_list, _reference_parse_edge_list, edge_list)
+    _valid_texts_reach_no_walker(parse_dimacs, _reference_parse_dimacs, dimacs)
+
+
+_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
+_BREAKS = [c for c in _SPACES if len(("a%sb" % c).splitlines()) == 2]
+
+
+def test_every_line_break_and_space_reaches_no_walker():
+    assert _BREAKS == list("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
+    pads = [c for c in _SPACES if c not in _BREAKS]
+    seps = [c for c in pads if c.isascii()]
+    assert seps == list("\t\x1f ")
+    texts = []
+    for brk in _BREAKS + ["\r\n"]:
+        texts.append(("1 2{0}# c{0}{0}2 3{0}", "c x{0}p edge 3 2{0}e 1 2{0}c{0}e 2 3{0}", brk))
+    for pad in pads:
+        texts.append(("{0}1 2{0}\n{0}#{0}\n{0}\n2 3{0}",
+                      "{0}c{0}\n{0}p edge 3 2{0}\n{0}e 1 2{0}\n{0}\ne 2 3{0}", pad))
+    for sep in seps:
+        texts.append(("1{0}2\n2{0}{0}3", "p{0}col{0}3{0}2\ne{0}1{0}2\ne{0}2{0}3", sep))
+    for edge_list, dimacs, ch in texts:
+        _valid_texts_reach_no_walker(parse_edge_list, _reference_parse_edge_list,
+                                     edge_list.format(ch))
+        _valid_texts_reach_no_walker(parse_dimacs, _reference_parse_dimacs,
+                                     dimacs.format(ch))
+        assert parse_edge_list(edge_list.format(ch)) == path(3), repr(ch)
+        assert parse_dimacs(dimacs.format(ch)) == path(3), repr(ch)
+
+
+def _counted_lines(monkeypatch):
+    """A list that grows by one for each line _content_lines yields."""
+    yielded = []
+    content_lines = formats._content_lines
+
+    def counted(*args):
+        for item in content_lines(*args):
+            yielded.append(item)
+            yield item
+    monkeypatch.setattr(formats, "_content_lines", counted)
+    return yielded
+
+
+@pytest.mark.parametrize("last, caps", [
+    ("2000 2001", (2000, MAX_EDGES)),
+    ("2000 2001", (MAX_VERTICES, 1999)),
+    ("2000 x", (MAX_VERTICES, MAX_EDGES)),
+    ("0 2000", (MAX_VERTICES, MAX_EDGES)),
+], ids=["vertex-cap", "edge-cap", "bad-line", "id-0"])
+def test_an_edge_list_fault_is_named_from_its_chunk(monkeypatch, last, caps):
+    # 2,000 lines of a path, whose only fault is on the last
+    text = "".join("%d %d\n" % (i, i + 1) for i in range(1, 2000)) + last + "\n"
+    monkeypatch.setattr(formats, "_CHUNK", 64)
+    last_chunk = list(formats._chunks(text, 0))[-1]
+    yielded = _counted_lines(monkeypatch)
+    want = _outcome(_reference_parse_edge_list, text, caps)
+    assert isinstance(want, tuple)
+    assert _outcome(parse_edge_list, text, caps) == want
+    assert 0 < len(yielded) <= len(last_chunk.splitlines())
+
+
+def test_a_dimacs_fault_is_named_from_its_chunk(monkeypatch):
+    text = "p edge 2001 1999\n" + "".join("e %d %d\n" % (i, i + 1) for i in range(1, 2001))
+    monkeypatch.setattr(formats, "_CHUNK", 64)
+    last_chunk = list(formats._chunks(text, 0))[-1]
+    yielded = _counted_lines(monkeypatch)
+    want = _outcome(_reference_parse_dimacs, text, (MAX_VERTICES, MAX_EDGES))
+    assert want == (ParseError, "line 2001: more edges than the 1999 the header declares")
+    assert _outcome(parse_dimacs, text, (MAX_VERTICES, MAX_EDGES)) == want
+    assert 0 < len(yielded) <= len(last_chunk.splitlines())
 
 
 @pytest.mark.parametrize("g, digest", [
