@@ -105,19 +105,6 @@ class NiceTreeDecomposition(namedtuple("NiceTreeDecomposition", "nodes root")):
 
     __slots__ = ()
 
-    def subtree_vertices(self, t):
-        """Union of the bags at t and all its descendants, and of the
-        vertices their pendant nodes hang."""
-        seen = set()
-        stack = [t]
-        while stack:
-            nd = self.nodes[stack.pop()]
-            seen.update(nd.bag)
-            if nd.kind == "pendant":
-                seen.add(nd.vertex)
-            stack.extend(nd.children)
-        return frozenset(seen)
-
 
 def _largest_bag(peo):
     """The size of the largest bag build_nice_decomposition builds from the

@@ -1,5 +1,7 @@
 """Greedy r-degenerate edge coloring within the 2(D-1)^2/(r+1) + 2(D-1) + 1 palette."""
 
+from collections import namedtuple
+
 from .graphs import Matching, _norm_edge, degeneracy, induced_subgraph
 
 
@@ -16,14 +18,11 @@ def palette_size(delta, r):
     return k
 
 
-class EdgeColoring:
-    """Assignment of edges to colors in 1..k, each class an r-degenerate matching."""
+class EdgeColoring(namedtuple("EdgeColoring", "color k delta r")):
+    """Assignment of edges to colors in 1..k, each class an r-degenerate
+    matching: color maps each edge (u, v), u < v, to its color."""
 
-    def __init__(self, color, k, delta, r):
-        self.color = dict(color)
-        self.k = k
-        self.delta = delta
-        self.r = r
+    __slots__ = ()
 
     def classes(self):
         out = {}
@@ -36,19 +35,6 @@ class EdgeColoring:
 
     def max_color(self):
         return max(self.color.values(), default=0)
-
-    def to_payload(self, verified=None):
-        payload = {
-            "r": self.r,
-            "delta": self.delta,
-            "K": self.k,
-            "colors_used": self.colors_used(),
-            "classes": {str(c): [list(e) for e in es]
-                        for c, es in sorted(self.classes().items())},
-        }
-        if verified is not None:
-            payload["verified"] = verified
-        return payload
 
 
 def _forbidden(g, colors_at, u, v, r):

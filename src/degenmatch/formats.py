@@ -62,12 +62,11 @@ class ParseError(ValueError):
 
 
 def _g6_encode_n(n):
-    # MAX_GRAPH6_BYTES keeps n far below 2^36, past which graph6 has no form
+    # MAX_GRAPH6_BYTES keeps n at most 56756, below the 258048 from which
+    # graph6 writes n in six bytes after '~~'
     if n <= 62:
         return [n + 63]
-    if n <= 258047:
-        return [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    return [126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)]
+    return [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
 
 
 def check_graph6_size(n):
@@ -325,6 +324,18 @@ def _walk_dimacs(text, start, max_vertices, max_edges, n=None, declared_m=None, 
     raise AssertionError("the line walker found no fault in a refused DIMACS text")
 
 
+def _sniff_format(text):
+    """The format that text's first line neither blank nor a '#' comment
+    suggests. _content_lines splits only the first chunk that holds such a
+    line, and the line (all of a one-line graph6 text) dies on return."""
+    first = next((line for _, line in _content_lines(text, "#")), "")
+    if first == "c" or first[:2] in ("c ", "p ", "e "):
+        return "dimacs"
+    if len(first.split()) == 2:
+        return "edgelist"
+    return "graph6"
+
+
 def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """Parse text in the given format, or the one its first line suggests.
 
@@ -334,15 +345,7 @@ def load_graph(text, fmt="auto", max_vertices=MAX_VERTICES, max_edges=MAX_EDGES)
     if min(max_vertices, max_edges) < 0:
         raise ValueError("max_vertices and max_edges must be non-negative")
     if fmt == "auto":
-        # _content_lines reads a chunk at a time, so a large text is not
-        # split into lines past its first chunk that holds one
-        first = next((line for _, line in _content_lines(text, "#")), "")
-        if first == "c" or first[:2] in ("c ", "p ", "e "):
-            fmt = "dimacs"
-        elif len(first.split()) == 2:
-            fmt = "edgelist"
-        else:
-            fmt = "graph6"
+        fmt = _sniff_format(text)
     parsers = {"graph6": parse_graph6, "edgelist": parse_edge_list,
                "dimacs": parse_dimacs}
     if fmt not in parsers:

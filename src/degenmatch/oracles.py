@@ -252,13 +252,26 @@ def brute_chromatic_index_r(g, r, limits=None):
     return _bnb_chromatic(search, lambda vs: _peels(search.adj, vs, r))
 
 
+def _subtree_mask(d, t):
+    """The vertices of G_t at node t of d, as a mask."""
+    mask = 0
+    stack = [t]
+    while stack:
+        nd = d.nodes[stack.pop()]
+        mask |= _mask(nd.bag)
+        if nd.kind == "pendant":
+            mask |= 1 << nd.vertex
+        stack.extend(nd.children)
+    return mask
+
+
 def brute_degenerate_states(g, d, r, node, limits=None):
     """The literal state set at a decomposition node, by full enumeration.
 
     G_t holds the vertices of the bags at the node and below it, and the
-    vertices the pendant nodes there hang (subtree_vertices). Enumerates
-    every matching of G_t avoiding edges inside the bag, then every S between
-    V(M) cap X_t and X_t keeping G[V(M) u S] r-degenerate."""
+    vertices the pendant nodes there hang. Enumerates every matching of G_t
+    avoiding edges inside the bag, then every S between V(M) cap X_t and X_t
+    keeping G[V(M) u S] r-degenerate."""
     if type(r) is not int or r < 0:
         raise ValueError("r must be non-negative")
     if type(node) is not int or not 0 <= node < len(d.nodes):
@@ -266,7 +279,7 @@ def brute_degenerate_states(g, d, r, node, limits=None):
     search = _Search(g, limits)
     adj = search.adj
     bag = _mask(d.nodes[node].bag)
-    vt = _mask(d.subtree_vertices(node))
+    vt = _subtree_mask(d, node)
     allowed = [e for e in search.edges if e & vt == e and e & bag != e]
     states = set()
 

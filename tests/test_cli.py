@@ -172,6 +172,27 @@ def test_color_k2_and_random_order(tmp_path, capsys):
     assert report["results"]["verified"]
 
 
+@pytest.mark.parametrize("graph, flags, results", [
+    (cycle(5), ["--verify"],
+     {"r": 1, "delta": 2, "K": 4, "colors_used": 3,
+      "classes": {"1": [[0, 1], [2, 3]], "2": [[0, 4], [1, 2]], "3": [[3, 4]]},
+      "verified": True}),
+    (k_tree(2, 8, 1), ["--order", "random", "--seed", "7"],
+     {"r": 1, "delta": 7, "K": 49, "colors_used": 11,
+      "classes": {"1": [[1, 3], [4, 5]], "2": [[1, 2], [4, 6]], "3": [[0, 6]],
+                  "4": [[1, 4]], "5": [[0, 2]], "6": [[0, 3]], "7": [[4, 7]],
+                  "8": [[0, 7]], "9": [[0, 1]], "10": [[0, 5]], "11": [[0, 4]]}}),
+], ids=["c5-verify", "2-tree-random"])
+def test_color_report_is_pinned(tmp_path, capsys, graph, flags, results):
+    # the whole results object, key order included: classes ascend by color
+    # as numbers ("10" after "9"), the edges of a class ascend, and
+    # "verified" comes last and only with --verify
+    code, report = run(capsys, "color", "--input", write_graph(tmp_path, graph),
+                       "--r", "1", *flags)
+    assert code == 0
+    assert json.dumps(report["results"]) == json.dumps(results)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -269,9 +290,11 @@ def test_negative_caps_are_usage_errors(tmp_path, capsys, flag):
     ("# c\n1 2\n\n2 3\n3 2\n1 3\n", [], 3, "parse error: line 5: duplicate edge\n"),
     ("c x\np edge 3 3\ne 1 2\nc y\ne 2 1\ne 2 3\n", [], 3,
      "parse error: line 5: duplicate edge\n"),
+    ("c comments\n\nc only\n", [], 3, "parse error: missing problem line\n"),
+    ("\n", ["--format", "dimacs"], 3, "parse error: missing problem line\n"),
 ], ids=["edgelist-edges", "edgelist-id", "dimacs-extra-edge", "dimacs-n-not-int",
         "dimacs-id-not-int", "edgelist-id-underscore", "edgelist-duplicate",
-        "dimacs-duplicate"])
+        "dimacs-duplicate", "dimacs-comments-only", "dimacs-blank"])
 def test_parsers_stop_at_the_first_bad_line(tmp_path, capsys, text, flags, code,
                                             err):
     # an edge list or DIMACS file is rejected at the first line that passes a
@@ -656,6 +679,26 @@ def test_bench_sparse_instance_over_oracle_vertices(tmp_path, capsys):
     row = next(csv.DictReader(io.StringIO(out.read_text())))
     assert (row["graph-id"], row["n"], row["m"]) == ("sparse30", "30", "4")
     assert row["nu_r"] != "" and row["chi_r"] == ""
+
+
+def test_bench_non_chordal_instance(tmp_path, capsys):
+    # a chordless 5-cycle has no nu_r from the DP, so its row leaves nu_r
+    # empty and only the path is checked against the oracle; both colorings
+    # are still checked, and the suite exits 0
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [
+        {"id": "c5", "family": "cycle", "params": {"n": 5}, "r": [1]},
+        {"id": "p5", "family": "path", "params": {"n": 5}, "r": [1]},
+    ]}))
+    out = tmp_path / "survey.csv"
+    code, report = run(capsys, "bench", "--suite", str(suite), "--out", str(out))
+    assert code == 0
+    assert report["results"] == {"rows": 2, "dp_oracle_checked": 1,
+                                 "dp_oracle_disagreements": 0,
+                                 "palette_checked": 2, "palette_failures": 0}
+    assert out.read_text() == ("graph-id,n,m,delta,r,nu_r,chi_r,nu_s,nu_1,nu_ur,nu\n"
+                               "c5,5,5,2,1,,3,1,2,2,2\n"
+                               "p5,5,4,2,1,2,2,2,2,2,2\n")
 
 
 @pytest.mark.parametrize("bad, message", [

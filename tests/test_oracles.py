@@ -313,7 +313,7 @@ def test_states_exclude_bag_internal_edges():
     g = complete(3)
     d = build_nice_decomposition(g, mcs_order(g))
     node = next(i for i, nd in enumerate(d.nodes) if len(nd.bag) == 2)
-    assert d.subtree_vertices(node) == frozenset(d.nodes[node].bag)
+    assert oracles._subtree_mask(d, node) == sum(1 << v for v in d.nodes[node].bag)
     states = brute_degenerate_states(g, d, 1, node)
     assert {k for _, _, k in states} == {0}
 

@@ -334,6 +334,18 @@ def test_dimacs_matches_the_line_parser(text, caps, chunk):
     _same(load_graph, _reference_load_graph, text, ("auto",) + caps, chunk)
 
 
+def test_dimacs_without_a_problem_line():
+    # blank and comment lines alone hold no problem line
+    caps = (MAX_VERTICES, MAX_EDGES)
+    for text in ["", "\n", " \t\n\r\n", "c\n", "c only a comment\n", "c a\n\nc b",
+                 "c a\r\nc b\r\n", "c a c b\n", "\xa0c a\n"]:
+        assert _outcome(_reference_parse_dimacs, text, caps) == (
+            ParseError, "missing problem line")
+        for chunk in (1 << 16, 1, 5):
+            _same(parse_dimacs, _reference_parse_dimacs, text, caps, chunk)
+            _same(load_graph, _reference_load_graph, text, ("dimacs",) + caps, chunk)
+
+
 # caps near the graph's own size: on it, one below, one above
 NEAR = st.one_of(st.none(), st.integers(-2, 2))
 

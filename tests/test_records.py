@@ -3,7 +3,13 @@ construction, defaults, immutability and a repr naming class and fields."""
 
 import pytest
 
-from degenmatch import EliminationOrder, Matching, NiceTreeDecomposition, OracleLimits
+from degenmatch import (
+    EdgeColoring,
+    EliminationOrder,
+    Matching,
+    NiceTreeDecomposition,
+    OracleLimits,
+)
 from degenmatch.chordal import DecompNode
 from degenmatch.dp import DPResult
 
@@ -12,6 +18,7 @@ RECORDS = [
     DecompNode("pendant", (0,), (0,), 1, (0,)),
     NiceTreeDecomposition([DecompNode("leaf", ())], 0),
     DPResult(1, Matching([(0, 1)]), 0, 0, "matching"),
+    EdgeColoring({(0, 1): 1}, 1, 1, 1),
     OracleLimits(),
 ]
 
