@@ -2,6 +2,7 @@
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -146,7 +147,7 @@ def cmd_gen(args, _):
     # the graph6 body's size depends only on the vertex count, so a graph
     # too large to write is refused before it is built
     check_graph6_size(params["n"] if "n" in params else params["a"] + params["b"])
-    g = generate(args.family, params, args.seed)
+    g = generate(args.family, params, args.seed, args.max_edges)
     line = serialize_graph6(g)
     if args.out:
         with open(args.out, "w") as fh:
@@ -307,6 +308,8 @@ def _build_parser():
     for name, kind in PARAMS.items():
         p.add_argument("--" + name.replace("_", "-"), type=kind)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-edges", type=int, default=MAX_EDGES,
+                   help="refuse larger graphs with exit 4 (default %(default)s)")
     p.add_argument("--out", help="write graph6 to this file")
     p.set_defaults(func=cmd_gen)
 
@@ -327,6 +330,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     started = time.monotonic()
     text = g = None
+    # No command makes a reference cycle (tests/test_cli.py pins it), so the
+    # cyclic collector would only rescan the live DP tables: it is paused for
+    # the command, and the caller's setting is put back after it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if "input" in args:
             text = _read_input(args.input)
@@ -353,8 +361,12 @@ def main(argv=None):
     except ValueError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    _emit_report(args.command, text, results, started)
-    return EXIT_OK
+    else:
+        _emit_report(args.command, text, results, started)
+        return EXIT_OK
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

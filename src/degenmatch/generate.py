@@ -2,7 +2,7 @@
 
 import math
 
-from .graphs import Graph
+from .graphs import Graph, _check_edges
 
 _MASK = (1 << 64) - 1
 
@@ -113,6 +113,13 @@ def _check_bounded_degree(n, p, max_degree):
     _check_probability(p)
 
 
+def _stop_past(edges, max_edges):
+    """Refuse the graph once edges holds more than max_edges (None: no cap),
+    at the first edge past the cap, as the graph readers do."""
+    if max_edges is not None and len(edges) > max_edges:
+        _check_edges(max_edges + 1, max_edges)
+
+
 def path(n):
     _check_vertex_count(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -148,10 +155,10 @@ def k_tree(k, n, seed=0):
     return Graph(n, edges)
 
 
-def random_chordal(n, seed=0):
+def random_chordal(n, seed=0, max_edges=None):
     """Simplicial growth: each new vertex attaches to a random sub-clique of a
     random existing clique, so the reverse creation order is a perfect
-    elimination order."""
+    elimination order. Stops past max_edges edges, as _stop_past says."""
     _check_random_chordal(n)
     rng = Rng(seed)
     edges = []
@@ -161,14 +168,16 @@ def random_chordal(n, seed=0):
         size = 1 + rng.randbelow(len(base))
         face = rng.sample(base, size)
         edges.extend((w, v) for w in face)
+        _stop_past(edges, max_edges)
         cliques.append(tuple(sorted(face + [v])))
     return Graph(n, edges)
 
 
-def random_bounded_degree(n, p, max_degree, seed=0):
+def random_bounded_degree(n, p, max_degree, seed=0, max_edges=None):
     """Bernoulli(p) over pairs in lexicographic order, one draw per pair,
     rejecting edges that would push either endpoint past the degree cap.
-    Row u's n - u - 1 draws come from one Rng.chances call."""
+    Row u's n - u - 1 draws come from one Rng.chances call. Stops past
+    max_edges edges, as _stop_past says."""
     _check_bounded_degree(n, p, max_degree)
     rng = Rng(seed)
     deg = [0] * n
@@ -180,11 +189,13 @@ def random_bounded_degree(n, p, max_degree, seed=0):
                 edges.append((u, v))
                 deg[u] += 1
                 deg[v] += 1
+        _stop_past(edges, max_edges)
     return Graph(n, edges)
 
 
-def interval(n, seed=0):
-    """Intersection graph of n integer intervals with endpoints in [0, 2n]."""
+def interval(n, seed=0, max_edges=None):
+    """Intersection graph of n integer intervals with endpoints in [0, 2n].
+    Stops past max_edges edges, as _stop_past says."""
     _check_vertex_count(n)
     rng = Rng(seed)
     spans = []
@@ -192,24 +203,31 @@ def interval(n, seed=0):
         a = rng.randbelow(2 * n + 1)
         b = rng.randbelow(2 * n + 1)
         spans.append((min(a, b), max(a, b)))
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if max(spans[i][0], spans[j][0]) <= min(spans[i][1], spans[j][1])]
+    edges = []
+    for i, (a, b) in enumerate(spans):
+        # [a, b] and [c, d] meet iff c <= b and a <= d
+        edges += [(i, j) for j in range(i + 1, n)
+                  if spans[j][0] <= b and a <= spans[j][1]]
+        _stop_past(edges, max_edges)
     return Graph(n, edges)
 
 
 # family -> (builder, its parameters in call order, whether it takes a seed,
-# its range rule)
+# its range rule, and its edge count where the parameters fix it; the
+# builders without a count take a seed and max_edges, and stop past it)
 FAMILIES = {
-    "path": (path, ("n",), False, _check_vertex_count),
-    "cycle": (cycle, ("n",), False, _check_cycle),
-    "complete": (complete, ("n",), False, _check_vertex_count),
+    "path": (path, ("n",), False, _check_vertex_count, lambda n: max(n - 1, 0)),
+    "cycle": (cycle, ("n",), False, _check_cycle, lambda n: n),
+    "complete": (complete, ("n",), False, _check_vertex_count,
+                 lambda n: n * (n - 1) // 2),
     "complete-bipartite": (complete_bipartite, ("a", "b"), False,
-                           _check_complete_bipartite),
-    "k-tree": (k_tree, ("k", "n"), True, _check_k_tree),
-    "random-chordal": (random_chordal, ("n",), True, _check_random_chordal),
+                           _check_complete_bipartite, lambda a, b: a * b),
+    "k-tree": (k_tree, ("k", "n"), True, _check_k_tree,
+               lambda k, n: k * n - k * (k + 1) // 2),
+    "random-chordal": (random_chordal, ("n",), True, _check_random_chordal, None),
     "random-bounded-degree": (random_bounded_degree, ("n", "p", "max_degree"), True,
-                              _check_bounded_degree),
-    "interval": (interval, ("n",), True, _check_vertex_count),
+                              _check_bounded_degree, None),
+    "interval": (interval, ("n",), True, _check_vertex_count, None),
 }
 # parameter -> type; p may also be an int, and is 0.2 when left out
 PARAMS = {"n": int, "k": int, "a": int, "b": int, "p": float, "max_degree": int}
@@ -245,9 +263,18 @@ def _arguments(family, params):
     return [params.get(name, 0.2) for name in FAMILIES[family][1]]
 
 
-def generate(family, params, seed=0):
-    """Graph of family, once check_params has passed it."""
+def generate(family, params, seed=0, max_edges=None):
+    """Graph of family, once check_params has passed it. A graph of more than
+    max_edges edges (None: no cap) raises LimitsExceededError: before it is
+    built where the parameters fix the count, else at the first edge past
+    the cap."""
     check_params(family, params, seed)
-    builder, _, takes_seed, _ = FAMILIES[family]
+    if max_edges is not None and max_edges < 0:
+        raise ValueError("max_edges must be non-negative")
+    builder, _, takes_seed, _, edge_count = FAMILIES[family]
     args = _arguments(family, params)
+    if edge_count is None:
+        return builder(*args, seed, max_edges=max_edges)
+    if max_edges is not None:
+        _check_edges(edge_count(*args), max_edges)
     return builder(*args, seed) if takes_seed else builder(*args)

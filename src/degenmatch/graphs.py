@@ -14,6 +14,10 @@ def _check_size(n, m, max_vertices, max_edges):
     if n > max_vertices:
         raise LimitsExceededError(
             "%d vertices exceeds limit %d" % (n, max_vertices))
+    _check_edges(m, max_edges)
+
+
+def _check_edges(m, max_edges):
     if m > max_edges:
         raise LimitsExceededError("%d edges exceeds limit %d" % (m, max_edges))
 

@@ -3,7 +3,9 @@
 Everything here is coded independently of the DP and the greedy coloring so the
 two sides can be cross-verified against each other. Each public call builds one
 _Search: one limit check, one deadline and one set of masks, shared by every
-search the call runs (the chromatic searches find their class cap inside it)."""
+search the call runs (the chromatic searches find their class cap inside it).
+A search's recursive closure is unbound when the search ends, however it
+ends, so no call leaves a reference cycle for the cyclic collector."""
 
 import time
 from collections import namedtuple
@@ -165,7 +167,10 @@ def _bnb_matching(search, feasible):
             if feasible(nxt):
                 rec(j + 1, nxt, count + 1)
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec  # rec reaches itself through its closure cell: break the cycle
     return best
 
 
@@ -236,7 +241,10 @@ def _bnb_chromatic(search, class_feasible):
             rec(i + 1)
             classes.pop()
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        del rec  # as in _bnb_matching
     return best
 
 
@@ -305,5 +313,8 @@ def brute_degenerate_states(g, d, r, node, limits=None):
                 continue
             rec(j + 1, used | e, count + 1)
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec  # as in _bnb_matching
     return states

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import gc
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from degenmatch import cli, dp
+from degenmatch import cli, dp, oracles
 from degenmatch.cli import main
 from degenmatch.formats import serialize_graph6
 from degenmatch.generate import (
@@ -24,7 +25,7 @@ from degenmatch.generate import (
     path,
 )
 
-from conftest import WRONG_RECURRENCES
+from conftest import WRONG_RECURRENCES, gnp
 
 
 def run(capsys, *argv):
@@ -847,3 +848,108 @@ def test_many_calls_in_one_process(tmp_path, capsys):
     weighted.pop("elapsed_ms")
     again.pop("elapsed_ms")
     assert again == weighted
+
+
+# main pauses the cyclic collector for each command and puts the caller's
+# setting back, however the command ends
+def _paused_commands(tmp_path, monkeypatch):
+    """(argv, exit code) of calls that cover every command and exit path."""
+    g = k_tree(2, 9, seed=4)
+    kt = write_graph(tmp_path, g, "kt.g6")
+    p6 = write_graph(tmp_path, path(6), "p6.g6")
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps([[u, v, u + 2 * v] for u, v in g.sorted_edges()]))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(BENCH_SUITE))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 1\n")
+    # a budget of 0 ms stops each oracle search at its first deadline check,
+    # after 2048 ticks; these three graphs take more (see
+    # tests/test_oracles.py), and the oracle calls on kt, p6 and the suite
+    # fewer, so they still answer
+    sparse = write_graph(tmp_path, gnp(24, 0.17, 0), "sparse.g6")
+    dense = write_graph(tmp_path, gnp(12, 0.35, 2), "dense.g6")
+    k15 = write_graph(tmp_path, complete(15), "k15.g6")
+    monkeypatch.setattr(oracles, "DEFAULT_LIMITS",
+                        oracles.OracleLimits(24, 105, timeout_ms=0))
+    return [
+        (["nur", "--input", kt, "--r", "1", "--weights", str(weights),
+          "--emit-matching"], 0),
+        (["nur", "--input", p6, "--r", "1", "--emit-matching"], 0),
+        (["nur", "--input", kt, "--r", "1"], 0),
+        (["nur", "--input", p6, "--r", "1"], 0),
+        (["color", "--input", kt, "--r", "1", "--verify"], 0),
+        (["oracle", "--input", kt, "--what", "nur", "--r", "1"], 0),
+        (["oracle", "--input", kt, "--what", "variants"], 0),
+        (["oracle", "--input", p6, "--what", "chi", "--r", "1"], 0),
+        (["oracle", "--input", kt, "--what", "states", "--r", "1"], 0),
+        (["check-chordal", "--input", kt], 0),
+        (["gen", "--family", "k-tree", "--k", "2", "--n", "9"], 0),
+        (["bench", "--suite", str(suite), "--jobs", "1"], 0),
+        (["nur", "--input", write_graph(tmp_path, cycle(5), "c5.g6"), "--r", "1"], 2),
+        (["nur", "--input", str(bad), "--r", "1"], 3),
+        (["nur", "--input", kt, "--r", "1", "--max-edges", "3"], 4),
+        (["gen", "--family", "interval", "--n", "500", "--max-edges", "10"], 4),
+        (["oracle", "--input", sparse, "--what", "nur", "--r", "1"], 4),
+        (["oracle", "--input", sparse, "--what", "variants"], 4),
+        (["oracle", "--input", dense, "--what", "chi", "--r", "2"], 4),
+        (["oracle", "--input", k15, "--what", "states", "--r", "1"], 4),
+    ]
+
+
+@pytest.fixture
+def collector_off():
+    collecting = gc.isenabled()
+    gc.disable()
+    yield
+    if collecting:
+        gc.enable()
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys, monkeypatch, collector_off):
+    # with the collector paused, a cycle a command made would stay until the
+    # caller collects, and in a bench worker forked from the paused process,
+    # for good. The first call of each builds what later calls share (the
+    # cached parser, the modules imported where they are used)
+    calls = _paused_commands(tmp_path, monkeypatch)
+    for argv, code in calls:
+        assert main(argv) == code, argv
+    capsys.readouterr()
+    gc.collect()
+    for argv, code in calls:
+        assert main(argv) == code, argv
+        capsys.readouterr()
+        assert gc.collect() == 0, argv
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_main_restores_the_callers_collector(tmp_path, capsys, monkeypatch, collecting):
+    kt = write_graph(tmp_path, k_tree(2, 9, seed=4), "kt.g6")
+    calls = [argv for argv, _ in _paused_commands(tmp_path, monkeypatch)]
+    seen = set()
+
+    def broken(*args, **kwargs):
+        raise error  # the one the loop below has bound
+
+    def observe(argv):
+        before = gc.isenabled()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = "exit %s" % exc.code
+        except RuntimeError:
+            code = "raised"
+        capsys.readouterr()
+        seen.add(code)
+        assert gc.isenabled() is before is collecting, argv
+
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv in calls + [["nur", "--input", kt], ["--version"]]:
+            observe(argv)
+        monkeypatch.setattr(cli, "solve", broken)
+        for error in (dp.DPInvariantError("table"), RuntimeError("escapes main")):
+            observe(["nur", "--input", kt, "--r", "1"])
+    finally:
+        gc.enable()
+    assert seen == {0, 2, 3, 4, 5, "exit 3", "exit 0", "raised"}

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -161,6 +163,90 @@ def test_gen_checks_graph6_size_before_building(capsys, monkeypatch):
         assert main(["gen", "--family", family] + argv) == 4
         assert capsys.readouterr() == ("", "limits exceeded: graph6 body of 268441691 "
                                        "bytes exceeds limit 268435456\n")
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("graph built")
+
+
+def _gen_argv(family, params, seed=1):
+    return ["gen", "--family", family, "--seed", str(seed)] + [
+        opt for name, value in params.items()
+        for opt in ("--" + name.replace("_", "-"), str(value))]
+
+
+def test_family_edge_counts_equal_the_built_graphs():
+    for family, (_, names, _, _, edge_count) in FAMILIES.items():
+        if edge_count is None:
+            continue
+        for n in range(1 + (family == "cycle") * 3, 9):
+            for k in range(1, n):
+                params = dict(zip(names, (k, n) if family == "k-tree" else (n, k)))
+                assert edge_count(*params.values()) == generate(family, params).m
+    assert FAMILIES["path"][4](0) == generate("path", {"n": 0}).m == 0
+
+
+@pytest.mark.parametrize("family, params, m", [
+    ("path", {"n": 12}, 11),
+    ("cycle", {"n": 12}, 12),
+    ("complete", {"n": 12}, 66),
+    ("complete-bipartite", {"a": 3, "b": 5}, 15),
+    ("k-tree", {"k": 3, "n": 12}, 30),
+])
+def test_gen_max_edges_refuses_before_building(capsys, monkeypatch, family, params, m):
+    # these parameters fix the edge count, so a graph past --max-edges is
+    # refused before its builder runs; at the cap it is built
+    argv = _gen_argv(family, params)
+    assert main(argv + ["--max-edges", str(m)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["m"] == m
+    monkeypatch.setitem(FAMILIES, family, (_refuse_to_build,) + FAMILIES[family][1:])
+    assert main(argv + ["--max-edges", str(m - 1)]) == 4
+    assert capsys.readouterr() == (
+        "", "limits exceeded: %d edges exceeds limit %d\n" % (m, m - 1))
+
+
+def test_gen_max_edges_defaults_to_the_readers_cap(capsys, monkeypatch):
+    # complete(56756) passes the graph6 cap with 1.6e9 edges, and
+    # complete(4473) has 10,001,628; neither is built
+    monkeypatch.setitem(FAMILIES, "complete",
+                        (_refuse_to_build,) + FAMILIES["complete"][1:])
+    for n, m in ((56756, 1610593390), (4473, 10001628)):
+        assert main(["gen", "--family", "complete", "--n", str(n)]) == 4
+        assert capsys.readouterr() == (
+            "", "limits exceeded: %d edges exceeds limit %d\n" % (m, formats.MAX_EDGES))
+
+
+@pytest.mark.parametrize("family, params", [
+    ("interval", {"n": 50000}),
+    ("random-chordal", {"n": 50000}),
+    ("random-bounded-degree", {"n": 50000, "p": 1, "max_degree": 50000}),
+])
+def test_gen_max_edges_stops_at_the_first_edge_past_it(capsys, monkeypatch, family,
+                                                       params):
+    # the count is known only while building: the builder stops in the row
+    # that passes the cap, where the whole graph would take minutes, and no
+    # Graph is made
+    monkeypatch.setattr(sys.modules["degenmatch.generate"], "Graph", _refuse_to_build)
+    assert main(_gen_argv(family, params) + ["--max-edges", "1000"]) == 4
+    assert capsys.readouterr() == ("", "limits exceeded: 1001 edges exceeds limit 1000\n")
+
+
+@pytest.mark.parametrize("family, params", [
+    ("interval", {"n": 60}),
+    ("random-chordal", {"n": 60}),
+    ("random-bounded-degree", {"n": 60, "p": 0.3, "max_degree": 6}),
+])
+def test_generate_max_edges_keeps_graphs_within_it(family, params):
+    g = generate(family, params, 3)
+    assert generate(family, params, 3, max_edges=g.m) == g
+    with pytest.raises(LimitsExceededError,
+                       match="^%d edges exceeds limit %d$" % (g.m, g.m - 1)):
+        generate(family, params, 3, max_edges=g.m - 1)
+
+
+def test_gen_negative_max_edges_is_invalid(capsys):
+    assert main(["gen", "--family", "path", "--n", "3", "--max-edges", "-1"]) == 3
+    assert capsys.readouterr() == ("", "invalid input: max_edges must be non-negative\n")
 
 
 def test_header_prefix_accepted():
