@@ -93,7 +93,7 @@ def cmd_nur(args, g):
                   "path": res.path},
     }
     if args.emit_matching:
-        results["matching"] = [list(e) for e in res.matching]
+        results["matching"] = list(res.matching)
     return results
 
 
@@ -109,8 +109,7 @@ def cmd_color(args, g):
         "delta": coloring.delta,
         "K": coloring.k,
         "colors_used": coloring.colors_used(),
-        "classes": {str(c): [list(e) for e in es]
-                    for c, es in sorted(coloring.classes().items())},
+        "classes": {str(c): es for c, es in sorted(coloring.classes().items())},
     }
     if args.verify:
         ok, report = verify_coloring(g, coloring, args.r)

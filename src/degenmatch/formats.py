@@ -1,9 +1,10 @@
 """Graph serialization: graph6, plain edge lists, and DIMACS, each read in bulk
-into adjacency only; a line walker reads on from the first edge-list or DIMACS
-chunk with a fault, only to name the fault and its line."""
+into adjacency only; an edge-list or DIMACS fault is named from what the bulk
+pass holds, with no second reading of the lines."""
 
 import re
-from operator import eq
+from itertools import compress, count, islice
+from operator import eq, ne
 
 from .graphs import (Graph, LimitsExceededError, _check_size, _norm_edge,
                      _sorted_adjacency)
@@ -32,26 +33,25 @@ _G6_COUNT_CHUNK = 1 << 20
 _G6_SET_BITS = {chr(63 + x): [k for k in range(6) if x & 32 >> k] for x in range(64)}
 
 # The line breaks of str.splitlines. A _BAD pattern finds the first line of a
-# chunk that the line walker would refuse or that holds an _ODD_BREAK (a text
-# with one is read again with '\n' in its place): a line is blank, a comment
-# or one record, with _PAD (whitespace str.strip removes, but no line break)
-# around it and _SEP between its fields. The patterns are kept as strings: re
-# compiles each on its first use and caches it, so importing the module
+# chunk that is not blank, a comment or one record, with _PAD (whitespace
+# str.strip removes, but no line break) around it and _SEP between fields:
+# a faulty line, or one with an _ODD_BREAK. The patterns are kept as strings:
+# re compiles each on its first use and caches it, so importing the module
 # compiles none of them.
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _ODD_BREAK = r"\r(?!\n)|[%s]" % _BREAKS[2:]
 _PAD = "[\t\x1f \xa0\u1680\u2000-\u200a\u202f\u205f\u3000]*"
 _SEP = "[ \t\x1f]+"
-_EDGE_LIST_BAD = (r"(?m)^(?!%s(?:#[^%s]*|[0-9]+%s[0-9]+%s)?\r?$)"
+_EDGE_LIST_BAD = (r"(?m)^(?!%s(?:#[^%s]*|[0-9]+%s[0-9]+%s)?\r?$)[^\n]*"
                   % (_PAD, _BREAKS, _SEP, _PAD))
-_DIMACS_BAD = (r"(?m)^(?!%s(?:c[^%s]*|e%s[0-9]+%s[0-9]+%s)?\r?$)"
+_DIMACS_BAD = (r"(?m)^(?!%s(?:c[^%s]*|e%s[0-9]+%s[0-9]+%s)?\r?$)[^\n]*"
                % (_PAD, _BREAKS, _SEP, _SEP, _PAD))
 # blank and comment lines, then a problem line
 _DIMACS_HEADER = (r"(?:%s(?:c[^%s]*)?\r?\n)*%sp%s(?:edge|col)%s([0-9]+)%s([0-9]+)%s"
                   r"\r?(?:\n|\Z)" % (_PAD, _BREAKS, _PAD, _SEP, _SEP, _SEP, _PAD))
-# in a chunk that passed its pattern, a comment is all that holds '#' or 'c'
-_EDGE_LIST_COMMENT = "#[^\n]*"
-_DIMACS_COMMENT = "c[^\n]*"
+# the start of a line neither blank nor a '#' comment, as str.splitlines and
+# str.strip see it
+_CONTENT_LINE = r"(?:\A|(?<=[%s]))%s[^#\s]" % (_BREAKS, _PAD)
 # a text is read in chunks of about this many characters, so a text past a
 # cap is refused before the rest of it is read
 _CHUNK = 1 << 16
@@ -154,181 +154,182 @@ def _chunks(text, start):
         start = end
 
 
-def _read_ids(text, start, bad, comment, labels, top, most):
-    """The 0-based ids of the records of text from start on, read in bulk a
-    chunk at a time (labels slices the record labels out of its tokens), and
-    where reading stopped: len(text), or the start of the first chunk with a
-    line bad finds, an id outside 0..top-1 or more than most records."""
+def _read_ids(text, start, fmt, top, most):
+    """The ids of the records of text from start on, read in bulk a chunk at
+    a time: (ids, len(text), [], None) when every chunk passes; else, at the
+    first chunk with a line fmt's pattern refuses, an id outside 0..top-1 or
+    more than most records, (the ids before it, its start, its ids before
+    the refused line, that line's match or None)."""
+    bad, comment, labels = fmt[:3]
     ends = []
     for chunk in _chunks(text, start):
-        if re.search(bad, chunk):
-            break
-        tokens = re.sub(comment, "", chunk).split()
+        line = re.search(bad, chunk)
+        tokens = re.sub(comment, "", chunk[:line.start()] if line else chunk).split()
         del tokens[labels]
         # each distinct token is converted once
         value = {t: int(t) - 1 for t in set(tokens)}
         ids = list(map(value.__getitem__, tokens))
         del tokens, value  # freed before the next chunk's: 15 MB less RSS at 1M lines
-        if ids and not (0 <= min(ids) and max(ids) < top
-                        and len(ends) + len(ids) <= 2 * most):
-            break
+        if line or ids and not (0 <= min(ids) and max(ids) < top
+                                and len(ends) + len(ids) <= 2 * most):
+            return ends, start, ids, line
         ends += ids
         start += len(chunk)
-    return ends, start
+    return ends, start, [], None
 
 
-def _content_lines(text, comment, start=0):
-    """(line number, stripped line) for each line neither blank nor a
-    comment from start on, a chunk at a time; lines before start end in \\n."""
-    lineno = text.count("\n", 0, start)
-    for chunk in _chunks(text, start):
-        lines = chunk.splitlines()
-        for k, line in enumerate(lines, lineno + 1):
-            line = line.strip()
-            if line and not line.startswith(comment):
-                yield k, line
-        lineno += len(lines)
+def _record_line(text, start, k, record):
+    """The number of the line of the k-th record (0-based) from start, a line
+    start, on: each line before it that does not begin with record (a blank
+    or comment line) pushes it one line further."""
+    lineno = text.count("\n", 0, start) + 1
+    target = lineno + k + (re.compile(record).match(text, start) is None)
+    for skip in re.compile("\n(?!%s)" % record).finditer(text, start):
+        lineno += text.count("\n", start, skip.end())
+        start = skip.end()
+        if lineno > target:
+            break
+        target += 1
+    return target
 
 
-def _refuse(text, start, ends, parse, walk, caps, *state):
-    """parse of text with '\\n' for each _ODD_BREAK past start, where bulk
-    reading stopped with the ids ends; else walk names the fault from line 1
-    if ends holds a self-loop (it outranks a later fault), else from start."""
-    if re.compile(_ODD_BREAK).search(text, start):
-        return parse(re.sub(_ODD_BREAK, "\n", text), *caps)
+def _refuse(text, read, fmt, top, most):
+    """Raise the fault where _read_ids stopped (read is what it returned): a
+    self-loop before that chunk, else its first record that is a self-loop,
+    has an id outside 0..top-1 or comes past most records (named as the
+    line its ids make), else its refused line. Returns if no chunk is left."""
+    ends, start, ids, line = read
+    record, label, fault = fmt[3:]
     it = iter(ends)
-    if any(map(eq, it, it)):
-        walk(text, 0, *caps)
-    walk(text, start, *caps, *state)
+    k = next(compress(count(), map(eq, it, it)), None)
+    if k is not None:
+        raise ParseError("line %d: self-loop" % _record_line(text, 0, k, record))
+    it = iter(ids)
+    for k, (u, v) in enumerate(zip(it, it), len(ends) // 2):
+        if u == v or min(u, v) < 0 or max(u, v) >= top or k >= most:
+            fault(_record_line(text, start, k - len(ends) // 2, record),
+                  label % (u + 1, v + 1), k, top, most)
+    if line:
+        fault(text.count("\n", 0, start + line.start()) + 1, line[0].strip(),
+              (len(ends) + len(ids)) // 2, top, most)
+    assert start == len(text), "no fault named in the chunk at %d" % start
 
 
-def _graph(n, ends, text, walk, caps):
+def _graph(n, ends, text, record):
     """The graph on 0..n-1 with the pairs in ends as edges; when a vertex
-    lists a neighbour twice, walk names the self-loop or repeat in text."""
+    lists a neighbour twice, the first self-loop, else repeat, is named."""
     it = iter(ends)
     adj = _sorted_adjacency(n, zip(it, it))
-    if sum(map(len, map(set, adj))) < len(ends):
-        walk(text, 0, *caps)
+    extra = len(ends) - sum(map(len, map(set, adj)))
+    if extra:
+        # each pair a vertex lists twice, both ways round, and each self-loop;
+        # no more vertices list one than there are extra entries
+        dups = compress(range(n), map(ne, map(len, adj), map(len, map(set, adj))))
+        twice = {(u, v) for u in islice(dups, extra)
+                 for v, w in zip(adj[u], adj[u][1:]) if v == w}
+        seen, repeats = set(), []
+        it = iter(ends)
+        for k in compress(count(), map(twice.__contains__, zip(it, it))):
+            e = _norm_edge(*ends[2 * k:2 * k + 2])
+            if e[0] == e[1]:
+                raise ParseError("line %d: self-loop" % _record_line(text, 0, k, record))
+            if e in seen:
+                repeats.append(k)
+            seen.add(e)
+        raise ParseError("line %d: duplicate edge" % _record_line(text, 0, repeats[0], record))
     return Graph._from_adjacency(adj)
+
+
+def _edge_list_fault(lineno, line, k, max_vertices, max_edges):
+    """Raise the fault of an edge list's stripped line after k records, if
+    any, with a line parser's checks in their order."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError("line %d: expected 'u v'" % lineno)
+    # int() alone also reads '1_0' as 10, signs and non-ASCII digits
+    if not (line.isascii() and "".join(parts).isdigit()):
+        raise ParseError("line %d: non-integer vertex id" % lineno)
+    u, v = map(int, parts)
+    if min(u, v) < 1:
+        raise ParseError("line %d: vertex ids are 1-based" % lineno)
+    if u == v:
+        raise ParseError("line %d: self-loop" % lineno)
+    # an earlier id past the vertex cap was refused on its own line
+    _check_size(max(u, v), k + 1, max_vertices, max_edges)
+
+
+def _dimacs_fault(lineno, line, k, n, m):
+    """The same for a DIMACS line under the problem line's n and m (-1
+    before it); a problem line that _DIMACS_HEADER takes never comes here."""
+    parts = line.split()
+    if parts[0] == "p":
+        raise ParseError("line %d: bad problem line" % lineno)
+    if parts[0] != "e":
+        raise ParseError("line %d: unknown record %r" % (lineno, parts[0]))
+    if n < 0:
+        raise ParseError("line %d: edge before problem line" % lineno)
+    if len(parts) != 3:
+        raise ParseError("line %d: expected 'e u v'" % lineno)
+    if k == m:
+        raise ParseError("line %d: more edges than the %d the header declares"
+                         % (lineno, m))
+    if not (line.isascii() and "".join(parts[1:]).isdigit()):
+        raise ParseError("line %d: non-integer vertex id" % lineno)
+    u, v = map(int, parts[1:])
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ParseError("line %d: vertex id out of range" % lineno)
+    if u == v:
+        raise ParseError("line %d: self-loop" % lineno)
+
+
+# A format's _BAD pattern; its comments (in a chunk that passed that
+# pattern, a comment is all that holds '#' or 'c'); its record labels; the
+# start of a record line; a record line written from its ids; its fault namer.
+_EDGE_LIST = (_EDGE_LIST_BAD, "#[^\n]*", slice(0), _PAD + "[0-9]", "%d %d",
+              _edge_list_fault)
+_DIMACS = (_DIMACS_BAD, "c[^\n]*", slice(None, None, 3), _PAD + "e", "e %d %d",
+           _dimacs_fault)
 
 
 def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """Plain 'u v' lines with 1-based vertex ids; n is the largest id seen.
-
-    A chunk with a fault, an id of 0 or a cap passed stops the bulk reading;
-    _walk_edge_list names that fault, or a repeat once every line is read."""
-    caps = max_vertices, max_edges
-    ends, start = _read_ids(text, 0, _EDGE_LIST_BAD, _EDGE_LIST_COMMENT, slice(0),
-                            max_vertices, max_edges)
-    n = max(ends, default=-1) + 1
-    if start < len(text):
-        return _refuse(text, start, ends, parse_edge_list, _walk_edge_list, caps,
-                       n, len(ends) // 2)
-    return _graph(n, ends, text, _walk_edge_list, caps)
-
-
-def _walk_edge_list(text, start, max_vertices, max_edges, max_id=0, count=0):
-    """Raise at the first faulty line of an edge list from start on, or the
-    first line past a cap, after lines with count edges and largest id
-    max_id; at a repeat once every line has passed; else AssertionError."""
-    seen = set()
-    repeat_line = None
-    for lineno, line in _content_lines(text, "#", start):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("line %d: expected 'u v'" % lineno)
-        # int() alone also reads '1_0' as 10, signs and non-ASCII digits
-        u, v = parts
-        if not (line.isascii() and u.isdigit() and v.isdigit()):
-            raise ParseError("line %d: non-integer vertex id" % lineno)
-        u, v = int(u), int(v)
-        if u < 1 or v < 1:
-            raise ParseError("line %d: vertex ids are 1-based" % lineno)
-        if u == v:
-            raise ParseError("line %d: self-loop" % lineno)
-        max_id = max(max_id, u, v)
-        count += 1
-        e = _norm_edge(u, v)
-        if repeat_line is None and e in seen:
-            repeat_line = lineno
-        seen.add(e)
-        # reading stops at the first line past a cap
-        if max_id > max_vertices or count > max_edges:
-            _check_size(max_id, count, max_vertices, max_edges)
-    if repeat_line is not None:
-        raise ParseError("line %d: duplicate edge" % repeat_line)
-    raise AssertionError("the line walker found no fault in a refused edge list")
+    A text with an _ODD_BREAK where bulk reading stopped is read again with
+    '\\n' in its place."""
+    read = _read_ids(text, 0, _EDGE_LIST, max_vertices, max_edges)
+    ends, start = read[:2]
+    if start == len(text):
+        return _graph(max(ends, default=-1) + 1, ends, text, _EDGE_LIST[3])
+    if re.compile(_ODD_BREAK).search(text, start):
+        return parse_edge_list(re.sub(_ODD_BREAK, "\n", text), max_vertices, max_edges)
+    _refuse(text, read, _EDGE_LIST, max_vertices, max_edges)
 
 
 def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     """DIMACS 'p edge n m' with 'e u v' lines, 1-based ids; the counts of the
     problem line that _DIMACS_HEADER finds are checked against the caps, then
     the edge lines are read as in parse_edge_list."""
-    caps = max_vertices, max_edges
     head = re.match(_DIMACS_HEADER, text)
-    if head is None:
-        return _refuse(text, 0, [], parse_dimacs, _walk_dimacs, caps)
-    n, m = int(head[1]), int(head[2])
+    # with no problem line, n and m are -1, so any record is refused: it
+    # comes before one
+    n, m = (int(head[1]), int(head[2])) if head else (-1, -1)
     _check_size(n, m, max_vertices, max_edges)
-    ends, start = _read_ids(text, head.end(), _DIMACS_BAD, _DIMACS_COMMENT,
-                            slice(None, None, 3), n, m)
-    # a fault at start, or fewer edges than declared (named at the text's end)
-    if start < len(text) or len(ends) < 2 * m:
-        return _refuse(text, start, ends, parse_dimacs, _walk_dimacs, caps,
-                       n, m, len(ends) // 2)
-    return _graph(n, ends, text, _walk_dimacs, caps)
-
-
-def _walk_dimacs(text, start, max_vertices, max_edges, n=None, declared_m=None, count=0):
-    """The line walker of DIMACS texts, as _walk_edge_list is for edge
-    lists; after the problem line, it is given that line's counts."""
-    seen = set()
-    repeat_line = None
-    for lineno, line in _content_lines(text, "c", start):
-        parts = line.split()
-        if parts[0] == "p":
-            if (n is not None or len(parts) != 4 or parts[1] not in ("edge", "col")
-                    or not (line.isascii() and (parts[2] + parts[3]).isdigit())):
-                raise ParseError("line %d: bad problem line" % lineno)
-            n, declared_m = int(parts[2]), int(parts[3])
-            _check_size(n, declared_m, max_vertices, max_edges)
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError("line %d: edge before problem line" % lineno)
-            if len(parts) != 3:
-                raise ParseError("line %d: expected 'e u v'" % lineno)
-            if count == declared_m:
-                raise ParseError("line %d: more edges than the %d the header declares"
-                                 % (lineno, declared_m))
-            u, v = parts[1:]
-            if not (line.isascii() and u.isdigit() and v.isdigit()):
-                raise ParseError("line %d: non-integer vertex id" % lineno)
-            u, v = int(u), int(v)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError("line %d: vertex id out of range" % lineno)
-            if u == v:
-                raise ParseError("line %d: self-loop" % lineno)
-            count += 1
-            e = _norm_edge(u, v)
-            if repeat_line is None and e in seen:
-                repeat_line = lineno
-            seen.add(e)
-        else:
-            raise ParseError("line %d: unknown record %r" % (lineno, parts[0]))
-    if n is None:
+    read = _read_ids(text, head.end() if head else 0, _DIMACS, n, m)
+    ends, start = read[:2]
+    if head and start == len(text) and len(ends) == 2 * m:
+        return _graph(n, ends, text, _DIMACS[3])
+    if re.compile(_ODD_BREAK).search(text, start):
+        return parse_dimacs(re.sub(_ODD_BREAK, "\n", text), max_vertices, max_edges)
+    _refuse(text, read, _DIMACS, n, m)
+    if head is None:
         raise ParseError("missing problem line")
-    if declared_m != count:
-        raise ParseError("header declares %d edges, found %d" % (declared_m, count))
-    if repeat_line is not None:
-        raise ParseError("line %d: duplicate edge" % repeat_line)
-    raise AssertionError("the line walker found no fault in a refused DIMACS text")
+    raise ParseError("header declares %d edges, found %d" % (m, len(ends) // 2))
 
 
 def _sniff_format(text):
     """The format that text's first line neither blank nor a '#' comment
-    suggests. _content_lines splits only the first chunk that holds such a
-    line, and the line (all of a one-line graph6 text) dies on return."""
-    first = next((line for _, line in _content_lines(text, "#")), "")
+    suggests; that line (all of a one-line graph6 text) dies on return."""
+    first = re.search(_CONTENT_LINE, text)
+    first = next(_chunks(text, first.start())).splitlines()[0].strip() if first else ""
     if first == "c" or first[:2] in ("c ", "p ", "e "):
         return "dimacs"
     if len(first.split()) == 2:

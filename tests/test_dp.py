@@ -389,6 +389,31 @@ def test_solve_takes_the_matching_path_exactly_when_r_reaches_omega_minus_one():
             assert solve(g, r, weights=unit).path == "dp"
 
 
+def test_the_matching_path_frees_the_elimination_order(monkeypatch):
+    # solve reads only omega from the order on the matching path, so the
+    # order is gone before the matching (and its certificate) is built. A
+    # tuple takes no weak reference, so the copy counts its own deletion.
+    made, freed = [], []
+
+    class Order(chordal.EliminationOrder):
+        def __del__(self):
+            freed.append(len(self.order))
+
+    def order_copy(g):
+        made.append(g.n)
+        return Order(*mcs_order(g))
+
+    def matching_after_the_order(g):
+        assert len(freed) == len(made), "the elimination order is still held"
+        return max_matching(g)
+    monkeypatch.setattr(dp, "mcs_order", order_copy)
+    monkeypatch.setattr(dp, "max_matching", matching_after_the_order)
+    for g, r in ((path(40), 1), (complete(6), 5), (k_tree(2, 30, seed=1), 2)):
+        assert solve(g, r).path == "matching"
+    assert solve(k_tree(2, 30, seed=1), 1).path == "dp"
+    assert freed == made == [40, 6, 30, 30]
+
+
 @pytest.mark.parametrize("where", ["root", "weighted-root", "leaves"])
 def test_certificate_rejects_inconsistent_values(monkeypatch, where):
     # the certificate re-adds the witness exactly, so a root value off by the

@@ -402,36 +402,36 @@ def test_large_texts_match_in_every_format():
 
 
 @contextlib.contextmanager
-def _no_walker():
-    """The line walkers fail while this is open, so a text that reaches
-    one fails the test."""
-    def walk(*args):
-        raise AssertionError("a valid text reached a line walker")
-    with mock.patch.object(formats, "_walk_edge_list", walk), \
-            mock.patch.object(formats, "_walk_dimacs", walk):
+def _no_fault_naming():
+    """The code that names a parse fault fails while this is open, so a
+    text that reaches it fails the test."""
+    def name(*args):
+        raise AssertionError("a valid text reached the fault-naming code")
+    with mock.patch.multiple(formats, _refuse=name, _record_line=name):
         yield
 
 
-def _valid_texts_reach_no_walker(parse, reference, text):
+def _valid_texts_reach_no_fault_naming(parse, reference, text):
     want = _outcome(reference, text, (MAX_VERTICES, MAX_EDGES))
     if isinstance(want, Graph):
-        with _no_walker():
+        with _no_fault_naming():
             got = parse(text)
         assert got == want and got.adj == want.adj, text
 
 
 @SETTINGS
 @given(edge_list_texts(), dimacs_texts())
-def test_drawn_valid_texts_reach_no_walker(edge_list, dimacs):
-    _valid_texts_reach_no_walker(parse_edge_list, _reference_parse_edge_list, edge_list)
-    _valid_texts_reach_no_walker(parse_dimacs, _reference_parse_dimacs, dimacs)
+def test_drawn_valid_texts_reach_no_fault_naming(edge_list, dimacs):
+    _valid_texts_reach_no_fault_naming(parse_edge_list, _reference_parse_edge_list,
+                                       edge_list)
+    _valid_texts_reach_no_fault_naming(parse_dimacs, _reference_parse_dimacs, dimacs)
 
 
 _SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
 _BREAKS = [c for c in _SPACES if len(("a%sb" % c).splitlines()) == 2]
 
 
-def test_every_line_break_and_space_reaches_no_walker():
+def test_every_line_break_and_space_reaches_no_fault_naming():
     assert _BREAKS == list("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
     pads = [c for c in _SPACES if c not in _BREAKS]
     seps = [c for c in pads if c.isascii()]
@@ -445,25 +445,45 @@ def test_every_line_break_and_space_reaches_no_walker():
     for sep in seps:
         texts.append(("1{0}2\n2{0}{0}3", "p{0}col{0}3{0}2\ne{0}1{0}2\ne{0}2{0}3", sep))
     for edge_list, dimacs, ch in texts:
-        _valid_texts_reach_no_walker(parse_edge_list, _reference_parse_edge_list,
-                                     edge_list.format(ch))
-        _valid_texts_reach_no_walker(parse_dimacs, _reference_parse_dimacs,
-                                     dimacs.format(ch))
+        _valid_texts_reach_no_fault_naming(parse_edge_list, _reference_parse_edge_list,
+                                           edge_list.format(ch))
+        _valid_texts_reach_no_fault_naming(parse_dimacs, _reference_parse_dimacs,
+                                           dimacs.format(ch))
         assert parse_edge_list(edge_list.format(ch)) == path(3), repr(ch)
         assert parse_dimacs(dimacs.format(ch)) == path(3), repr(ch)
 
 
-def _counted_lines(monkeypatch):
-    """A list that grows by one for each line _content_lines yields."""
-    yielded = []
-    content_lines = formats._content_lines
+def _counted_reads(monkeypatch):
+    """[characters of the chunks read, starts of the record-to-line scans],
+    kept up to date while the test runs."""
+    reads = [0, []]
+    chunks, record_line = formats._chunks, formats._record_line
 
-    def counted(*args):
-        for item in content_lines(*args):
-            yielded.append(item)
-            yield item
-    monkeypatch.setattr(formats, "_content_lines", counted)
-    return yielded
+    def counted_chunks(*args):
+        for chunk in chunks(*args):
+            reads[0] += len(chunk)
+            yield chunk
+
+    def counted_scan(text, start, *args):
+        reads[1].append(start)
+        return record_line(text, start, *args)
+    monkeypatch.setattr(formats, "_chunks", counted_chunks)
+    monkeypatch.setattr(formats, "_record_line", counted_scan)
+    return reads
+
+
+def _named_from_its_chunk(monkeypatch, parse, reference, text, caps, want=None, begin=0):
+    """parse names the fault on text's last line as reference does, reading
+    each chunk (the first starts at begin) once, and scans for a record's
+    line from the last chunk on."""
+    monkeypatch.setattr(formats, "_CHUNK", 64)
+    last = list(formats._chunks(text, begin))[-1]
+    got = _outcome(reference, text, caps)
+    assert isinstance(got, tuple) and want in (None, got)
+    reads = _counted_reads(monkeypatch)
+    assert _outcome(parse, text, caps) == got
+    assert reads[0] <= len(text)
+    assert all(start == len(text) - len(last) for start in reads[1])
 
 
 @pytest.mark.parametrize("last, caps", [
@@ -475,24 +495,45 @@ def _counted_lines(monkeypatch):
 def test_an_edge_list_fault_is_named_from_its_chunk(monkeypatch, last, caps):
     # 2,000 lines of a path, whose only fault is on the last
     text = "".join("%d %d\n" % (i, i + 1) for i in range(1, 2000)) + last + "\n"
-    monkeypatch.setattr(formats, "_CHUNK", 64)
-    last_chunk = list(formats._chunks(text, 0))[-1]
-    yielded = _counted_lines(monkeypatch)
-    want = _outcome(_reference_parse_edge_list, text, caps)
-    assert isinstance(want, tuple)
-    assert _outcome(parse_edge_list, text, caps) == want
-    assert 0 < len(yielded) <= len(last_chunk.splitlines())
+    _named_from_its_chunk(monkeypatch, parse_edge_list, _reference_parse_edge_list, text,
+                          caps)
 
 
 def test_a_dimacs_fault_is_named_from_its_chunk(monkeypatch):
     text = "p edge 2001 1999\n" + "".join("e %d %d\n" % (i, i + 1) for i in range(1, 2001))
-    monkeypatch.setattr(formats, "_CHUNK", 64)
-    last_chunk = list(formats._chunks(text, 0))[-1]
-    yielded = _counted_lines(monkeypatch)
-    want = _outcome(_reference_parse_dimacs, text, (MAX_VERTICES, MAX_EDGES))
-    assert want == (ParseError, "line 2001: more edges than the 1999 the header declares")
-    assert _outcome(parse_dimacs, text, (MAX_VERTICES, MAX_EDGES)) == want
-    assert 0 < len(yielded) <= len(last_chunk.splitlines())
+    _named_from_its_chunk(monkeypatch, parse_dimacs, _reference_parse_dimacs, text,
+                          (MAX_VERTICES, MAX_EDGES),
+                          (ParseError, "line 2001: more edges than the 1999 the header declares"),
+                          text.index("\n") + 1)
+
+
+_LAST_LINES = [("repeat", "1 2", None), ("self-loop", "7 7", None), ("bad-line", "x y", None),
+               ("id-0", "0 5", None), ("vertex-cap", "2000 2001", (2000, MAX_EDGES)),
+               ("edge-cap", "1 3", (MAX_VERTICES, 1999))]
+
+
+@pytest.mark.parametrize("fmt, last, m, caps", [
+    pytest.param(fmt, last, 2000, caps, id="%s-%s" % (fmt, name))
+    for fmt in ("edgelist", "dimacs") for name, last, caps in _LAST_LINES] + [
+    pytest.param("dimacs", "1 3", 1999, None, id="dimacs-more-edges"),
+    pytest.param("dimacs", "x y", 1999, None, id="dimacs-bad-line-past-m"),
+    pytest.param("dimacs", "1 2001", 2000, None, id="dimacs-out-of-range"),
+])
+def test_a_last_line_fault_matches_the_line_parsers(fmt, last, m, caps):
+    # a 2,000-line path text whose last line is the fault; the DIMACS text
+    # declares n 2000 and m edges, and a line past m is named so before a
+    # non-integer id
+    lines = ["%d %d" % (i, i + 1) for i in range(1, 2000)] + [last]
+    if fmt == "edgelist":
+        parse, reference = parse_edge_list, _reference_parse_edge_list
+    else:
+        parse, reference = parse_dimacs, _reference_parse_dimacs
+        lines = ["p edge 2000 %d" % m] + ["e " + line for line in lines]
+    text = "\n".join(lines) + "\n"
+    caps = caps or (MAX_VERTICES, MAX_EDGES)
+    assert isinstance(_outcome(reference, text, caps), tuple)
+    for chunk in (1 << 16, 1, 5, 12):
+        _same(parse, reference, text, caps, chunk)
 
 
 @pytest.mark.parametrize("g, digest", [
