@@ -1,6 +1,8 @@
 """Greedy r-degenerate edge coloring within the 2(D-1)^2/(r+1) + 2(D-1) + 1 palette."""
 
 from collections import namedtuple
+from itertools import compress
+from operator import not_
 
 from .graphs import Matching, _norm_edge, degeneracy, induced_subgraph
 
@@ -37,35 +39,115 @@ class EdgeColoring(namedtuple("EdgeColoring", "color k delta r")):
         return max(self.color.values(), default=0)
 
 
-def _forbidden(g, colors_at, u, v, r):
-    """Forbidden colors (F1, F2) for an uncolored edge uv, as int masks.
+class _Sparse(dict):
+    """A level that only a few vertices reach, keyed by them; it reads 0,
+    no color, at any other vertex."""
 
-    colors_at holds one int per vertex whose bit a is set when color a is on
-    an edge at that vertex; bit a of F1 or F2 is set when a is forbidden.
+    __slots__ = ()
+
+    def __missing__(self, x):
+        return 0
+
+
+def _levels(g, r):
+    """The colorer's state before any edge is colored:
+    (colors_at, near, pairs, watch, hint).
+
+    colors_at[x] has bit a set when color a is on an edge at x.
+
+    F2 reads the levels of x only for an edge xy with deg x + deg y - 2 > r,
+    so only such vertices keep levels; watch[x] lists the neighbours of x
+    that do. near[j][x] has bit a set when at least j neighbours of x have
+    color a on an edge, each neighbour counted once per color, for
+    j = 1 .. top = min(r+1, the largest degree kept). Only whether a count
+    reaches r+1 is read, so the top level saturates. near[0][x] is -1,
+    every color, and pairs holds (near[p], near[r+1-p]) for
+    p = r+1-top .. top, the level pairs F2 reads.
+
+    No vertex reaches a level above its degree, so a level that fewer than
+    a quarter of the vertices reach holds only them, in a _Sparse dict: the
+    levels take O(n + m) space whatever r is. hint[x] is the level that x
+    last raised a color to."""
+    deg = [len(nbrs) for nbrs in g.adj]
+    # a vertex of degree above r+1 has such an edge whatever the other end
+    keep = [d > r + 1 or d + max(map(deg.__getitem__, nbrs), default=0) - 2 > r
+            for d, nbrs in zip(deg, g.adj)]
+    watch = list(g.adj)
+    for x in {x for y in compress(range(g.n), map(not_, keep)) for x in g.adj[y]}:
+        watch[x] = [y for y in g.adj[x] if keep[y]]
+    kept = sorted(compress(range(g.n), keep), key=deg.__getitem__, reverse=True)
+    near = [[-1] * g.n]
+    k = len(kept)
+    for j in range(1, min(r + 1, deg[kept[0]]) + 1 if kept else 1):
+        while deg[kept[k - 1]] < j:
+            k -= 1
+        near.append([0] * g.n if 4 * k >= g.n else _Sparse.fromkeys(kept[:k], 0))
+    pairs = list(zip(near[r + 2 - len(near):], reversed(near)))
+    return [0] * g.n, near, pairs, watch, [1] * g.n
+
+
+def _forbidden(g, colors_at, pairs, u, v, r):
+    """Forbidden colors (F1, F2) for an uncolored edge uv, as int masks
+    over the state of _levels; bit a of F1 or F2 is set when a is forbidden.
+
     F1: colors on edges incident to u or v. F2: colors a outside F1 whose
-    nearby coverage d_u + 2*d_uv + d_v reaches r+1, where d_u counts vertices
-    of N(u)-N[v] touched by an a-colored edge (similarly for the v-side and
-    the common neighborhood)."""
+    nearby coverage d_u + 2*d_uv + d_v reaches r+1, where d_u counts
+    vertices of N(u)-N[v] touched by an a-colored edge (similarly for the
+    v-side and the common neighborhood)."""
     f1 = colors_at[u] | colors_at[v]
-    adj_u = g.adj[u]
-    adj_v = g.adj[v]
-    # every vertex of N(u)-v and of N(v)-u adds 1 to each color on its edges;
-    # a common neighbour is met from both sides, so the count is d_u + 2*d_uv + d_v.
-    # No count exceeds the len(adj_u) + len(adj_v) - 2 masks read, so when
-    # that is at most r, F2 is empty and no counter is built.
-    if len(adj_u) + len(adj_v) - 2 <= r:
+    # No count exceeds len(adj_u) + len(adj_v) - 2, the neighbours other
+    # than u and v, so when that is at most r, F2 is empty.
+    if len(g.adj[u]) + len(g.adj[v]) - 2 <= r:
         return f1, 0
-    # saturating bit-sliced counters: over[j] holds the colors met at least
-    # j+1 times
-    over = [0] * (r + 1)
-    for x, other in ((adj_u, v), (adj_v, u)):
-        for w in x:
-            m = colors_at[w]
-            if m and w != other:
-                for j in range(r, 0, -1):
-                    over[j] |= over[j - 1] & m
-                over[0] |= m
-    return f1, over[r] & ~f1
+    # A color outside F1 is on neither u nor v, so N(u) meets it on c_u
+    # vertices and N(v) on c_v, with c_u + c_v = d_u + 2*d_uv + d_v. That
+    # reaches r+1 exactly when, for some p, level p of u and level r+1-p
+    # of v both hold it.
+    f2 = 0
+    for a, b in pairs:
+        f2 |= a[u] & b[v]
+    return f1, f2 & ~f1
+
+
+def _add_color(watch, colors_at, near, hint, u, v, c):
+    """Color the edge uv with c over the state of _levels: set bit c at u
+    and v, and raise c one level at every neighbour of u and of v that
+    keeps levels (a common neighbour twice)."""
+    bit = 1 << c
+    colors_at[u] |= bit
+    colors_at[v] |= bit
+    top = len(near) - 1
+    if not top:
+        return
+    # c is new at u and v, so a neighbour x has c on fewer than deg x
+    # neighbours and holds every level up to one above that count. An edge
+    # xy with deg x + deg y > r + 2 >= 3 has an end of degree 2 or more, so
+    # top >= 2.
+    one = near[1]
+    for x in watch[u]:
+        m = one[x]
+        if m & bit:
+            j = 2
+            while j < top and near[j][x] & bit:
+                j += 1
+            near[j][x] |= bit
+            hint[x] = j
+        else:
+            one[x] = m | bit
+    # A common neighbour of u and v is raised twice. The second time, the
+    # search starts above its hint whenever that level holds c: the levels
+    # holding c are always 1 .. count.
+    for x in watch[v]:
+        m = one[x]
+        if m & bit:
+            h = hint[x]
+            j = h + 1 if near[h][x] & bit else 2
+            while j < top and near[j][x] & bit:
+                j += 1
+            if j <= top:
+                near[j][x] |= bit
+        else:
+            one[x] = m | bit
 
 
 def greedy_color(g, r, order=None, delta=None):
@@ -94,10 +176,10 @@ def greedy_color(g, r, order=None, delta=None):
     f1_cap = 2 * (delta - 1)
     f2_cap = (2 * (delta - 1) ** 2) // (r + 1)
     color = {}
-    colors_at = [0] * g.n
+    colors_at, near, pairs, watch, hint = _levels(g, r)
     for uv in edges:
         u, v = uv
-        f1, f2 = _forbidden(g, colors_at, u, v, r)
+        f1, f2 = _forbidden(g, colors_at, pairs, u, v, r)
         if f1.bit_count() > f1_cap or f2.bit_count() > f2_cap:
             raise ColoringInvariantError(
                 "forbidden-set bound violated at edge %s" % (uv,))
@@ -107,8 +189,7 @@ def greedy_color(g, r, order=None, delta=None):
         if chosen > k:
             raise ColoringInvariantError("no available color for edge %s" % (uv,))
         color[uv] = chosen
-        colors_at[u] |= 1 << chosen
-        colors_at[v] |= 1 << chosen
+        _add_color(watch, colors_at, near, hint, u, v, chosen)
     return EdgeColoring(color, k, delta, r)
 
 

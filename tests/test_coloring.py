@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from degenmatch import (
@@ -7,7 +9,7 @@ from degenmatch import (
     palette_size,
     verify_coloring,
 )
-from degenmatch.coloring import _forbidden
+from degenmatch.coloring import _Sparse, _add_color, _forbidden, _levels
 from degenmatch.generate import (
     Rng,
     complete,
@@ -34,15 +36,21 @@ def test_palette_size_examples():
             greedy_color(path(3), r)
 
 
+def replay(g, color, r):
+    """The colorer's state after it colored the edges of color, in that
+    order, through its own update."""
+    colors_at, near, pairs, watch, hint = _levels(g, r)
+    for (u, v), a in color.items():
+        _add_color(watch, colors_at, near, hint, u, v, a)
+    return colors_at, near, pairs
+
+
 def forbidden_sets(g, color, uv, r):
     """(F1, F2) as sets for the uncolored edge uv under the partial coloring
-    color: builds the per-vertex color masks and decodes the returned masks."""
-    colors_at = [0] * g.n
-    for e, a in color.items():
-        for x in e:
-            colors_at[x] |= 1 << a
+    color: replays it and decodes the masks the colorer's query returns."""
+    colors_at, _, pairs = replay(g, color, r)
     return tuple({a for a in range(mask.bit_length()) if mask >> a & 1}
-                 for mask in _forbidden(g, colors_at, uv[0], uv[1], r))
+                 for mask in _forbidden(g, colors_at, pairs, uv[0], uv[1], r))
 
 
 def _reference_forbidden(g, colors_at, u, v, r):
@@ -117,19 +125,22 @@ def _reference_cases():
         g = random_bounded_degree(8 + seed % 30, 0.25, 3 + seed % 6, seed)
         if g.m:
             yield "rbd-%d" % seed, g
-    for k, n in ((2, 12), (3, 14), (4, 16)):
+    for k, n in ((2, 12), (3, 14), (4, 16), (5, 18)):
         yield "ktree-%d-%d" % (k, n), k_tree(k, n, seed=n)
-    for n in (3, 5, 8):
+    for n in (3, 5, 8, 12):
         yield "K%d" % n, complete(n)
 
 
 def test_greedy_equals_reference_first_fit():
     # first fit passes color 2(delta-1)+1 only where F2 is non-empty; some
-    # case must, or the counters went untested
+    # case must, or the levels went untested. delta-1 and delta+1 sit on
+    # either side of the level cap min(r+1, delta), and 2*delta-3 is the
+    # last r at which F2 can be non-empty
     nonempty_f2 = 0
     for i, (name, g) in enumerate(_reference_cases()):
         delta = g.max_degree()
-        for r in sorted({1, 2, 3, delta, 2 * delta, 10 ** 6}):
+        rs = {1, 2, 3, delta - 1, delta, delta + 1, 2 * delta - 3, 2 * delta, 10 ** 6}
+        for r in sorted(r for r in rs if r >= 1):
             expected = _reference_greedy(g, r)
             assert greedy_color(g, r).color == expected, (name, r)
             nonempty_f2 += max(expected.values()) > 2 * delta - 1
@@ -140,6 +151,64 @@ def test_greedy_equals_reference_first_fit():
                 assert greedy_color(g, r, order=order, delta=over).color == (
                     _reference_greedy(g, r, order=order, delta=over)), (name, r, over)
     assert nonempty_f2 > 0
+
+
+def _hub(seed):
+    """A bounded-degree graph with vertex 0 joined to every third vertex:
+    its high levels are reached by vertex 0 alone."""
+    g = random_bounded_degree(60, 0.08, 4, seed)
+    return Graph(60, set(g.edges) | {(0, x) for x in range(3, 60, 3)})
+
+
+def test_levels_count_each_neighbour_once_per_color():
+    # after each edge of greedy's own order, level j of a vertex that keeps
+    # levels (one with an edge that can take F2) holds the colors met on at
+    # least j of its neighbours, the top level counting r+1 or more at once
+    cases = [(k_tree(3, 14, seed=14), r) for r in (1, 2, 3, 6)]
+    cases += [(complete(8), r) for r in (1, 3, 6, 11)]
+    cases += [(_hub(seed), r) for seed in range(4) for r in (1, 4, 12)]
+    sparse = 0
+    for g, r in cases:
+        deg = [len(nbrs) for nbrs in g.adj]
+        kept = [x for x in range(g.n) if g.adj[x]
+                and deg[x] + max(deg[y] for y in g.adj[x]) - 2 > r]
+        coloring = greedy_color(g, r).color
+        done = {}
+        for uv in g.sorted_edges():
+            done[uv] = coloring[uv]
+            colors_at, near, _ = replay(g, done, r)
+            top = len(near) - 1
+            assert top == min(r + 1, max((deg[x] for x in kept), default=0))
+            for x in kept:
+                met = {}
+                for y in g.adj[x]:
+                    for a in range(colors_at[y].bit_length()):
+                        if colors_at[y] >> a & 1:
+                            met[a] = met.get(a, 0) + 1
+                for j in range(1, top + 1):
+                    want = sum(1 << a for a, count in met.items() if count >= j)
+                    assert near[j][x] == want, (g.n, r, uv, x, j)
+            # the others are never raised
+            assert not any(level[x] for x in set(range(g.n)) - set(kept)
+                           for level in near[1:])
+        sparse += any(isinstance(level, _Sparse) for level in near)
+    assert sparse > 0
+
+
+def test_levels_take_no_space_past_the_last_r_with_f2():
+    # no edge can take F2 at r >= 2*delta - 2, so r = 10**9 must allocate
+    # no more than r = 2*delta on the same graph: r sizes at most
+    # min(r+1, delta) levels a vertex
+    g = random_bounded_degree(300, 0.03, 6, seed=4)
+    peaks = {}
+    for r in (2 * g.max_degree(), 10 ** 9):
+        tracemalloc.start()
+        try:
+            greedy_color(g, r)
+            peaks[r] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10 ** 9] <= peaks[2 * g.max_degree()]
 
 
 def test_greedy_k22():

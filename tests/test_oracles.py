@@ -1,5 +1,7 @@
+import ast
 import io
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -400,3 +402,17 @@ def test_survey_csv():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "graph-id,n,m,delta,r,nu_r,chi_r,nu_s,nu_1,nu_ur,nu"
     assert lines[1] == "p4,4,3,2,1,2,,,,,2"
+
+
+def test_oracles_import_only_the_limit_check():
+    # the oracles check the DP, the chordal layer and the colorer, so they
+    # take nothing from degenmatch but the size limit and its error
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "degenmatch" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "degenmatch"):
+            taken.update(a.name for a in node.names)
+    assert taken == {"LimitsExceededError", "_check_size"}
