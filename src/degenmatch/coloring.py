@@ -1,7 +1,7 @@
 """Greedy r-degenerate edge coloring within the 2(D-1)^2/(r+1) + 2(D-1) + 1 palette."""
 
 from collections import namedtuple
-from itertools import compress
+from itertools import compress, starmap
 from operator import not_
 
 from .graphs import Matching, _norm_edge, degeneracy, induced_subgraph
@@ -164,12 +164,13 @@ def greedy_color(g, r, order=None, delta=None):
         raise ValueError("delta override must be an integer")
     elif delta < actual:
         raise ValueError("delta override %d below max degree %d" % (delta, actual))
-    edges = g.sorted_edges()
-    if order is not None:
-        order = [_norm_edge(*e) for e in order]
-        if sorted(order) != edges:
+    if order is None:
+        edges = g.sorted_edges()
+    else:
+        # m distinct pairs, each an edge, are every edge once
+        edges = [_norm_edge(*e) for e in order]
+        if not (len(edges) == g.m == len(set(edges)) and all(starmap(g.has_edge, edges))):
             raise ValueError("order is not a permutation of the edge set")
-        edges = order
     if not edges:
         return EdgeColoring({}, 0, delta, r)
     k = palette_size(delta, r)

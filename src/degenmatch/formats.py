@@ -1,10 +1,11 @@
 """Graph serialization: graph6, plain edge lists, and DIMACS, each read in bulk
-into adjacency only; an edge-list or DIMACS fault is named from what the bulk
-pass holds, with no second reading of the lines."""
+into adjacency only; an edge-list or DIMACS fault is named from the one chunk
+that holds it, read line by line, and nothing is read again from line 1."""
 
 import re
+from bisect import bisect_left, bisect_right
 from itertools import compress, count, islice
-from operator import eq, ne
+from operator import eq, itemgetter, ne
 
 from .graphs import (Graph, LimitsExceededError, _check_size, _norm_edge,
                      _sorted_adjacency)
@@ -42,9 +43,9 @@ _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _ODD_BREAK = r"\r(?!\n)|[%s]" % _BREAKS[2:]
 _PAD = "[\t\x1f \xa0\u1680\u2000-\u200a\u202f\u205f\u3000]*"
 _SEP = "[ \t\x1f]+"
-_EDGE_LIST_BAD = (r"(?m)^(?!%s(?:#[^%s]*|[0-9]+%s[0-9]+%s)?\r?$)[^\n]*"
+_EDGE_LIST_BAD = (r"(?m)^(?!%s(?:#[^%s]*|[0-9]+%s[0-9]+%s)?\r?$)"
                   % (_PAD, _BREAKS, _SEP, _PAD))
-_DIMACS_BAD = (r"(?m)^(?!%s(?:c[^%s]*|e%s[0-9]+%s[0-9]+%s)?\r?$)[^\n]*"
+_DIMACS_BAD = (r"(?m)^(?!%s(?:c[^%s]*|e%s[0-9]+%s[0-9]+%s)?\r?$)"
                % (_PAD, _BREAKS, _SEP, _SEP, _PAD))
 # blank and comment lines, then a problem line
 _DIMACS_HEADER = (r"(?:%s(?:c[^%s]*)?\r?\n)*%sp%s(?:edge|col)%s([0-9]+)%s([0-9]+)%s"
@@ -82,11 +83,14 @@ def check_graph6_size(n):
 
 def serialize_graph6(g):
     """Encode in time linear in the output: edge (i, j), i < j, sets bit
-    j(j-1)/2 + i of the body, six bits a byte, most significant first."""
+    j(j-1)/2 + i of the body, six bits a byte, most significant first. Column
+    j is read from the neighbours of j below j, so g.edges is never built."""
     body = bytearray(check_graph6_size(g.n))
-    for i, j in g.edges:
-        k = j * (j - 1) // 2 + i
-        body[k // 6] |= 32 >> k % 6
+    for j, a in enumerate(g.adj):
+        first = j * (j - 1) // 2
+        for i in a[:bisect_left(a, j)]:
+            k = first + i
+            body[k // 6] |= 32 >> k % 6
     return (bytes(_g6_encode_n(g.n)) + body.translate(_G6_ADD_63)).decode("ascii")
 
 
@@ -156,87 +160,79 @@ def _chunks(text, start):
 
 def _read_ids(text, start, fmt, top, most):
     """The ids of the records of text from start on, read in bulk a chunk at
-    a time: (ids, len(text), [], None) when every chunk passes; else, at the
-    first chunk with a line fmt's pattern refuses, an id outside 0..top-1 or
-    more than most records, (the ids before it, its start, its ids before
-    the refused line, that line's match or None)."""
+    a time, up to the first chunk with a line fmt's pattern refuses, an id
+    outside 0..top-1 or more than most records: (ids, that chunk's start or
+    len(text), marks), where marks holds each chunk's (start, records before
+    it)."""
     bad, comment, labels = fmt[:3]
-    ends = []
+    ends, marks = [], []
     for chunk in _chunks(text, start):
-        line = re.search(bad, chunk)
-        tokens = re.sub(comment, "", chunk[:line.start()] if line else chunk).split()
+        marks.append((start, len(ends) // 2))
+        if re.search(bad, chunk):
+            break
+        tokens = re.sub(comment + "[^\n]*", "", chunk).split()
         del tokens[labels]
         # each distinct token is converted once
         value = {t: int(t) - 1 for t in set(tokens)}
         ids = list(map(value.__getitem__, tokens))
         del tokens, value  # freed before the next chunk's: 15 MB less RSS at 1M lines
-        if line or ids and not (0 <= min(ids) and max(ids) < top
-                                and len(ends) + len(ids) <= 2 * most):
-            return ends, start, ids, line
+        if ids and not (0 <= min(ids) and max(ids) < top
+                        and len(ends) + len(ids) <= 2 * most):
+            break
         ends += ids
         start += len(chunk)
-    return ends, start, [], None
+    return ends, start, marks
 
 
-def _record_line(text, start, k, record):
-    """The number of the line of the k-th record (0-based) from start, a line
-    start, on: each line before it that does not begin with record (a blank
-    or comment line) pushes it one line further."""
-    lineno = text.count("\n", 0, start) + 1
-    target = lineno + k + (re.compile(record).match(text, start) is None)
-    for skip in re.compile("\n(?!%s)" % record).finditer(text, start):
-        lineno += text.count("\n", start, skip.end())
-        start = skip.end()
-        if lineno > target:
-            break
-        target += 1
-    return target
+def _name(text, marks, k, fmt, top, most, repeat=False):
+    """Raise the first fault of the chunk that holds record k (0-based), read
+    line by line with fmt's classifier; with repeat, record k is a repeat."""
+    comment, fault = fmt[1], fmt[3]
+    start, j = marks[bisect_right(marks, k, key=itemgetter(1)) - 1]
+    lineno = text.count("\n", 0, start)
+    for line in next(_chunks(text, start)).split("\n"):
+        lineno += 1
+        line = line.strip()
+        if line and line[0] != comment:
+            if repeat and j == k:
+                raise ParseError("line %d: duplicate edge" % lineno)
+            fault(lineno, line, j, top, most)
+            j += 1
+    raise AssertionError("no fault named in the chunk at %d" % start)
 
 
 def _refuse(text, read, fmt, top, most):
-    """Raise the fault where _read_ids stopped (read is what it returned): a
-    self-loop before that chunk, else its first record that is a self-loop,
-    has an id outside 0..top-1 or comes past most records (named as the
-    line its ids make), else its refused line. Returns if no chunk is left."""
-    ends, start, ids, line = read
-    record, label, fault = fmt[3:]
+    """Raise the first fault before where _read_ids stopped (read is what it
+    returned): a self-loop in the ids it read, else the fault of the chunk it
+    stopped at. Returns if it read every chunk and found no self-loop."""
+    ends, stop, marks = read
     it = iter(ends)
     k = next(compress(count(), map(eq, it, it)), None)
-    if k is not None:
-        raise ParseError("line %d: self-loop" % _record_line(text, 0, k, record))
-    it = iter(ids)
-    for k, (u, v) in enumerate(zip(it, it), len(ends) // 2):
-        if u == v or min(u, v) < 0 or max(u, v) >= top or k >= most:
-            fault(_record_line(text, start, k - len(ends) // 2, record),
-                  label % (u + 1, v + 1), k, top, most)
-    if line:
-        fault(text.count("\n", 0, start + line.start()) + 1, line[0].strip(),
-              (len(ends) + len(ids)) // 2, top, most)
-    assert start == len(text), "no fault named in the chunk at %d" % start
+    if k is not None or stop < len(text):
+        _name(text, marks, len(ends) // 2 if k is None else k, fmt, top, most)
 
 
-def _graph(n, ends, text, record):
-    """The graph on 0..n-1 with the pairs in ends as edges; when a vertex
+def _graph(n, text, read, fmt, top, most):
+    """The graph on 0..n-1 with the pairs of ids read as edges; when a vertex
     lists a neighbour twice, the first self-loop, else repeat, is named."""
+    ends = read[0]
     it = iter(ends)
     adj = _sorted_adjacency(n, zip(it, it))
     extra = len(ends) - sum(map(len, map(set, adj)))
     if extra:
-        # each pair a vertex lists twice, both ways round, and each self-loop;
-        # no more vertices list one than there are extra entries
+        _refuse(text, read, fmt, top, most)
+        # each pair a vertex lists twice, both ways round; no more vertices
+        # list one than there are extra entries
         dups = compress(range(n), map(ne, map(len, adj), map(len, map(set, adj))))
         twice = {(u, v) for u in islice(dups, extra)
                  for v, w in zip(adj[u], adj[u][1:]) if v == w}
-        seen, repeats = set(), []
+        seen = set()
         it = iter(ends)
         for k in compress(count(), map(twice.__contains__, zip(it, it))):
             e = _norm_edge(*ends[2 * k:2 * k + 2])
-            if e[0] == e[1]:
-                raise ParseError("line %d: self-loop" % _record_line(text, 0, k, record))
             if e in seen:
-                repeats.append(k)
+                _name(text, read[2], k, fmt, top, most, repeat=True)
             seen.add(e)
-        raise ParseError("line %d: duplicate edge" % _record_line(text, 0, repeats[0], record))
     return Graph._from_adjacency(adj)
 
 
@@ -282,13 +278,11 @@ def _dimacs_fault(lineno, line, k, n, m):
         raise ParseError("line %d: self-loop" % lineno)
 
 
-# A format's _BAD pattern; its comments (in a chunk that passed that
-# pattern, a comment is all that holds '#' or 'c'); its record labels; the
-# start of a record line; a record line written from its ids; its fault namer.
-_EDGE_LIST = (_EDGE_LIST_BAD, "#[^\n]*", slice(0), _PAD + "[0-9]", "%d %d",
-              _edge_list_fault)
-_DIMACS = (_DIMACS_BAD, "c[^\n]*", slice(None, None, 3), _PAD + "e", "e %d %d",
-           _dimacs_fault)
+# A format's _BAD pattern; the character that starts its comments (in a
+# chunk that passed that pattern, a comment is all that holds it); its record
+# labels; its line classifier.
+_EDGE_LIST = (_EDGE_LIST_BAD, "#", slice(0), _edge_list_fault)
+_DIMACS = (_DIMACS_BAD, "c", slice(None, None, 3), _dimacs_fault)
 
 
 def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
@@ -296,10 +290,11 @@ def parse_edge_list(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     A text with an _ODD_BREAK where bulk reading stopped is read again with
     '\\n' in its place."""
     read = _read_ids(text, 0, _EDGE_LIST, max_vertices, max_edges)
-    ends, start = read[:2]
-    if start == len(text):
-        return _graph(max(ends, default=-1) + 1, ends, text, _EDGE_LIST[3])
-    if re.compile(_ODD_BREAK).search(text, start):
+    ends, stop = read[:2]
+    if stop == len(text):
+        return _graph(max(ends, default=-1) + 1, text, read, _EDGE_LIST, max_vertices,
+                      max_edges)
+    if re.compile(_ODD_BREAK).search(text, stop):
         return parse_edge_list(re.sub(_ODD_BREAK, "\n", text), max_vertices, max_edges)
     _refuse(text, read, _EDGE_LIST, max_vertices, max_edges)
 
@@ -314,10 +309,10 @@ def parse_dimacs(text, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
     n, m = (int(head[1]), int(head[2])) if head else (-1, -1)
     _check_size(n, m, max_vertices, max_edges)
     read = _read_ids(text, head.end() if head else 0, _DIMACS, n, m)
-    ends, start = read[:2]
-    if head and start == len(text) and len(ends) == 2 * m:
-        return _graph(n, ends, text, _DIMACS[3])
-    if re.compile(_ODD_BREAK).search(text, start):
+    ends, stop = read[:2]
+    if head and stop == len(text) and len(ends) == 2 * m:
+        return _graph(n, text, read, _DIMACS, n, m)
+    if re.compile(_ODD_BREAK).search(text, stop):
         return parse_dimacs(re.sub(_ODD_BREAK, "\n", text), max_vertices, max_edges)
     _refuse(text, read, _DIMACS, n, m)
     if head is None:

@@ -286,6 +286,26 @@ def test_order_must_be_permutation():
         greedy_color(g, 1, order=[(0, 1)])
 
 
+def test_a_given_order_is_checked_against_the_edges():
+    g = path(5)
+    edges = g.sorted_edges()
+    for order in ([(0, 1), (1, 2), (2, 3), (2, 3)],  # a repeat, at the edge count
+                  [(0, 1), (2, 1), (2, 3), (1, 2)],  # a reversed repeat
+                  [(0, 1), (1, 2), (2, 3), (0, 4)],  # a non-edge
+                  [(0, 1), (1, 2), (2, 3), (3, 9)],  # past the last vertex
+                  [(0, 1), (1, 2), (2, 3), (-1, 0)],
+                  [(0, 1), (1, 2), (2, 3), ("a", "b")],
+                  edges[:3],  # short
+                  edges + [(0, 2)], edges + [(0, 1)]):  # long
+        with pytest.raises(ValueError, match="^order is not a permutation of the edge set$"):
+            greedy_color(g, 1, order=order)
+    backwards = [(v, u) for u, v in reversed(edges)]
+    assert greedy_color(g, 1, order=backwards).color == (
+        greedy_color(g, 1, order=edges[::-1]).color)
+    assert greedy_color(g, 1, order=iter(backwards)).color == (
+        greedy_color(g, 1, order=edges[::-1]).color)
+
+
 def test_delta_override():
     g = path(4)
     coloring = greedy_color(g, 1, delta=4)

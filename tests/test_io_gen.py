@@ -93,6 +93,17 @@ def test_graph6_equals_reference_encoder():
         assert serialize_graph6(g) == _reference_graph6(g)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_graph6_is_written_from_adjacency(family):
+    # n 70 takes the four-byte header; a parsed graph holds adjacency only
+    params = {"n": 70, "k": 3, "a": 5, "b": 65, "p": 0.1, "max_degree": 4}
+    g = generate(family, {name: params[name] for name in FAMILIES[family][1]}, 2)
+    parsed = parse_graph6(serialize_graph6(g))
+    text = serialize_graph6(parsed)
+    assert "edges" not in parsed.__dict__
+    assert text == _reference_graph6(parsed) == _reference_graph6(g)
+
+
 def test_graph6_long_form():
     g = path(80)
     s = serialize_graph6(g)

@@ -407,7 +407,7 @@ def _no_fault_naming():
     text that reaches it fails the test."""
     def name(*args):
         raise AssertionError("a valid text reached the fault-naming code")
-    with mock.patch.multiple(formats, _refuse=name, _record_line=name):
+    with mock.patch.multiple(formats, _refuse=name, _name=name):
         yield
 
 
@@ -454,36 +454,36 @@ def test_every_line_break_and_space_reaches_no_fault_naming():
 
 
 def _counted_reads(monkeypatch):
-    """[characters of the chunks read, starts of the record-to-line scans],
-    kept up to date while the test runs."""
+    """[characters of the chunks read, the record each fault-naming call was
+    given], kept up to date while the test runs."""
     reads = [0, []]
-    chunks, record_line = formats._chunks, formats._record_line
+    chunks, name = formats._chunks, formats._name
 
     def counted_chunks(*args):
         for chunk in chunks(*args):
             reads[0] += len(chunk)
             yield chunk
 
-    def counted_scan(text, start, *args):
-        reads[1].append(start)
-        return record_line(text, start, *args)
+    def counted_name(text, marks, k, *args, **kwargs):
+        reads[1].append(k)
+        return name(text, marks, k, *args, **kwargs)
     monkeypatch.setattr(formats, "_chunks", counted_chunks)
-    monkeypatch.setattr(formats, "_record_line", counted_scan)
+    monkeypatch.setattr(formats, "_name", counted_name)
     return reads
 
 
 def _named_from_its_chunk(monkeypatch, parse, reference, text, caps, want=None, begin=0):
     """parse names the fault on text's last line as reference does, reading
-    each chunk (the first starts at begin) once, and scans for a record's
-    line from the last chunk on."""
+    each chunk (the first starts at begin) once and the last chunk, which
+    holds the fault, once more, with one call of the fault namer."""
     monkeypatch.setattr(formats, "_CHUNK", 64)
     last = list(formats._chunks(text, begin))[-1]
     got = _outcome(reference, text, caps)
     assert isinstance(got, tuple) and want in (None, got)
     reads = _counted_reads(monkeypatch)
     assert _outcome(parse, text, caps) == got
-    assert reads[0] <= len(text)
-    assert all(start == len(text) - len(last) for start in reads[1])
+    assert reads[0] == len(text) - begin + len(last)
+    assert len(reads[1]) == 1
 
 
 @pytest.mark.parametrize("last, caps", [
@@ -505,6 +505,95 @@ def test_a_dimacs_fault_is_named_from_its_chunk(monkeypatch):
                           (MAX_VERTICES, MAX_EDGES),
                           (ParseError, "line 2001: more edges than the 1999 the header declares"),
                           text.index("\n") + 1)
+
+
+def _both_formats(lines, m=None):
+    """An edge list of lines (records, '#' comments, blanks) and the DIMACS
+    text with the same lines: 'e ' before each record, 'c' for '#', after a
+    problem line that declares m edges, or as many as there are two-id
+    records."""
+    edge_list = "".join(line + "\n" for line in lines)
+    if m is None:
+        m = sum(len(line.split()) == 2 for line in lines if line[:1] not in ("", "#"))
+    dimacs = "p edge 100 %d\n" % m + "".join(
+        ("c" + line[1:] if line[:1] == "#" else "e " + line if line else "") + "\n"
+        for line in lines)
+    return edge_list, dimacs
+
+
+def _path_lines(first, last):
+    return ["%d %d" % (i, i + 1) for i in range(first, last)]
+
+
+_NAMER_CHUNKS = [1, 5, 12, 64, 1 << 16]
+
+
+def _starts_a_fault_chunk(text, begin, fault, chunk):
+    """Whether the chunk, chunk characters long, that holds offset fault of
+    text is not the first and begins with a blank or comment line."""
+    saved, formats._CHUNK = formats._CHUNK, chunk
+    try:
+        pieces = list(formats._chunks(text, begin))
+    finally:
+        formats._CHUNK = saved
+    start = begin
+    for k, piece in enumerate(pieces):
+        if start <= fault < start + len(piece):
+            return k > 0 and piece[:1] in ("\n", "#", "c")
+        start += len(piece)
+
+
+@pytest.mark.parametrize("fault", [
+    "x 9", "41 42 43", "0 9", "7 7", "41 1001"], ids=["bad-line", "three-ids", "id-0",
+                                                   "self-loop", "out-of-range"])
+def test_a_fault_after_blank_and_comment_lines_is_named_from_its_chunk(fault):
+    # the fault's chunk begins with blank and comment lines at every chunk
+    # size but the largest, for one of the paths before it
+    caps = (1000, MAX_EDGES)
+    begun = set()
+    for before in range(20, 36):
+        lines = (_path_lines(1, before) + ["# a comment", "", "#", "  # indented", ""]
+                 + [fault] + _path_lines(before + 1, before + 20))
+        for (parse, reference), text in zip(
+                [(parse_edge_list, _reference_parse_edge_list),
+                 (parse_dimacs, _reference_parse_dimacs)], _both_formats(lines)):
+            assert isinstance(_outcome(reference, text, caps), tuple)
+            begin = 0 if parse is parse_edge_list else text.index("\n") + 1
+            at = text.index("\n%s%s\n" % ("e " * (parse is parse_dimacs), fault)) + 1
+            for chunk in _NAMER_CHUNKS:
+                _same(parse, reference, text, caps, chunk)
+                if _starts_a_fault_chunk(text, begin, at, chunk):
+                    begun.add((parse, chunk))
+    assert len(begun) == 2 * (len(_NAMER_CHUNKS) - 1)
+
+
+@pytest.mark.parametrize("repeat", ["3 4", "4 3", "1 2"])
+def test_a_repeat_chunks_after_its_first_occurrence_is_named(repeat):
+    lines = _path_lines(1, 60) + ["# c", ""] + _path_lines(70, 80) + [repeat, "90 91"]
+    for (parse, reference), text in zip(
+            [(parse_edge_list, _reference_parse_edge_list),
+             (parse_dimacs, _reference_parse_dimacs)], _both_formats(lines)):
+        want = _outcome(reference, text, (MAX_VERTICES, MAX_EDGES))
+        assert want[1] == "line %d: duplicate edge" % (
+            len(lines) - 1 + (parse is parse_dimacs))
+        for chunk in _NAMER_CHUNKS:
+            _same(parse, reference, text, (MAX_VERTICES, MAX_EDGES), chunk)
+
+
+@pytest.mark.parametrize("refused", ["x y", "1 2 3", "0 5", "7 7", "50 51"])
+def test_a_self_loop_chunks_before_a_refused_line_is_named_first(refused):
+    # 50 51 is a repeat; with a cap of 59 edges (or a DIMACS header of 59),
+    # the refused line is also one record too many
+    lines = (_path_lines(1, 10) + ["7 7", "", "# c"] + _path_lines(11, 60) + [refused]
+             + _path_lines(60, 65))
+    for caps, m in (((MAX_VERTICES, MAX_EDGES), None), ((MAX_VERTICES, 59), 59)):
+        for (parse, reference), text in zip(
+                [(parse_edge_list, _reference_parse_edge_list),
+                 (parse_dimacs, _reference_parse_dimacs)], _both_formats(lines, m)):
+            assert _outcome(reference, text, caps) == (
+                ParseError, "line %d: self-loop" % (10 + (parse is parse_dimacs)))
+            for chunk in _NAMER_CHUNKS:
+                _same(parse, reference, text, caps, chunk)
 
 
 _LAST_LINES = [("repeat", "1 2", None), ("self-loop", "7 7", None), ("bad-line", "x y", None),
