@@ -40,6 +40,8 @@ EXIT_LIMITS = 4
 EXIT_INTERNAL = 5
 SURVEY_FIELDS = ("graph-id", "n", "m", "delta", "r",
                  "nu_r", "chi_r", "nu_s", "nu_1", "nu_ur", "nu")
+BENCH_CHECKS = ("dp_oracle_checked", "dp_oracle_disagreements",
+                "palette_checked", "palette_failures")
 
 
 def _read_input(path):
@@ -164,7 +166,7 @@ def _bench_task(task):
     g = generate(inst["family"], inst.get("params", {}), inst.get("seed", 0))
     row = {"graph-id": inst.get("id", inst["family"]), "n": g.n, "m": g.m,
            "delta": g.max_degree(), "r": r}
-    agree = {"dp_oracle": None, "palette": None}
+    checks = [0] * len(BENCH_CHECKS)
     try:
         row["nu_r"] = solve(g, r).value
     except NotChordalError:
@@ -173,7 +175,7 @@ def _bench_task(task):
         raise LimitsExceededError("instance %r: %s" % (inst.get("id"), exc)) from None
     else:
         if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= DEFAULT_LIMITS.max_edges:
-            agree["dp_oracle"] = brute_nu_r(g, r) == row["nu_r"]
+            checks[:2] = 1, int(brute_nu_r(g, r) != row["nu_r"])
     if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= 12:
         row["chi_r"] = brute_chromatic_index_r(g, r)
     if g.n <= 10 and g.m <= DEFAULT_LIMITS.max_edges:
@@ -182,8 +184,8 @@ def _bench_task(task):
     if g.m:
         coloring = greedy_color(g, r)
         ok, _ = verify_coloring(g, coloring, r)
-        agree["palette"] = ok and coloring.max_color() <= coloring.k
-    return row, agree
+        checks[2:] = 1, int(not ok or coloring.max_color() > coloring.k)
+    return row, checks
 
 
 def write_survey_csv(rows, fileobj):
@@ -233,17 +235,9 @@ def cmd_bench(args, _):
         rows = [row for row, _ in outcomes]
         if out is not None:
             write_survey_csv(rows, out)
-    counters = {"rows": len(rows),
-                "dp_oracle_checked": 0, "dp_oracle_disagreements": 0,
-                "palette_checked": 0, "palette_failures": 0}
-    for _, agree in outcomes:
-        if agree["dp_oracle"] is not None:
-            counters["dp_oracle_checked"] += 1
-            counters["dp_oracle_disagreements"] += not agree["dp_oracle"]
-        if agree["palette"] is not None:
-            counters["palette_checked"] += 1
-            counters["palette_failures"] += not agree["palette"]
-    return counters
+    # a row of zeros keeps every count when the suite has no instance
+    counts = [checks for _, checks in outcomes] + [[0] * len(BENCH_CHECKS)]
+    return {"rows": len(rows), **dict(zip(BENCH_CHECKS, map(sum, zip(*counts))))}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -2,7 +2,7 @@
 
 import math
 
-from .graphs import Graph, _check_edges
+from .graphs import Graph, _check_edges, _sorted_adjacency
 
 _MASK = (1 << 64) - 1
 
@@ -120,24 +120,30 @@ def _stop_past(edges, max_edges):
         _check_edges(max_edges + 1, max_edges)
 
 
+def _from_pairs(n, pairs):
+    # each builder lists every pair of a simple graph once, so its graph is
+    # built as the readers build theirs, without Graph(n, edges)'s checks
+    return Graph._from_adjacency(_sorted_adjacency(n, pairs))
+
+
 def path(n):
     _check_vertex_count(n)
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return _from_pairs(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n):
     _check_cycle(n)
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return _from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n):
     _check_vertex_count(n)
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return _from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(a, b):
     _check_complete_bipartite(a, b)
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return _from_pairs(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def k_tree(k, n, seed=0):
@@ -152,7 +158,7 @@ def k_tree(k, n, seed=0):
         face = tuple(w for i, w in enumerate(base) if i != drop)
         edges.extend((w, v) for w in face)
         cliques.append(tuple(sorted(face + (v,))))
-    return Graph(n, edges)
+    return _from_pairs(n, edges)
 
 
 def random_chordal(n, seed=0, max_edges=None):
@@ -170,7 +176,7 @@ def random_chordal(n, seed=0, max_edges=None):
         edges.extend((w, v) for w in face)
         _stop_past(edges, max_edges)
         cliques.append(tuple(sorted(face + [v])))
-    return Graph(n, edges)
+    return _from_pairs(n, edges)
 
 
 def random_bounded_degree(n, p, max_degree, seed=0, max_edges=None):
@@ -190,7 +196,7 @@ def random_bounded_degree(n, p, max_degree, seed=0, max_edges=None):
                 deg[u] += 1
                 deg[v] += 1
         _stop_past(edges, max_edges)
-    return Graph(n, edges)
+    return _from_pairs(n, edges)
 
 
 def interval(n, seed=0, max_edges=None):
@@ -209,7 +215,7 @@ def interval(n, seed=0, max_edges=None):
         edges += [(i, j) for j in range(i + 1, n)
                   if spans[j][0] <= b and a <= spans[j][1]]
         _stop_past(edges, max_edges)
-    return Graph(n, edges)
+    return _from_pairs(n, edges)
 
 
 # family -> (builder, its parameters in call order, whether it takes a seed,

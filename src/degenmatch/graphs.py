@@ -41,10 +41,9 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Immutable after construction; no self-loops or parallel edges. adj[v]
-    is the ascending tuple of v's neighbours. Graph(n, edges) checks the
-    edges and keeps them as a frozenset in `edges`, in the order they
-    were given; a graph made by _from_adjacency (a parsed graph, an induced
-    subgraph) holds its adjacency only and builds `edges` on first use."""
+    is the ascending tuple of v's neighbours, and adj is all a graph holds:
+    Graph(n, edges) builds it from the edges it checks, _from_adjacency (a
+    parsed, generated or induced graph) takes it as it is."""
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -60,8 +59,7 @@ class Graph:
             if e in seen:
                 raise ValueError("duplicate edge (%s, %s)" % (u, v))
             seen.add(e)
-        self.edges = frozenset(seen)
-        self.adj = _sorted_adjacency(n, self.edges)
+        self.adj = _sorted_adjacency(n, seen)
 
     @classmethod
     def _from_adjacency(cls, adj):
@@ -74,7 +72,10 @@ class Graph:
 
     @cached_property
     def edges(self):
-        return frozenset(self.sorted_edges())
+        # a set filled in ascending order, then frozen: the order of a graph built from
+        # pairs given in ascending order (path, complete, complete-bipartite, interval,
+        # random-bounded-degree), in which the pinned interval-wide weights are drawn
+        return frozenset(set(self.sorted_edges()))
 
     @property
     def m(self):
@@ -113,8 +114,7 @@ def induced_subgraph(g, s):
 
     Vertices are remapped to 0..|s|-1 in ascending order of their original
     identifiers; returns (subgraph, original_ids) with original_ids[i] the
-    vertex of g that became i. The remapped adjacency keeps its order, so
-    the subgraph is built without the checks of Graph(n, edges)."""
+    vertex of g that became i. The remapped adjacency stays ascending."""
     vs = sorted(set(s))
     for v in vs:
         if not 0 <= v < g.n:

@@ -2,7 +2,8 @@ import pytest
 
 from degenmatch import Graph, Matching, degeneracy, induced_subgraph
 from degenmatch.formats import parse_edge_list
-from degenmatch.generate import Rng, complete, complete_bipartite, cycle, path
+from degenmatch.generate import (FAMILIES, Rng, complete, complete_bipartite, cycle,
+                                 generate, path)
 from degenmatch.graphs import _min_key_order, max_matching
 from degenmatch.oracles import _adjacency, _has_cycle, _mask, brute_nu_variants
 
@@ -26,16 +27,26 @@ def test_adjacency_consistent():
 
 
 def test_parsed_graph_builds_edges_on_first_use():
-    # a parsed graph holds its adjacency; it equals, and hashes like, the
-    # graph built from its edges, and builds its edge set when asked
+    # every graph, parsed, constructed or generated, holds its adjacency; it
+    # equals, and hashes like, the graph built from its edges, and builds its
+    # edge set when asked
     g = parse_edge_list("1 2\n4 1\n2 3\n")
     want = Graph(4, [(0, 1), (0, 3), (1, 2)])
-    assert "edges" not in vars(g)
+    assert "edges" not in vars(g) and "edges" not in vars(want)
     assert g == want and hash(g) == hash(want) and g.adj == want.adj
     assert g.m == 3 and g.sorted_edges() == [(0, 1), (0, 3), (1, 2)]
-    assert "edges" not in vars(g)
-    assert g.edges == want.edges and "edges" in vars(g)
+    assert "edges" not in vars(g) and "edges" not in vars(want)
+    assert g.edges == want.edges and "edges" in vars(g) and "edges" in vars(want)
+    assert g == want and hash(g) == hash(want)
     assert g != Graph(4, [(0, 1), (0, 3)]) and g != Graph(5, want.edges)
+    params = {"n": 12, "k": 3, "a": 4, "b": 8, "p": 0.4, "max_degree": 5}
+    for family, (_, names, _, _, _) in FAMILIES.items():
+        h = generate(family, {name: params[name] for name in names}, 3)
+        same = Graph(h.n, h.sorted_edges())
+        assert "edges" not in vars(h) and h.m and h == same and hash(h) == hash(same)
+        assert "edges" not in vars(h)
+        assert h.edges == set(h.sorted_edges()) and "edges" in vars(h)
+        assert h == same and hash(h) == hash(same)
 
 
 def test_has_edge():

@@ -25,6 +25,7 @@ from degenmatch.formats import (
 from degenmatch.generate import (
     FAMILIES,
     Rng,
+    check_params,
     complete,
     complete_bipartite,
     cycle,
@@ -195,6 +196,46 @@ def test_family_edge_counts_equal_the_built_graphs():
                 params = dict(zip(names, (k, n) if family == "k-tree" else (n, k)))
                 assert edge_count(*params.values()) == generate(family, params).m
     assert FAMILIES["path"][4](0) == generate("path", {"n": 0}).m == 0
+
+
+def _small_family_corpus(family):
+    """Every graph of family over n 0 to 40 and seeds 0 to 5 that its rule
+    allows: k-tree at k 1 to 4, complete-bipartite at three splits of n,
+    random-bounded-degree at p 0, 0.3 and 1 and max_degree 0, 2 and 40."""
+    for n in range(41):
+        if family == "k-tree":
+            choices = [{"k": k, "n": n} for k in range(1, 5)]
+        elif family == "complete-bipartite":
+            choices = [{"a": a, "b": n - a} for a in sorted({0, 1, n // 2})]
+        elif family == "random-bounded-degree":
+            choices = [{"n": n, "p": p, "max_degree": d}
+                       for p in (0, 0.3, 1) for d in (0, 2, 40)]
+        else:
+            choices = [{"n": n}]
+        for params in choices:
+            for seed in range(6) if FAMILIES[family][2] else (0,):
+                try:
+                    check_params(family, params, seed)
+                except ValueError:
+                    continue
+                yield generate(family, params, seed)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_builders_list_every_pair_of_a_simple_graph_once(family):
+    # the builders hand their pairs to the adjacency the readers build,
+    # without Graph(n, edges)'s range, self-loop and repeat checks; so each
+    # adjacency tuple must be strictly ascending, in range, free of its own
+    # vertex and symmetric, and the checked constructor must rebuild it
+    count = 0
+    for g in _small_family_corpus(family):
+        for v, a in enumerate(g.adj):
+            assert type(a) is tuple and all(map(int.__lt__, a, a[1:])), (g, v)
+            assert v not in a and all(0 <= w < g.n for w in a), (g, v)
+            assert all(g.has_edge(w, v) for w in a), (g, v)
+        assert Graph(g.n, g.sorted_edges()) == g
+        count += 1
+    assert count >= 38  # cycle's corpus, the smallest, has n 3 to 40
 
 
 @pytest.mark.parametrize("family, params, m", [

@@ -29,7 +29,7 @@ from degenmatch.formats import (
     parse_graph6,
     serialize_graph6,
 )
-from degenmatch.generate import interval, k_tree, path
+from degenmatch.generate import interval, k_tree, path, random_chordal
 from degenmatch.graphs import _check_size
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -628,10 +628,23 @@ def test_a_last_line_fault_matches_the_line_parsers(fmt, last, m, caps):
 @pytest.mark.parametrize("g, digest", [
     (interval(37, 0), "bdffa521c5df992f13b180b8c4e2ea2b9c9f80c7aa2ad6c83829675f01a5cc7f"),
     (interval(59, 3), "9bf6c3887344f61bbee247761436e2f167cb574d5a1060d7110cd4af6a9d4320"),
-    (k_tree(3, 300, 1), "7d83e38cde766f99fed2b24593cf70cdba2ba9715c4fcb0ad37977f14b72bd2b"),
-], ids=["interval-37-0", "interval-59-3", "k-tree-3-300-1"])
+], ids=["interval-37-0", "interval-59-3"])
 def test_constructed_edges_keep_their_iteration_order(g, digest):
-    # benchmarks/jobs.py draws the interval-wide weights in g.edges order, so
-    # Graph(n, edges) keeps the frozenset it builds, in the order it has
-    # always had, which these digests pin
+    # benchmarks/jobs.py draws the interval-wide weights in g.edges order.
+    # interval lists its pairs in ascending order, so the frozenset built
+    # from sorted_edges() on first use iterates them in the order the
+    # frozenset of those pairs always had, which these digests pin
     assert hashlib.sha256(repr(list(g.edges)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("g", [
+    k_tree(3, 300, 1),
+    random_chordal(200, 4),
+    parse_edge_list("".join("%d %d\n" % (v + 1, u + 1)
+                            for u, v in reversed(k_tree(4, 120, 2).sorted_edges()))),
+], ids=["k-tree-3-300-1", "random-chordal-200-4", "parsed"])
+def test_edges_iterate_as_a_set_filled_in_ascending_order(g):
+    # whatever order a builder (k_tree lists its pairs by column) or a text
+    # gives the pairs in, g.edges is frozen from a set filled from
+    # sorted_edges()
+    assert list(g.edges) == list(frozenset(set(g.sorted_edges())))
