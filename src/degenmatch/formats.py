@@ -4,11 +4,10 @@ that holds it, read line by line, and nothing is read again from line 1."""
 
 import re
 from bisect import bisect_left, bisect_right
-from itertools import compress, count, islice
-from operator import eq, itemgetter, ne
+from operator import itemgetter
 
-from .graphs import (Graph, LimitsExceededError, _check_size, _norm_edge,
-                     _sorted_adjacency)
+from .graphs import (Graph, LimitsExceededError, _adjacency, _check_size,
+                     _first_self_loop)
 
 # Default caps on the size of a parsed graph, checked while its ids are read,
 # before its adjacency is built.
@@ -206,33 +205,19 @@ def _refuse(text, read, fmt, top, most):
     returned): a self-loop in the ids it read, else the fault of the chunk it
     stopped at. Returns if it read every chunk and found no self-loop."""
     ends, stop, marks = read
-    it = iter(ends)
-    k = next(compress(count(), map(eq, it, it)), None)
+    k = _first_self_loop(ends)
     if k is not None or stop < len(text):
         _name(text, marks, len(ends) // 2 if k is None else k, fmt, top, most)
 
 
 def _graph(n, text, read, fmt, top, most):
-    """The graph on 0..n-1 with the pairs of ids read as edges; when a vertex
-    lists a neighbour twice, the first self-loop, else repeat, is named."""
-    ends = read[0]
-    it = iter(ends)
-    adj = _sorted_adjacency(n, zip(it, it))
-    extra = len(ends) - sum(map(len, map(set, adj)))
-    if extra:
-        _refuse(text, read, fmt, top, most)
-        # each pair a vertex lists twice, both ways round; no more vertices
-        # list one than there are extra entries
-        dups = compress(range(n), map(ne, map(len, adj), map(len, map(set, adj))))
-        twice = {(u, v) for u in islice(dups, extra)
-                 for v, w in zip(adj[u], adj[u][1:]) if v == w}
-        seen = set()
-        it = iter(ends)
-        for k in compress(count(), map(twice.__contains__, zip(it, it))):
-            e = _norm_edge(*ends[2 * k:2 * k + 2])
-            if e in seen:
-                _name(text, read[2], k, fmt, top, most, repeat=True)
-            seen.add(e)
+    """The graph on 0..n-1 with the pairs of ids read from all of text as
+    edges; the first self-loop, else the first repeat, is named."""
+    adj, loop, again = _adjacency(n, read[0])
+    if loop is not None:
+        _name(text, read[2], loop, fmt, top, most)
+    if again is not None:
+        _name(text, read[2], again, fmt, top, most, repeat=True)
     return Graph._from_adjacency(adj)
 
 

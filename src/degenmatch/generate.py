@@ -2,7 +2,7 @@
 
 import math
 
-from .graphs import Graph, _check_edges, _sorted_adjacency
+from .graphs import Graph, _adjacency, _check_edges
 
 _MASK = (1 << 64) - 1
 
@@ -113,52 +113,56 @@ def _check_bounded_degree(n, p, max_degree):
     _check_probability(p)
 
 
-def _stop_past(edges, max_edges):
-    """Refuse the graph once edges holds more than max_edges (None: no cap),
-    at the first edge past the cap, as the graph readers do."""
-    if max_edges is not None and len(edges) > max_edges:
+def _stop_past(ends, max_edges):
+    """Refuse the graph once the flat id list ends holds more than max_edges
+    pairs (None: no cap), at the first pair past the cap, as the readers do."""
+    if max_edges is not None and len(ends) > 2 * max_edges:
         _check_edges(max_edges + 1, max_edges)
 
 
-def _from_pairs(n, pairs):
-    # each builder lists every pair of a simple graph once, so its graph is
-    # built as the readers build theirs, without Graph(n, edges)'s checks
-    return Graph._from_adjacency(_sorted_adjacency(n, pairs))
+def _build(n, ends):
+    # a builder lists every pair of a simple graph once: a fault is internal
+    adj, *faults = _adjacency(n, ends)
+    if faults != [None, None]:
+        raise AssertionError("generated pairs: first self-loop, repeat %s" % faults)
+    return Graph._from_adjacency(adj)
 
 
 def path(n):
     _check_vertex_count(n)
-    return _from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    return _build(n, [x for u in range(n - 1) for x in (u, u + 1)])
 
 
 def cycle(n):
     _check_cycle(n)
-    return _from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+    return _build(n, [x for u in range(n) for x in (u, (u + 1) % n)])
 
 
 def complete(n):
     _check_vertex_count(n)
-    return _from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    ids = list(range(n))
+    return _build(n, [x for u in ids for v in ids[u + 1:] for x in (u, v)])
 
 
 def complete_bipartite(a, b):
     _check_complete_bipartite(a, b)
-    return _from_pairs(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    ids = list(range(a + b))
+    return _build(a + b, [x for u in ids[:a] for v in ids[a:] for x in (u, v)])
 
 
 def k_tree(k, n, seed=0):
     """Random k-tree: K_{k+1} plus vertices attached to random k-cliques."""
     _check_k_tree(k, n)
     rng = Rng(seed)
-    edges = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    ends = [x for u in range(k + 1) for v in range(u + 1, k + 1) for x in (u, v)]
     cliques = [tuple(range(k + 1))]
     for v in range(k + 1, n):
         base = cliques[rng.randbelow(len(cliques))]
         drop = rng.randbelow(k + 1)
         face = tuple(w for i, w in enumerate(base) if i != drop)
-        edges.extend((w, v) for w in face)
+        ends += [x for w in face for x in (w, v)]
         cliques.append(tuple(sorted(face + (v,))))
-    return _from_pairs(n, edges)
+    return _build(n, ends)
 
 
 def random_chordal(n, seed=0, max_edges=None):
@@ -167,16 +171,16 @@ def random_chordal(n, seed=0, max_edges=None):
     elimination order. Stops past max_edges edges, as _stop_past says."""
     _check_random_chordal(n)
     rng = Rng(seed)
-    edges = []
+    ends = []
     cliques = [(0,)]
     for v in range(1, n):
         base = cliques[rng.randbelow(len(cliques))]
         size = 1 + rng.randbelow(len(base))
         face = rng.sample(base, size)
-        edges.extend((w, v) for w in face)
-        _stop_past(edges, max_edges)
+        ends += [x for w in face for x in (w, v)]
+        _stop_past(ends, max_edges)
         cliques.append(tuple(sorted(face + [v])))
-    return _from_pairs(n, edges)
+    return _build(n, ends)
 
 
 def random_bounded_degree(n, p, max_degree, seed=0, max_edges=None):
@@ -187,16 +191,16 @@ def random_bounded_degree(n, p, max_degree, seed=0, max_edges=None):
     _check_bounded_degree(n, p, max_degree)
     rng = Rng(seed)
     deg = [0] * n
-    edges = []
+    ends = []
     for u in range(n):
         for i in rng.chances(p, n - u - 1):
             v = u + 1 + i
             if deg[u] < max_degree and deg[v] < max_degree:
-                edges.append((u, v))
+                ends += u, v
                 deg[u] += 1
                 deg[v] += 1
-        _stop_past(edges, max_edges)
-    return _from_pairs(n, edges)
+        _stop_past(ends, max_edges)
+    return _build(n, ends)
 
 
 def interval(n, seed=0, max_edges=None):
@@ -209,13 +213,14 @@ def interval(n, seed=0, max_edges=None):
         a = rng.randbelow(2 * n + 1)
         b = rng.randbelow(2 * n + 1)
         spans.append((min(a, b), max(a, b)))
-    edges = []
+    ids = list(range(n))
+    ends = []
     for i, (a, b) in enumerate(spans):
         # [a, b] and [c, d] meet iff c <= b and a <= d
-        edges += [(i, j) for j in range(i + 1, n)
-                  if spans[j][0] <= b and a <= spans[j][1]]
-        _stop_past(edges, max_edges)
-    return _from_pairs(n, edges)
+        ends += [x for j in ids[i + 1:] if spans[j][0] <= b and a <= spans[j][1]
+                 for x in (i, j)]
+        _stop_past(ends, max_edges)
+    return _build(n, ends)
 
 
 # family -> (builder, its parameters in call order, whether it takes a seed,

@@ -3,7 +3,8 @@
 import heapq
 from bisect import bisect_right
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, count, islice, repeat
+from operator import eq, ne
 
 
 class LimitsExceededError(Exception):
@@ -26,15 +27,41 @@ def _norm_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
-def _sorted_adjacency(n, edges):
-    """Ascending adjacency tuples, over one shared int per vertex, of the
-    pairs in edges; a self-loop or repeat lists a neighbour twice."""
+def _first_self_loop(ends):
+    """The index of the first pair (u, u) of the flat id list ends, or None."""
+    it = iter(ends)
+    return next(compress(count(), map(eq, it, it)), None)
+
+
+def _adjacency(n, ends):
+    """(adj, loop, again): the ascending adjacency tuples, over one shared int
+    per vertex, of the pairs of the flat list ends (u0, v0, u1, v1, ...) of
+    ids in 0..n-1, with the index of the first self-loop and of the first
+    pair that repeats an earlier one, or None. Distinct pairs cost one fill
+    and one set pass; the rest runs only when a vertex lists a neighbour twice."""
     ids = list(range(n))
     adj = [[] for _ in ids]
-    for u, v in edges:
+    it = iter(ends)
+    for u, v in zip(it, it):
         adj[u].append(ids[v])
         adj[v].append(ids[u])
-    return list(map(tuple, map(sorted, adj)))
+    adj = list(map(tuple, map(sorted, adj)))
+    extra = len(ends) - sum(map(len, map(set, adj)))
+    if not extra:
+        return adj, None, None
+    # each pair a vertex lists twice, both ways round; no more vertices list
+    # one than there are extra entries
+    dups = compress(range(n), map(ne, map(len, adj), map(len, map(set, adj))))
+    twice = {(u, v) for u in islice(dups, extra)
+             for v, w in zip(adj[u], adj[u][1:]) if v == w}
+    seen = set()
+    it = iter(ends)
+    for k in compress(count(), map(twice.__contains__, zip(it, it))):
+        e = _norm_edge(*ends[2 * k:2 * k + 2])
+        if e in seen:
+            return adj, _first_self_loop(ends), k
+        seen.add(e)
+    return adj, _first_self_loop(ends), None
 
 
 class Graph:
@@ -42,24 +69,27 @@ class Graph:
 
     Immutable after construction; no self-loops or parallel edges. adj[v]
     is the ascending tuple of v's neighbours, and adj is all a graph holds:
-    Graph(n, edges) builds it from the edges it checks, _from_adjacency (a
-    parsed, generated or induced graph) takes it as it is."""
+    Graph(n, edges) builds it through _adjacency and raises ValueError for
+    the first pair in edges out of range, a self-loop or a repeat;
+    _from_adjacency (a parsed, generated or induced graph) takes it as is."""
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("vertex out of range in edge (%s, %s)" % (u, v))
-            if u == v:
-                raise ValueError("self-loop at vertex %s" % u)
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise ValueError("duplicate edge (%s, %s)" % (u, v))
-            seen.add(e)
-        self.adj = _sorted_adjacency(n, seen)
+        ends = [x for u, v in edges for x in (u, v)]
+        if ends and not (0 <= min(ends) and max(ends) < n):
+            i = next(i for i, x in enumerate(ends) if not 0 <= x < n) // 2 * 2
+            # a fault in the pairs before the first one out of range comes first
+            Graph(n, zip(ends[:i:2], ends[1:i:2]))
+            raise ValueError("vertex out of range in edge (%s, %s)"
+                             % tuple(ends[i:i + 2]))
+        self.adj, loop, again = _adjacency(n, ends)
+        k = min({loop, again} - {None}, default=None)
+        if k is not None:
+            u, v = ends[2 * k:2 * k + 2]
+            raise ValueError("self-loop at vertex %s" % u if u == v
+                             else "duplicate edge (%s, %s)" % (u, v))
 
     @classmethod
     def _from_adjacency(cls, adj):

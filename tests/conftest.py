@@ -1,5 +1,6 @@
 """Shared corpus helpers for the test suite, and the references that only
-the tests use: the classical chromatic index and the decomposition validator."""
+the tests use: the pair-by-pair graph constructor, the classical chromatic
+index and the decomposition validator."""
 
 from itertools import combinations
 
@@ -15,6 +16,31 @@ from degenmatch.generate import (
     random_chordal,
 )
 from degenmatch.graphs import _norm_edge
+
+
+def reference_graph(n, edges):
+    """Graph(n, edges) checked pair by pair, as the constructor once was: the
+    same ValueError for the first pair, in the order given, out of range, a
+    self-loop or a repeat, else the graph whose adjacency is sorted from a
+    set of edge tuples. It shares no code with graphs._adjacency, the path
+    of the constructor, the text readers and the generators."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("vertex out of range in edge (%s, %s)" % (u, v))
+        if u == v:
+            raise ValueError("self-loop at vertex %s" % u)
+        e = _norm_edge(u, v)
+        if e in seen:
+            raise ValueError("duplicate edge (%s, %s)" % (u, v))
+        seen.add(e)
+    adj = [[] for _ in range(n)]
+    for u, v in seen:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph._from_adjacency([tuple(sorted(a)) for a in adj])
 
 
 def gnp(n, p, seed):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from degenmatch import Graph, Matching, degeneracy, induced_subgraph
@@ -7,7 +9,7 @@ from degenmatch.generate import (FAMILIES, Rng, complete, complete_bipartite, cy
 from degenmatch.graphs import _min_key_order, max_matching
 from degenmatch.oracles import _adjacency, _has_cycle, _mask, brute_nu_variants
 
-from conftest import gnp, order_corpus, random_matching
+from conftest import gnp, order_corpus, random_matching, reference_graph
 
 
 def test_graph_rejects_bad_edges():
@@ -17,6 +19,33 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 1), (1, 0)])
+
+
+def _built(build, n, edges):
+    try:
+        g = build(n, edges)
+    except ValueError as exc:
+        return str(exc)
+    return g.n, g.adj
+
+
+def test_constructor_matches_the_pair_by_pair_reference():
+    # n 0-6, ids -1..n (so a pair may be out of range on either side), 0-8
+    # pairs with self-loops and repeats, given as a list, an iterator and a
+    # set: the same adjacency or the same message for the first bad pair
+    rng = random.Random(5)
+    faults = set()
+    for _ in range(30000):
+        n = rng.randint(0, 6)
+        pairs = [(rng.randint(-1, n), rng.randint(-1, n))
+                 for _ in range(rng.randint(0, 8))]
+        for edges in (pairs, set(pairs)):
+            want = _built(reference_graph, n, edges)
+            assert _built(Graph, n, edges) == want, (n, edges)
+            assert _built(Graph, n, iter(edges)) == want, (n, edges)
+            if isinstance(want, str):
+                faults.add(want.split()[0])
+    assert faults == {"vertex", "self-loop", "duplicate"}
 
 
 def test_adjacency_consistent():

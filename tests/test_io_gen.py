@@ -36,7 +36,7 @@ from degenmatch.generate import (
     random_chordal,
 )
 
-from conftest import gnp, order_corpus
+from conftest import gnp, order_corpus, reference_graph
 
 
 def test_graph6_hand_encoded():
@@ -223,19 +223,46 @@ def _small_family_corpus(family):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_builders_list_every_pair_of_a_simple_graph_once(family):
-    # the builders hand their pairs to the adjacency the readers build,
-    # without Graph(n, edges)'s range, self-loop and repeat checks; so each
-    # adjacency tuple must be strictly ascending, in range, free of its own
-    # vertex and symmetric, and the checked constructor must rebuild it
+    # the builders hand a flat id list to the adjacency builder that the
+    # readers and Graph(n, edges) share, which refuses a self-loop or a
+    # repeat but takes each id as in range; so each adjacency tuple must be
+    # strictly ascending, in range, free of its own vertex and symmetric, and
+    # the pair-by-pair reference constructor must rebuild it
     count = 0
     for g in _small_family_corpus(family):
         for v, a in enumerate(g.adj):
             assert type(a) is tuple and all(map(int.__lt__, a, a[1:])), (g, v)
             assert v not in a and all(0 <= w < g.n for w in a), (g, v)
             assert all(g.has_edge(w, v) for w in a), (g, v)
-        assert Graph(g.n, g.sorted_edges()) == g
+        assert reference_graph(g.n, g.sorted_edges()) == g
         count += 1
     assert count >= 38  # cycle's corpus, the smallest, has n 3 to 40
+
+
+_BUILDERS = sys.modules["degenmatch.generate"]
+
+
+@pytest.mark.parametrize("ends, faults", [
+    ([0, 1, 1, 2, 0, 1], [None, 2]),
+    ([0, 1, 1, 2, 1, 0], [None, 2]),
+    ([0, 1, 2, 2, 1, 2, 2, 1], [1, 3]),
+    ([0, 0], [0, None]),
+])
+def test_the_build_step_refuses_a_self_loop_or_a_repeat(ends, faults):
+    with pytest.raises(AssertionError) as exc:
+        _BUILDERS._build(3, ends)
+    assert str(exc.value) == "generated pairs: first self-loop, repeat %s" % faults
+
+
+@pytest.mark.parametrize("ends", [[0, 1, 1, 2, 2, 1], [0, 1, 2, 2]])
+def test_a_builder_that_lists_a_bad_pair_exits_internal(capsys, monkeypatch, ends):
+    # a builder that lists a pair twice or a self-loop fails when it builds:
+    # gen exits 5 and writes nothing
+    monkeypatch.setitem(FAMILIES, "path", (lambda n: _BUILDERS._build(n, ends),)
+                        + FAMILIES["path"][1:])
+    assert main(["gen", "--family", "path", "--n", "3"]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal invariant violation: generated pairs")
 
 
 @pytest.mark.parametrize("family, params, m", [

@@ -17,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from conftest import gnp
+from conftest import gnp, reference_graph
 
 from degenmatch import Graph, ParseError, formats
 from degenmatch.formats import (
@@ -81,7 +81,7 @@ def _reference_parse_graph6(text, max_vertices, max_edges):
                 idx = base + k
                 j = (1 + math.isqrt(8 * idx + 1)) // 2
                 edges.append((idx - j * (j - 1) // 2, j))
-    return Graph(n, edges)
+    return reference_graph(n, edges)
 
 
 def _reference_content_lines(text, comment):
@@ -93,11 +93,12 @@ def _reference_content_lines(text, comment):
 
 
 def _reference_graph(n, edges, text, comment, header_lines):
-    """Graph(n, edges) for a parsed edge list or DIMACS text, whose only fault
-    left is an edge listed twice. In such a text, edge k is on content line
-    header_lines + k, so only a refused file is read again to name the line."""
+    """reference_graph(n, edges) for a parsed edge list or DIMACS text, whose
+    only fault left is an edge listed twice. In such a text, edge k is on
+    content line header_lines + k, so only a refused file is read again to
+    name the line."""
     try:
-        return Graph(n, edges)
+        return reference_graph(n, edges)
     except ValueError as exc:
         seen = set()
         for k, e in enumerate(map(frozenset, edges)):
