@@ -10,22 +10,14 @@ import sys
 import time
 from contextlib import nullcontext
 
-from . import __version__
+from . import __version__, oracles
 from .chordal import NotChordalError, build_nice_decomposition, is_chordal, mcs_order
 from .coloring import ColoringInvariantError, greedy_color, verify_coloring
 from .dp import MAX_STATES, DPInvariantError, solve
-from .formats import (
-    MAX_EDGES,
-    MAX_VERTICES,
-    ParseError,
-    check_graph6_size,
-    load_graph,
-    serialize_graph6,
-)
+from .formats import ParseError, check_graph6_size, load_graph, serialize_graph6
 from .generate import FAMILIES, PARAMS, Rng, check_params, generate
-from .graphs import _norm_edge
+from .graphs import MAX_EDGES, MAX_VERTICES, _check_size, _norm_edge
 from .oracles import (
-    DEFAULT_LIMITS,
     LimitsExceededError,
     brute_chromatic_index_r,
     brute_degenerate_states,
@@ -129,9 +121,13 @@ def cmd_oracle(args, g):
     if args.what == "variants":
         nu_s, nu_1, nu_ur, nu = brute_nu_variants(g)
         return {"nu_s": nu_s, "nu_1": nu_1, "nu_ur": nu_ur, "nu": nu}
-    # states, at the decomposition root; r first, as a non-chordal g fails there
+    # states, at the decomposition root: r and the size limits are checked
+    # first, as the other oracles check them, so an input that fails either
+    # is not decomposed (nor refused as not chordal)
     if args.r < 0:
         raise ValueError("r must be non-negative")
+    limits = oracles.DEFAULT_LIMITS
+    _check_size(g.n, g.m, limits.max_vertices, limits.max_edges)
     decomp = build_nice_decomposition(g, mcs_order(g))
     states = brute_degenerate_states(g, decomp, args.r, decomp.root)
     return {
@@ -162,23 +158,25 @@ def cmd_check_chordal(args, g):
 
 def _bench_task(task):
     inst, r = task
-    # cmd_bench has passed every instance through check_params
-    g = generate(inst["family"], inst.get("params", {}), inst.get("seed", 0))
-    row = {"graph-id": inst.get("id", inst["family"]), "n": g.n, "m": g.m,
-           "delta": g.max_degree(), "r": r}
+    limits = oracles.DEFAULT_LIMITS
     checks = [0] * len(BENCH_CHECKS)
+    # cmd_bench has passed every instance through check_params; generate
+    # and solve refuse an instance past the default edge or state cap
     try:
+        g = generate(inst["family"], inst.get("params", {}), inst.get("seed", 0))
+        row = {"graph-id": inst.get("id", inst["family"]), "n": g.n, "m": g.m,
+               "delta": g.max_degree(), "r": r}
         row["nu_r"] = solve(g, r).value
     except NotChordalError:
         pass
     except LimitsExceededError as exc:
         raise LimitsExceededError("instance %r: %s" % (inst.get("id"), exc)) from None
     else:
-        if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= DEFAULT_LIMITS.max_edges:
+        if g.n <= limits.max_vertices and g.m <= limits.max_edges:
             checks[:2] = 1, int(brute_nu_r(g, r) != row["nu_r"])
-    if g.n <= DEFAULT_LIMITS.max_vertices and g.m <= 12:
+    if g.n <= limits.max_vertices and g.m <= 12:
         row["chi_r"] = brute_chromatic_index_r(g, r)
-    if g.n <= 10 and g.m <= DEFAULT_LIMITS.max_edges:
+    if g.n <= 10 and g.m <= limits.max_edges:
         nu_s, nu_1, nu_ur, nu = brute_nu_variants(g)
         row.update({"nu_s": nu_s, "nu_1": nu_1, "nu_ur": nu_ur, "nu": nu})
     if g.m:

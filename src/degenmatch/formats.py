@@ -6,13 +6,9 @@ import re
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
-from .graphs import (Graph, LimitsExceededError, _adjacency, _check_size,
-                     _first_self_loop)
+from .graphs import (MAX_EDGES, MAX_VERTICES, Graph, LimitsExceededError,
+                     _adjacency, _check_size, _first_self_loop)
 
-# Default caps on the size of a parsed graph, checked while its ids are read,
-# before its adjacency is built.
-MAX_VERTICES = 10 ** 6
-MAX_EDGES = 10 ** 7
 # serialize_graph6 refuses a body over 2^28 bytes (n > 56756) before it
 # allocates one.
 MAX_GRAPH6_BYTES = 1 << 28

@@ -2,7 +2,7 @@
 
 import math
 
-from .graphs import Graph, _adjacency, _check_edges
+from .graphs import MAX_EDGES, Graph, _adjacency, _check_edges
 
 _MASK = (1 << 64) - 1
 
@@ -115,8 +115,8 @@ def _check_bounded_degree(n, p, max_degree):
 
 def _stop_past(ends, max_edges):
     """Refuse the graph once the flat id list ends holds more than max_edges
-    pairs (None: no cap), at the first pair past the cap, as the readers do."""
-    if max_edges is not None and len(ends) > 2 * max_edges:
+    pairs, at the first pair past the cap, as the readers do."""
+    if len(ends) > 2 * max_edges:
         _check_edges(max_edges + 1, max_edges)
 
 
@@ -165,7 +165,7 @@ def k_tree(k, n, seed=0):
     return _build(n, ends)
 
 
-def random_chordal(n, seed=0, max_edges=None):
+def random_chordal(n, seed=0, max_edges=MAX_EDGES):
     """Simplicial growth: each new vertex attaches to a random sub-clique of a
     random existing clique, so the reverse creation order is a perfect
     elimination order. Stops past max_edges edges, as _stop_past says."""
@@ -183,7 +183,7 @@ def random_chordal(n, seed=0, max_edges=None):
     return _build(n, ends)
 
 
-def random_bounded_degree(n, p, max_degree, seed=0, max_edges=None):
+def random_bounded_degree(n, p, max_degree, seed=0, max_edges=MAX_EDGES):
     """Bernoulli(p) over pairs in lexicographic order, one draw per pair,
     rejecting edges that would push either endpoint past the degree cap.
     Row u's n - u - 1 draws come from one Rng.chances call. Stops past
@@ -203,7 +203,7 @@ def random_bounded_degree(n, p, max_degree, seed=0, max_edges=None):
     return _build(n, ends)
 
 
-def interval(n, seed=0, max_edges=None):
+def interval(n, seed=0, max_edges=MAX_EDGES):
     """Intersection graph of n integer intervals with endpoints in [0, 2n].
     Stops past max_edges edges, as _stop_past says."""
     _check_vertex_count(n)
@@ -274,18 +274,16 @@ def _arguments(family, params):
     return [params.get(name, 0.2) for name in FAMILIES[family][1]]
 
 
-def generate(family, params, seed=0, max_edges=None):
+def generate(family, params, seed=0, max_edges=MAX_EDGES):
     """Graph of family, once check_params has passed it. A graph of more than
-    max_edges edges (None: no cap) raises LimitsExceededError: before it is
-    built where the parameters fix the count, else at the first edge past
-    the cap."""
+    max_edges edges raises LimitsExceededError: before it is built where the
+    parameters fix the count, else at the first edge past the cap."""
     check_params(family, params, seed)
-    if max_edges is not None and max_edges < 0:
+    if max_edges < 0:
         raise ValueError("max_edges must be non-negative")
     builder, _, takes_seed, _, edge_count = FAMILIES[family]
     args = _arguments(family, params)
     if edge_count is None:
         return builder(*args, seed, max_edges=max_edges)
-    if max_edges is not None:
-        _check_edges(edge_count(*args), max_edges)
+    _check_edges(edge_count(*args), max_edges)
     return builder(*args, seed) if takes_seed else builder(*args)

@@ -11,6 +11,13 @@ class LimitsExceededError(Exception):
     """An input or a search is larger than a configured limit allows."""
 
 
+# Default caps on the size of a graph, checked before its adjacency is built:
+# the readers check both while a graph's ids are read, the generators the
+# edge cap before or while they list its pairs.
+MAX_VERTICES = 10 ** 6
+MAX_EDGES = 10 ** 7
+
+
 def _check_size(n, m, max_vertices, max_edges):
     if n > max_vertices:
         raise LimitsExceededError(
@@ -45,7 +52,11 @@ def _adjacency(n, ends):
     for u, v in zip(it, it):
         adj[u].append(ids[v])
         adj[v].append(ids[u])
-    adj = list(map(tuple, map(sorted, adj)))
+    # each list is sorted and replaced by its tuple in place, so it is freed
+    # as its tuple is made
+    for u, a in enumerate(adj):
+        a.sort()
+        adj[u] = tuple(a)
     extra = len(ends) - sum(map(len, map(set, adj)))
     if not extra:
         return adj, None, None

@@ -17,6 +17,7 @@ from degenmatch import cli, dp, oracles
 from degenmatch.cli import main
 from degenmatch.formats import serialize_graph6
 from degenmatch.generate import (
+    FAMILIES,
     complete,
     complete_bipartite,
     cycle,
@@ -439,6 +440,29 @@ def test_oracle_rejects_negative_r(tmp_path, capsys, what, graph):
     assert capsys.readouterr() == ("", "invalid input: r must be non-negative\n")
 
 
+@pytest.mark.parametrize("what", ["nur", "chi", "variants", "states"])
+def test_oracle_checks_its_limits_before_decomposing(tmp_path, capsys, monkeypatch,
+                                                     what):
+    # five disjoint chordless 4-cycles (20 vertices) and a 300,000-vertex
+    # path are past the oracles' 16 vertices; every oracle refuses both from
+    # their size, and states does so before MCS and the decomposition, so the
+    # cycles are not refused as not chordal and the path is not decomposed
+    def decompose(*args):
+        raise AssertionError("decomposed")
+
+    monkeypatch.setattr(cli, "mcs_order", decompose)
+    monkeypatch.setattr(cli, "build_nice_decomposition", decompose)
+    cycles = tmp_path / "c4s.txt"
+    cycles.write_text("".join("%d %d\n" % (4 * i + j + 1, 4 * i + (j + 1) % 4 + 1)
+                              for i in range(5) for j in range(4)))
+    long_path = tmp_path / "path.txt"
+    long_path.write_text("".join("%d %d\n" % (v, v + 1) for v in range(1, 300000)))
+    for graph, n in ((cycles, 20), (long_path, 300000)):
+        assert main(["oracle", "--input", str(graph), "--what", what]) == 4
+        assert capsys.readouterr() == (
+            "", "limits exceeded: %d vertices exceeds limit 16\n" % n)
+
+
 def test_gen_round_trip(tmp_path, capsys):
     out = tmp_path / "k33.g6"
     code, report = run(capsys, "gen", "--family", "complete-bipartite",
@@ -664,6 +688,28 @@ def test_bench_instance_over_state_cap(tmp_path, capsys):
     assert elapsed < 1
 
 
+# complete(4473) has 10,001,628 edges, past the default edge cap
+BIG_SUITE = {"instances": [{"id": "big", "family": "complete", "params": {"n": 4473}}]}
+
+
+def _refuse_to_build_complete(monkeypatch):
+    def build(*args):
+        raise AssertionError("graph built")
+
+    monkeypatch.setitem(FAMILIES, "complete", (build,) + FAMILIES["complete"][1:])
+
+
+def test_bench_instance_over_edge_cap(tmp_path, capsys, monkeypatch):
+    # bench builds each instance under gen's default edge cap: the count
+    # n(n - 1)/2 refuses this one before its builder runs
+    _refuse_to_build_complete(monkeypatch)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(BIG_SUITE))
+    assert main(["bench", "--suite", str(suite)]) == 4
+    assert capsys.readouterr() == (
+        "", "limits exceeded: instance 'big': 10001628 edges exceeds limit 10000000\n")
+
+
 def test_bench_sparse_instance_over_oracle_vertices(tmp_path, capsys):
     # 30 vertices and 4 edges: few enough edges for the chromatic oracle, but
     # more vertices than its limit, so the row leaves chi_r empty
@@ -861,6 +907,9 @@ def _paused_commands(tmp_path, monkeypatch):
     weights.write_text(json.dumps([[u, v, u + 2 * v] for u, v in g.sorted_edges()]))
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps(BENCH_SUITE))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(BIG_SUITE))
+    _refuse_to_build_complete(monkeypatch)
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n")
     # a budget of 0 ms stops each oracle search at its first deadline check,
@@ -890,6 +939,7 @@ def _paused_commands(tmp_path, monkeypatch):
         (["nur", "--input", str(bad), "--r", "1"], 3),
         (["nur", "--input", kt, "--r", "1", "--max-edges", "3"], 4),
         (["gen", "--family", "interval", "--n", "500", "--max-edges", "10"], 4),
+        (["bench", "--suite", str(big)], 4),
         (["oracle", "--input", sparse, "--what", "nur", "--r", "1"], 4),
         (["oracle", "--input", sparse, "--what", "variants"], 4),
         (["oracle", "--input", dense, "--what", "chi", "--r", "2"], 4),

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import re
 import sys
@@ -293,6 +294,22 @@ def test_gen_max_edges_defaults_to_the_readers_cap(capsys, monkeypatch):
         assert main(["gen", "--family", "complete", "--n", str(n)]) == 4
         assert capsys.readouterr() == (
             "", "limits exceeded: %d edges exceeds limit %d\n" % (m, formats.MAX_EDGES))
+
+
+def test_generate_defaults_to_the_readers_cap(monkeypatch):
+    # generate has no uncapped mode: complete(4473), 10,001,628 edges, is
+    # refused from its count before it is built
+    monkeypatch.setitem(FAMILIES, "complete",
+                        (_refuse_to_build,) + FAMILIES["complete"][1:])
+    with pytest.raises(LimitsExceededError,
+                       match="^10001628 edges exceeds limit 10000000$"):
+        generate("complete", {"n": 4473})
+
+
+@pytest.mark.parametrize("builder", [interval, random_chordal, random_bounded_degree])
+def test_stopping_builders_default_to_the_readers_cap(builder):
+    default = inspect.signature(builder).parameters["max_edges"].default
+    assert default == formats.MAX_EDGES == 10 ** 7
 
 
 @pytest.mark.parametrize("family, params", [
