@@ -1,14 +1,25 @@
 """Bottom-up dynamic program for maximum r-degenerate matchings in chordal graphs.
 
-Tables map a state (S, N) -- N inside S inside the current bag, |S| <= r+1 --
-to (value, witness): the best matching size (or weight) achievable in G_t,
-the subgraph on the vertices of the bags below the node and of the vertices
-its pendant nodes hang, and a matching that reaches it, from the first
-candidate to reach it (the recursions are monotone in the value, so keeping
-the maximum is exact). Each handler copies the states it keeps with
-`dict(child)`, which carries their stored hashes, and rehashes only the
-states that change: the ones an introduce or a pendant node adds, and at a
-forget the ones holding the forgotten vertex.
+A table holds the states (S, N) -- N inside S inside the current bag,
+|S| <= r+1 -- of a node, each with (value, witness): the best matching size
+(or weight) achievable in G_t, the subgraph on the vertices of the bags below
+the node and of the vertices its pendant nodes hang, and a matching that
+reaches it, from the first candidate to reach it (the recursions are
+monotone in the value, so keeping the maximum is exact).
+
+A `Table` stores its states grouped by S: a dict from each S to its N-table,
+a dict from each N to (value, witness). It reads as the flat mapping from
+(S, N) to (value, witness). No N-table is written once its handler has
+returned it, so tables share N-tables, and a handler copies one only to
+write into it:
+- an introduce node copies only the outer dict, and gives each S + x the
+  child's own N-table of S, so it builds no state;
+- a forget node keeps every S without x with its N-table, and folds each
+  group that holds x into a copy of the N-table of S - x (or a new one);
+- a pendant node copies the N-tables of the groups it matches into;
+- a join builds the N-table of each S from the two sides' N-tables of S.
+A copy carries the stored hashes of its keys, so only the states that change
+are hashed.
 
 A pendant node hangs a vertex c with no earlier neighbour, which lies in no
 bag, off its parent's bag, which holds N(c). c's neighbours in V(M) u S are
@@ -30,6 +41,7 @@ every matching of a chordal graph is r-degenerate, and `solve` returns
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 
 from .chordal import _largest_bag, build_nice_decomposition, mcs_order
 from .coloring import _is_r_degenerate
@@ -44,39 +56,68 @@ class DPInvariantError(RuntimeError):
     to the reported value; signals an implementation bug."""
 
 
+class Table(Mapping):
+    """A DP table grouped by S, read-only: groups maps each S to its
+    N-table, a dict from N to (value, witness) that other tables may share,
+    and size is the number of states, counted as the groups are built. It
+    iterates, measures and indexes as the states (S, N)."""
+
+    __slots__ = ("groups", "size")
+
+    def __init__(self, groups, size):
+        self.groups = groups
+        self.size = size
+
+    def __getitem__(self, key):
+        try:
+            s, n = key
+            return self.groups[s][n]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        for s, ntable in self.groups.items():
+            for n in ntable:
+                yield s, n
+
+    def __len__(self):
+        return self.size
+
+    def __repr__(self):
+        return "Table(%r)" % self.groups
+
+
 def dp_leaf():
-    return {_EMPTY: (0, None)}
+    return Table({(): {(): (0, None)}}, 1)
 
 
 def dp_introduce(child, x, r):
-    """Introduce node for x: keep child states, and add x to any S' of size <= r."""
-    # x is new to the bag, so no two candidates share a key; dict(child) copies
-    # the kept states with their stored hashes, and each distinct S is sorted once
-    table = dict(child)
-    grown = {}
-    for (s, n), value in child.items():
+    """Introduce node for x: keep child states, and add x to any S' of size
+    <= r. x is new to the bag, so each S' + x is a new group, and it takes
+    the child's N-table of S' itself."""
+    groups = dict(child.groups)
+    size = child.size
+    for s, ntable in child.groups.items():
         if len(s) <= r:
-            s_x = grown.get(s)
-            if s_x is None:
-                s_x = grown[s] = tuple(sorted(s + (x,)))
-            table[(s_x, n)] = value
-    return table
+            groups[tuple(sorted(s + (x,)))] = ntable
+            size += len(ntable)
+    return Table(groups, size)
 
 
-def _match(table, s, n, x, ys, value, weights):
+def _match(ntable, n, x, ys, value, weights):
     """The match step of forget and pendant nodes: for each y in ys outside
-    n, the state (s, n + y) with x matched to y, at value's size plus 1 or
-    the weight of xy and with the witness node (x, y, rest). A state keeps
-    the first candidate that reaches its best value."""
+    n, the state N = n + y of ntable with x matched to y, at value's size
+    plus 1 or the weight of xy and with the witness node (x, y, rest). A
+    state keeps the first candidate that reaches its best value."""
     v, witness = value
     for y in ys:
         if y in n:
             continue
-        new = (s, tuple(sorted(n + (y,))))
+        new = tuple(sorted(n + (y,)))
         gained = v + (1 if weights is None else weights[_norm_edge(x, y)])
-        cur = table.get(new)
+        cur = ntable.get(new)
         if cur is None or gained > cur[0]:
-            table[new] = (gained, (x, y, witness))
+            ntable[new] = (gained, (x, y, witness))
 
 
 def dp_forget(child, x, weights=None):
@@ -87,29 +128,33 @@ def dp_forget(child, x, weights=None):
     is an edge), adding 1 or the weight of xy and the witness node (x, y, rest).
     Each state keeps the first case, in that order, that reaches its best
     value."""
-    # the kept states are copied with their stored hashes; only the states
-    # holding x are popped, and their cases folded back in by maximum (a
-    # folded key never holds x, so it is never one still waiting to be popped)
-    table = dict(child)
-    shrunk = {}
-    for key, value in child.items():
-        s, n = key
+    # the groups avoiding x are kept with their N-tables; each group S
+    # holding x is the one source of S - x (which avoids x, so it is never a
+    # group still waiting to be popped), so the child's N-table of S - x is
+    # copied once, when its cases fold into it
+    groups = dict(child.groups)
+    size = child.size
+    for s, ntable in child.groups.items():
         if x not in s:
             continue
-        del table[key]
-        s_minus = shrunk.get(s)
-        if s_minus is None:
-            i = s.index(x)
-            s_minus = shrunk[s] = s[:i] + s[i + 1:]
-        if x in n:
-            i = n.index(x)
-            new = (s_minus, n[:i] + n[i + 1:])
-            cur = table.get(new)
-            if cur is None or value[0] > cur[0]:
-                table[new] = value
-            continue
-        _match(table, s_minus, n, x, s_minus, value, weights)
-    return table
+        del groups[s]
+        i = s.index(x)
+        s_minus = s[:i] + s[i + 1:]
+        kept = groups.get(s_minus)
+        folded = {} if kept is None else dict(kept)
+        size -= len(ntable) + len(folded)
+        for n, value in ntable.items():
+            if x in n:
+                i = n.index(x)
+                n_minus = n[:i] + n[i + 1:]
+                cur = folded.get(n_minus)
+                if cur is None or value[0] > cur[0]:
+                    folded[n_minus] = value
+            else:
+                _match(folded, n, x, s_minus, value, weights)
+        groups[s_minus] = folded
+        size += len(folded)
+    return Table(groups, size)
 
 
 def dp_pendant(child, x, neighbours, r, weights=None):
@@ -122,48 +167,51 @@ def dp_pendant(child, x, neighbours, r, weights=None):
     so G[V(M) u S] stays r-degenerate exactly when there are at most r of them
     (r + 1 would close a clique of r + 2 with x). Each state keeps the first
     candidate, in that order, that reaches its best value."""
-    table = dict(child)
+    groups = dict(child.groups)
+    size = child.size
     near = set(neighbours)
-    offers = {}
-    for (s, n), value in child.items():
-        ys = offers.get(s)
-        if ys is None:
-            ys = [y for y in s if y in near]
-            ys = offers[s] = ys if len(ys) <= r else ()
-        if ys:
-            _match(table, s, n, x, ys, value, weights)
-    return table
+    for s, ntable in child.groups.items():
+        ys = [y for y in s if y in near]
+        if not ys or len(ys) > r:
+            continue
+        matched = dict(ntable)
+        for n, value in ntable.items():
+            _match(matched, n, x, ys, value, weights)
+        groups[s] = matched
+        size += len(matched) - len(ntable)
+    return Table(groups, size)
 
 
 def dp_join(left, right):
     """Join node: combine same-S states with disjoint matched sets; the
     witness is (left, right), or the one side that is not None."""
-    by_s = {}
-    for (s, rn), rvalue in right.items():
-        by_s.setdefault(s, []).append((rn, rvalue))
-    table = {}
-    for (s, ln), (lvalue, lwitness) in left.items():
-        rights = by_s.get(s)
-        if rights is None:
+    groups = {}
+    size = 0
+    for s, lefts in left.groups.items():
+        rtable = right.groups.get(s)
+        if rtable is None:
             continue
-        lset = set(ln) if ln else None
-        for rn, (rvalue, rwitness) in rights:
-            # an empty side merges to the other one, with no set and no sort
-            if lset is None:
-                n = rn
-            elif not rn:
-                n = ln
-            elif lset.isdisjoint(rn):
-                n = tuple(sorted(ln + rn))
-            else:
-                continue
-            key = (s, n)
-            value = lvalue + rvalue
-            cur = table.get(key)
-            if cur is None or value > cur[0]:
-                table[key] = (value, rwitness if lwitness is None else lwitness
-                              if rwitness is None else (lwitness, rwitness))
-    return table
+        ntable = {}
+        for ln, (lvalue, lwitness) in lefts.items():
+            lset = set(ln) if ln else None
+            for rn, (rvalue, rwitness) in rtable.items():
+                # an empty side merges to the other one, with no set and no sort
+                if lset is None:
+                    n = rn
+                elif not rn:
+                    n = ln
+                elif lset.isdisjoint(rn):
+                    n = tuple(sorted(ln + rn))
+                else:
+                    continue
+                value = lvalue + rvalue
+                cur = ntable.get(n)
+                if cur is None or value > cur[0]:
+                    ntable[n] = (value, rwitness if lwitness is None else lwitness
+                                 if rwitness is None else (lwitness, rwitness))
+        groups[s] = ntable
+        size += len(ntable)
+    return Table(groups, size)
 
 
 def run_tables(decomp, r, weights=None):

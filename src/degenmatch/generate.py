@@ -113,6 +113,14 @@ def _check_bounded_degree(n, p, max_degree):
     _check_probability(p)
 
 
+def _check_max_edges(max_edges):
+    # a bool or a float is refused, as r and max_states are in dp.solve
+    if type(max_edges) is not int:
+        raise ValueError("max_edges must be an integer")
+    if max_edges < 0:
+        raise ValueError("max_edges must be non-negative")
+
+
 def _stop_past(ends, max_edges):
     """Refuse the graph once the flat id list ends holds more than max_edges
     pairs, at the first pair past the cap, as the readers do."""
@@ -170,6 +178,7 @@ def random_chordal(n, seed=0, max_edges=MAX_EDGES):
     random existing clique, so the reverse creation order is a perfect
     elimination order. Stops past max_edges edges, as _stop_past says."""
     _check_random_chordal(n)
+    _check_max_edges(max_edges)
     rng = Rng(seed)
     ends = []
     cliques = [(0,)]
@@ -189,6 +198,7 @@ def random_bounded_degree(n, p, max_degree, seed=0, max_edges=MAX_EDGES):
     Row u's n - u - 1 draws come from one Rng.chances call. Stops past
     max_edges edges, as _stop_past says."""
     _check_bounded_degree(n, p, max_degree)
+    _check_max_edges(max_edges)
     rng = Rng(seed)
     deg = [0] * n
     ends = []
@@ -207,6 +217,7 @@ def interval(n, seed=0, max_edges=MAX_EDGES):
     """Intersection graph of n integer intervals with endpoints in [0, 2n].
     Stops past max_edges edges, as _stop_past says."""
     _check_vertex_count(n)
+    _check_max_edges(max_edges)
     rng = Rng(seed)
     spans = []
     for _ in range(n):
@@ -275,12 +286,12 @@ def _arguments(family, params):
 
 
 def generate(family, params, seed=0, max_edges=MAX_EDGES):
-    """Graph of family, once check_params has passed it. A graph of more than
-    max_edges edges raises LimitsExceededError: before it is built where the
-    parameters fix the count, else at the first edge past the cap."""
+    """Graph of family, once check_params has passed it and max_edges is an
+    int of at least 0 (else ValueError). A graph of more than max_edges edges
+    raises LimitsExceededError: before it is built where the parameters fix
+    the count, else at the first edge past the cap."""
     check_params(family, params, seed)
-    if max_edges < 0:
-        raise ValueError("max_edges must be non-negative")
+    _check_max_edges(max_edges)
     builder, _, takes_seed, _, edge_count = FAMILIES[family]
     args = _arguments(family, params)
     if edge_count is None:

@@ -6,7 +6,7 @@ from itertools import combinations
 
 from degenmatch import Graph, Matching, dp, oracles
 from degenmatch.chordal import build_nice_decomposition, mcs_order
-from degenmatch.dp import dp_pendant
+from degenmatch.dp import dp_introduce, dp_pendant
 from degenmatch.generate import (
     Rng,
     cycle,
@@ -317,13 +317,18 @@ TRIANGLE_TAIL_2 = Graph(5, [(0, 2), (0, 3), (2, 3), (1, 3), (1, 4)])
 TRIANGLE_TAIL_3 = Graph(6, [(0, 2), (0, 3), (2, 3), (0, 4), (1, 4), (1, 5)])
 
 
+def flat_table(states):
+    """The dp.Table of states, a flat dict from (S, N) to (value, witness),
+    grouped by S in the dict's order: every table the tests build by hand."""
+    groups = {}
+    for (s, n), value in states.items():
+        groups.setdefault(s, {})[n] = value
+    return dp.Table(groups, len(states))
+
+
 def introduce_one_too_many(child, x, r):
     """dp_introduce that grows S up to r + 2 vertices instead of r + 1."""
-    table = dict(child)
-    for (s, n), value in child.items():
-        if len(s) <= r + 1:
-            table[(tuple(sorted(s + (x,))), n)] = value
-    return table
+    return dp_introduce(child, x, r + 1)
 
 
 def join_overlapping(left, right):
@@ -335,7 +340,7 @@ def join_overlapping(left, right):
             cur = table.get(key)
             if rs == s and (cur is None or lvalue + rvalue > cur[0]):
                 table[key] = (lvalue + rvalue, (lwitness, rwitness))
-    return table
+    return flat_table(table)
 
 
 def join_left_twice(left, right):
@@ -352,7 +357,7 @@ def join_left_twice(left, right):
                 table[key] = (lvalue + rvalue, rwitness if lwitness is None
                               else lwitness if rwitness is None
                               else (lwitness, lwitness))
-    return table
+    return flat_table(table)
 
 
 def forget_unrecorded_match(child, x, weights=None):
@@ -370,7 +375,7 @@ def forget_unrecorded_match(child, x, weights=None):
             cur = table.get(key)
             if cur is None or gained > cur[0]:
                 table[key] = (gained, witness)
-    return table
+    return flat_table(table)
 
 
 def pendant_one_too_many(child, x, neighbours, r, weights=None):

@@ -26,7 +26,7 @@ from degenmatch.generate import (
     path,
 )
 
-from conftest import WRONG_RECURRENCES, gnp
+from conftest import WRONG_RECURRENCES, flat_table, gnp
 
 
 def run(capsys, *argv):
@@ -63,8 +63,7 @@ def test_nur_inconsistent_tables_exit_internal(tmp_path, capsys, monkeypatch):
     def corrupted(decomp, r, weights=None):
         root, largest = run_tables(decomp, r, weights)
         value, witness = root[((), ())]
-        root[((), ())] = (value + 1, witness)
-        return root, largest
+        return flat_table({((), ()): (value + 1, witness)}), largest
 
     monkeypatch.setattr(dp, "run_tables", corrupted)
     # a 2-tree has omega = 3, so r = 1 runs the DP

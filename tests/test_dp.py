@@ -43,6 +43,7 @@ from conftest import (
     _reference_sub_degeneracy,
     all_tables,
     dp_value,
+    flat_table,
     node_table,
 )
 
@@ -54,7 +55,7 @@ def _values(table):
 
 def _table(values):
     """A table holding values, each with the empty witness."""
-    return {key: (value, None) for key, value in values.items()}
+    return flat_table({key: (value, None) for key, value in values.items()})
 
 
 def test_dp_leaf():
@@ -75,6 +76,20 @@ def test_dp_introduce_size_guard():
     t = dp_introduce(child, 3, 1)
     # |S'| = 2 > r = 1, so no augmented copy
     assert set(t) == {((1, 2), ())}
+
+
+def test_dp_introduce_shares_the_child_n_tables():
+    # each S' + x takes the child's N-table of S' itself, and each kept S its
+    # own: an introduce node builds no state
+    child = _table({((), ()): 0, ((1,), ()): 0, ((1,), (1,)): 2,
+                    ((1, 2), ()): 1, ((1, 2), (2,)): 3})
+    t = dp_introduce(child, 3, 1)
+    assert t.groups.keys() == {(), (1,), (1, 2), (3,), (1, 3)}
+    for s, ntable in child.groups.items():
+        assert t.groups[s] is ntable
+    assert t.groups[(3,)] is child.groups[()]
+    assert t.groups[(1, 3)] is child.groups[(1,)]
+    assert len(t) == len(list(t)) == 5 + 1 + 2
 
 
 def test_dp_forget_cases():
@@ -103,8 +118,8 @@ def test_dp_pendant_cases():
     # is kept with its own (value, witness), and each state offers (S, N + y)
     # for each y in S cap N(9) outside N, 1 more and with the witness
     # (9, y, rest); ((1, 2), (1,)) keeps its 2 over the match 9-1 worth 1
-    child = {((1, 2), ()): (0, None), ((1, 2), (1,)): (2, ("a",)),
-             ((1, 3), ()): (1, ("b",)), ((3,), ()): (0, None)}
+    child = flat_table({((1, 2), ()): (0, None), ((1, 2), (1,)): (2, ("a",)),
+                        ((1, 3), ()): (1, ("b",)), ((3,), ()): (0, None)})
     before = dict(child)
     t = dp_pendant(child, 9, (1, 2), 2)
     assert child == before
@@ -119,7 +134,7 @@ def test_dp_pendant_size_guard():
     # at r = 1, S = (1, 2) holds both neighbours of 9, and matching 9 would
     # close the triangle 1 2 9: nothing is offered there, while (1, 3),
     # which holds one, still offers its match
-    child = {((1, 2), ()): (0, None), ((1, 3), ()): (1, ("b",))}
+    child = flat_table({((1, 2), ()): (0, None), ((1, 3), ()): (1, ("b",))})
     before = dict(child)
     t = dp_pendant(child, 9, (1, 2), 1)
     assert child == before
@@ -128,7 +143,7 @@ def test_dp_pendant_size_guard():
 
 def test_dp_pendant_weighted():
     # a match adds the weight of its edge; 9-1 worth 5 beats the kept 2
-    child = {((1, 2), ()): (0, None), ((1, 2), (1,)): (2, ("a",))}
+    child = flat_table({((1, 2), ()): (0, None), ((1, 2), (1,)): (2, ("a",))})
     before = dict(child)
     t = dp_pendant(child, 9, (1, 2), 2, weights={(1, 9): 5, (2, 9): 7})
     assert child == before
@@ -154,14 +169,14 @@ def test_witness_is_carried_forward():
     # keep reuse the child's (value, witness) object, and a join pairs two
     # witnesses or passes the one that is not None
     child = {((1, 2), ()): (0, None), ((2,), (2,)): (4, ("a",))}
-    t = dp_forget(child, 1)
+    t = dp_forget(flat_table(child), 1)
     assert t[((2,), (2,))] == (4, ("a",))  # the kept state beats the match
     child[((2,), (2,))] = (0, None)
-    t = dp_forget(child, 1)
+    t = dp_forget(flat_table(child), 1)
     assert t[((2,), (2,))] == (1, (1, 2, None))
     assert dp_introduce(t, 3, 2)[((2, 3), (2,))] is t[((2,), (2,))]
-    left = {((7, 8), (7,)): (1, ("l",)), ((7, 8), ()): (0, None)}
-    right = {((7, 8), (8,)): (2, ("r",)), ((7, 8), ()): (0, None)}
+    left = flat_table({((7, 8), (7,)): (1, ("l",)), ((7, 8), ()): (0, None)})
+    right = flat_table({((7, 8), (8,)): (2, ("r",)), ((7, 8), ()): (0, None)})
     t = dp_join(left, right)
     assert t[((7, 8), (7, 8))] == (3, (("l",), ("r",)))
     assert t[((7, 8), (7,))] == (1, ("l",))
@@ -283,9 +298,10 @@ def test_witness_valid_over_wide_bags():
 
 
 def test_handlers_leave_child_tables_unchanged():
-    # a handler copies its child table and must not edit the child itself:
-    # the tables of all_tables, and the tests reading them, must be the ones
-    # each node's handler built
+    # a handler copies the outer dict of its child table and must edit
+    # neither it nor any of its N-tables, which the child shares with its
+    # own children and with the new table: the tables of all_tables, and the
+    # tests reading them, must be the ones each node's handler built
     for s in range(12):
         g = interval(12 + s, s)
         wg = {e: 1 + e[0] % 3 for e in g.sorted_edges()}
@@ -294,9 +310,17 @@ def test_handlers_leave_child_tables_unchanged():
             tables = {}
             for t, nd in enumerate(decomp.nodes):
                 kids = [tables[c] for c in nd.children]
-                before = [list(k.items()) for k in kids]
+                before = [(len(k), dict(k.groups),
+                           [(ntable, list(ntable.items()))
+                            for ntable in k.groups.values()]) for k in kids]
                 tables[t] = node_table(nd, kids, r, weights)
-                assert [list(k.items()) for k in kids] == before
+                # the size a handler counts is the number of states it holds
+                assert len(tables[t]) == len(list(tables[t]))
+                for k, (size, groups, ntables) in zip(kids, before):
+                    assert len(k) == size and k.groups == groups
+                    assert all(k.groups[key] is groups[key] for key in groups)
+                    for ntable, items in ntables:
+                        assert list(ntable.items()) == items
             assert tables == all_tables(decomp, r, weights)
             largest = max(map(len, tables.values()))
             assert run_tables(decomp, r, weights) == (tables[decomp.root], largest)
@@ -426,16 +450,15 @@ def test_certificate_rejects_inconsistent_values(monkeypatch, where):
         weights = {e: rng.randbelow(10 ** 6) / 997 for e in g.sorted_edges()}
     solve(g, 2, weights=weights)
     if where == "leaves":
-        monkeypatch.setattr(dp, "dp_leaf", lambda: {_EMPTY: (1, None)})
+        monkeypatch.setattr(dp, "dp_leaf", lambda: flat_table({_EMPTY: (1, None)}))
     else:
         run = dp.run_tables
 
         def corrupted(decomp, r, weights=None):
             root, largest = run(decomp, r, weights)
             v, witness = root[_EMPTY]
-            root[_EMPTY] = (math.nextafter(v, math.inf) if weights else v + 1,
-                            witness)
-            return root, largest
+            return flat_table({_EMPTY: (math.nextafter(v, math.inf) if weights
+                                        else v + 1, witness)}), largest
 
         monkeypatch.setattr(dp, "run_tables", corrupted)
     with pytest.raises(DPInvariantError, match="^witness adds up to "):
@@ -457,12 +480,13 @@ def test_solve_certifies_witness_edges_and_size(monkeypatch):
     # non-edge, or too few edges, is caught before the result leaves solve
     for witness, problem in (((1, 3, None), "not an edge"),
                              (None, "adds up to 0, value is 1")):
-        monkeypatch.setattr(dp, "run_tables",
-                            lambda *args, w=witness: ({_EMPTY: (1, w)}, 1))
+        monkeypatch.setattr(dp, "run_tables", lambda *args, w=witness:
+                            (flat_table({_EMPTY: (1, w)}), 1))
         with pytest.raises(DPInvariantError, match=problem):
             solve(PAW, 1)
     # a weighted non-edge has no weight to re-add, and is still reported
-    monkeypatch.setattr(dp, "run_tables", lambda *args: ({_EMPTY: (1, (1, 3, None))}, 1))
+    monkeypatch.setattr(dp, "run_tables",
+                        lambda *args: (flat_table({_EMPTY: (1, (1, 3, None))}), 1))
     with pytest.raises(DPInvariantError, match="adds up to nan"):
         solve(PAW, 1, weights=dict.fromkeys(PAW.edges, 1))
 

@@ -345,6 +345,24 @@ def test_gen_negative_max_edges_is_invalid(capsys):
     assert capsys.readouterr() == ("", "invalid input: max_edges must be non-negative\n")
 
 
+@pytest.mark.parametrize("cap, message", [
+    (None, "an integer"), (2.5, "an integer"), (3.0, "an integer"),
+    (True, "an integer"), ("3", "an integer"), (-1, "non-negative"),
+])
+def test_max_edges_must_be_an_int_of_at_least_0(cap, message):
+    # generate and the builders that stop past the cap refuse it before they
+    # build anything, as solve refuses an r or a max_states that is not an
+    # int; True is no cap of 1
+    calls = (lambda: generate("path", {"n": 3}, max_edges=cap),
+             lambda: generate("interval", {"n": 5}, max_edges=cap),
+             lambda: interval(5, max_edges=cap),
+             lambda: random_chordal(5, max_edges=cap),
+             lambda: random_bounded_degree(5, 0.5, 2, max_edges=cap))
+    for call in calls:
+        with pytest.raises(ValueError, match="^max_edges must be %s$" % message):
+            call()
+
+
 def test_header_prefix_accepted():
     assert parse_graph6(">>graph6<<C~") == complete(4)
 
